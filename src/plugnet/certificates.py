@@ -118,8 +118,9 @@ def gershgorin_pd_check(
 def certificate_matrix(prob: CertificateProblem) -> np.ndarray:
     """M = D^T Theta D + Sigma, the matrix whose definiteness is in question."""
     d = incidence(prob.graph).astype(float)
-    theta = np.diag(prob.theta)
-    return d.T @ theta @ d + np.diag(prob.sigma)
+    m = (d.T * prob.theta) @ d  # no dense Theta: one matmul, fewer temporaries
+    m.ravel()[:: len(m) + 1] += prob.sigma  # ravel of the fresh product is a view
+    return m
 
 
 def pd_oracle(prob: CertificateProblem) -> float:

@@ -20,6 +20,7 @@ from .errors import EstimatorError, PlugnetError, RealizationError
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,34 +345,75 @@ def tabulated(
     )
 
 
+# The formula of each coupling kind, written once. Parameters broadcast
+# against x: shape (m,) for a gain, (m, K + 1) for a table of K knots, with
+# m = 1 or m = len(x), so one call evaluates one coupling at many points or
+# m same-kind couplings at one point each.
+
+
+def _linear_gain_phi(gain, x):
+    return gain * x
+
+
+def _sat_sine_phi(gain, x):
+    return gain * np.where(np.abs(x) < _HALF_PI, np.sin(x), x)
+
+
+def _sat_sine_smooth_phi(gain, x):
+    mag = np.abs(x)
+    return gain * np.where(mag < _HALF_PI, np.sin(x), np.sign(x) * (mag - _HALF_PI + 1.0))
+
+
+def _tabulated_phi(knots, values, slopes, x):
+    """Odd piecewise-linear interpolation through (0, 0) and the knots.
+
+    Row r of ``knots``/``values``/``slopes`` holds anchors 0, x_1, ..., x_K,
+    the values there and the slope of the segment that starts there; the
+    last slope continues the final segment past x_K. Shorter tables are
+    padded by repeating their last entry, which leaves them unchanged.
+    """
+    mag = np.abs(x)
+    at = np.arange(len(knots)) * knots.shape[1]  # flat index of each row's anchor 0
+    for knot in knots[:, 1:].T:
+        at = at + (knot <= mag)
+    return np.sign(x) * (values.take(at) + slopes.take(at) * (mag - knots.take(at)))
+
+
+COUPLING_FORMULAS = {
+    "linear_gain": _linear_gain_phi,
+    "sat_sine": _sat_sine_phi,
+    "sat_sine_smooth": _sat_sine_smooth_phi,
+    "tabulated": _tabulated_phi,
+}
+
+
+def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray, ...]:
+    """Stacked parameters of same-kind couplings, one row per coupling.
+
+    The result is the leading arguments of ``COUPLING_FORMULAS[kind]``.
+    """
+    if couplings[0].kind != "tabulated":
+        return (np.array([c.gain for c in couplings], dtype=float),)
+    width = 1 + max(len(c.table) for c in couplings)
+    knots, values, slopes = [], [], []
+    for c in couplings:
+        xs = [0.0] + [x for x, _ in c.table]
+        ys = [0.0] + [y for _, y in c.table]
+        ss = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+        pad = width - len(xs)
+        knots.append(xs + xs[-1:] * pad)
+        values.append(ys + ys[-1:] * pad)
+        slopes.append(ss + ss[-1:] * (pad + 1))
+    return np.array(knots), np.array(values), np.array(slopes)
+
+
 def evaluate_coupling(c: SectorCoupling, x):
     """phi(x) for scalar or array x."""
     arr = np.asarray(x, dtype=float)
-    if c.kind == "linear_gain":
-        out = c.gain * arr
-    elif c.kind == "sat_sine":
-        out = np.where(np.abs(arr) < math.pi / 2.0, c.gain * np.sin(arr), c.gain * arr)
-    elif c.kind == "sat_sine_smooth":
-        out = np.where(
-            np.abs(arr) < math.pi / 2.0,
-            c.gain * np.sin(arr),
-            c.gain * np.sign(arr) * (np.abs(arr) - math.pi / 2.0 + 1.0),
-        )
-    else:
-        xs = np.array([x for x, _ in c.table])
-        ys = np.array([y for _, y in c.table])
-        mag = np.abs(arr)
-        interp = np.interp(mag, np.concatenate(([0.0], xs)), np.concatenate(([0.0], ys)))
-        if len(xs) > 1:
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        else:
-            slope = ys[0] / xs[0]
-        beyond = mag > xs[-1]
-        interp = np.where(beyond, ys[-1] + slope * (mag - xs[-1]), interp)
-        out = np.sign(arr) * interp
+    out = COUPLING_FORMULAS[c.kind](*coupling_parameters([c]), arr.ravel())
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)

@@ -134,25 +134,28 @@ class ScenarioDocument:
                     f"node {node_id} has no dynamics; it cannot be simulated"
                 )
             systems[node_id] = spec.system
-        noise = self.noise if seed is None else NoiseSpec(
-            scale=self.noise.scale, seed=seed, kind=self.noise.kind
-        )
-        return Scenario(
-            systems=systems,
-            initial_graph=self.initial_graph(),
-            couplings=dict(self.couplings),
-            noise=noise,
-            solver=self.solver,
-            initial_outputs={
-                i: s.y0 for i, s in self.nodes.items() if s.y0 is not None
-            },
-            initial_states={
-                i: np.asarray(s.x0, dtype=float)
-                for i, s in self.nodes.items()
-                if s.x0 is not None
-            },
-            plug_events=self.plug_events(),
-        )
+        try:
+            noise = self.noise if seed is None else NoiseSpec(
+                scale=self.noise.scale, seed=seed, kind=self.noise.kind
+            )
+            return Scenario(
+                systems=systems,
+                initial_graph=self.initial_graph(),
+                couplings=dict(self.couplings),
+                noise=noise,
+                solver=self.solver,
+                initial_outputs={
+                    i: s.y0 for i, s in self.nodes.items() if s.y0 is not None
+                },
+                initial_states={
+                    i: np.asarray(s.x0, dtype=float)
+                    for i, s in self.nodes.items()
+                    if s.x0 is not None
+                },
+                plug_events=self.plug_events(),
+            )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
         """Passivity indices (declared where present, sweep otherwise) and

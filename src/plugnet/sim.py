@@ -6,17 +6,27 @@ with per-node noise added inside the coupling argument:
 
     u_i = -sum_{j in N_i} phi_ij(y_i + w_i - y_j - w_j)
 
+Stacked over the network this is ``dx/dt = A x - B D phi(D^T (C x + w))``
+with block-diagonal A, B, C and incidence matrix D. The core never forms
+them densely: each topology phase builds two sparse operators once,
+``G = D^T C`` and ``S = [A | -B D]``, so a stage costs time proportional to
+the number of states and edges. The couplings are evaluated by kind with
+the formulas of ``plugnet.passivity``, all edges of one kind in one call.
+A dense reference in the tests holds this core to a relative error of
+1e-12 with identical NaN masks.
+
 Integration is classic RK4 with a fixed step. Noise is piecewise-constant:
 one Gaussian draw per node per step, held across the step's internal
-stages. The draw for (node, step) depends only on the seed and the node
-id, so plugging more nodes in never perturbs existing noise streams.
-Scheduled plug events swap in the composed graph mid-run, carrying node
-states over and initializing newly added nodes from their declared
-initial outputs (minimum-norm state).
+stages (so ``D^T w`` is formed once per step). The draw for (node, step)
+depends only on the seed and the node id, so plugging more nodes in never
+perturbs existing noise streams. Scheduled plug events swap in the
+composed graph mid-run, carrying node states over and initializing newly
+added nodes from their declared initial outputs (minimum-norm state).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -24,12 +34,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SimulationDiverged
-from .graph import Graph, PlugPlan, compose, incidence
-from .passivity import LtiSystem, SectorCoupling, evaluate_coupling
+from .graph import Graph, PlugPlan, compose
+from .passivity import COUPLING_FORMULAS, LtiSystem, SectorCoupling, coupling_parameters
 
 NOISE_KINDS = ("white_gaussian_held", "white_gaussian_sqrt_dt")
-
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,17 @@ class Scenario:
             for node in g.node_ids:
                 if node not in self.systems:
                     raise ValueError(f"no dynamics declared for node {node}")
+                _check_strictly_proper(node, self.systems[node])
             for i, j in g.edges:
                 _coupling_for(self.couplings, i, j)
+        for node, sys in self.systems.items():
+            if node in self.initial_states:
+                if np.shape(self.initial_states[node]) != (sys.order,):
+                    raise ValueError(
+                        f"node {node}: initial state must have {sys.order} entries"
+                    )
+            elif sys.order and self.initial_outputs.get(node) and not np.any(sys.c):
+                raise ValueError(f"node {node}: cannot match a nonzero initial output")
         object.__setattr__(self, "_phases", tuple(phases))
 
     @property
@@ -187,123 +204,143 @@ def noise_stream(noise: NoiseSpec, node_id: int, n_steps: int, dt: float) -> np.
     return scale * z
 
 
+def _coo(entries: list[tuple[int, int, float]], n_rows: int) -> tuple:
+    """A sparse matrix with ``n_rows`` rows from its (row, col, value) entries."""
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float), n_rows)
+
+
+def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
+    """Sparse product: one gather, one multiply, one bincount.
+
+    ``bincount`` of an empty operator returns integers, hence the cast.
+    """
+    rows, cols, vals, n_rows = op
+    return np.bincount(rows, vals * x[cols], minlength=n_rows).astype(float, copy=False)
+
+
+def _nonzeros(vec: np.ndarray) -> list[tuple[int, float]]:
+    return [(int(r), float(vec[r])) for r in np.flatnonzero(vec)]
+
+
+def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
+    if sys.d != 0.0:
+        raise ValueError(
+            f"node {node} has direct feedthrough; the coupled network "
+            "would need an algebraic loop solve (unsupported)"
+        )
+
+
 class _PhaseContext:
-    """Stacked dynamics and coupling machinery for one topology phase."""
+    """Sparse operators and coupling groups for one topology phase.
+
+    One stage is ``v = G x + D^T w``, then ``dx/dt = S [x; phi(v)]`` (see
+    the module docstring); each product is one gather, one multiply and one
+    ``bincount``. Edges are held grouped by coupling kind, one slice per
+    kind, so their internal order is not that of ``graph.edges``.
+    """
 
     def __init__(self, graph: Graph, systems: Mapping[int, LtiSystem],
                  couplings: Mapping[tuple[int, int], SectorCoupling]):
-        self.graph = graph
         self.node_ids = graph.node_ids
         self.systems = [systems[i] for i in self.node_ids]
-        for node, sys in zip(self.node_ids, self.systems):
-            if sys.d != 0.0:
-                raise ValueError(
-                    f"node {node} has direct feedthrough; the coupled network "
-                    "would need an algebraic loop solve (unsupported)"
-                )
-        orders = [sys.order for sys in self.systems]
-        self.slices = []
+        self.slices: dict[int, slice] = {}
         offset = 0
-        for k in orders:
-            self.slices.append(slice(offset, offset + k))
-            offset += k
+        for node, sys in zip(self.node_ids, self.systems):
+            _check_strictly_proper(node, sys)
+            self.slices[node] = slice(offset, offset + sys.order)
+            offset += sys.order
         self.n_states = offset
-        n = len(self.node_ids)
-        self.A = np.zeros((offset, offset))
-        self.B = np.zeros((offset, n))
-        self.C = np.zeros((n, offset))
-        for idx, sys in enumerate(self.systems):
-            sl = self.slices[idx]
-            self.A[sl, sl] = sys.a
-            self.B[sl, idx] = sys.b
-            self.C[idx, sl] = sys.c
+        self.n = len(self.node_ids)
 
-        self.D = incidence(graph).astype(float)
-        self.Dt = self.D.T
+        edge_couplings = [_coupling_for(couplings, i, j) for i, j in graph.edges]
+        order = sorted(range(graph.p), key=lambda k: edge_couplings[k].kind)
+        edges = [graph.edges[k] for k in order]
+        self.p = len(edges)
+        local = {node: k for k, node in enumerate(self.node_ids)}
+        self._heads = np.array([local[i] for i, _ in edges], dtype=np.intp)
+        self._tails = np.array([local[j] for _, j in edges], dtype=np.intp)
 
-        p = graph.p
-        kinds = np.zeros(p, dtype=int)
-        gains = np.zeros(p)
-        tabulated: list[tuple[int, SectorCoupling]] = []
-        codes = {"linear_gain": 0, "sat_sine": 1, "sat_sine_smooth": 2, "tabulated": 3}
-        for k, (i, j) in enumerate(graph.edges):
-            c = _coupling_for(couplings, i, j)
-            kinds[k] = codes[c.kind]
-            if c.kind == "tabulated":
-                tabulated.append((k, c))
-            else:
-                gains[k] = c.gain
-        self._gains = gains
-        self._lin = kinds == 0
-        self._sine = kinds == 1
-        self._smooth = kinds == 2
-        self._tabulated = tabulated
+        self._kinds = []
+        start = 0
+        for kind, group in itertools.groupby(order, key=lambda k: edge_couplings[k].kind):
+            group_couplings = [edge_couplings[k] for k in group]
+            stop = start + len(group_couplings)
+            self._kinds.append((slice(start, stop), COUPLING_FORMULAS[kind],
+                                coupling_parameters(group_couplings)))
+            start = stop
+
+        c_entries, g_entries, s_entries = [], [], []
+        for idx, (node, sys) in enumerate(zip(self.node_ids, self.systems)):
+            first = self.slices[node].start
+            c_entries += [(idx, first + r, v) for r, v in _nonzeros(sys.c)]
+            rows, cols = np.nonzero(sys.a)
+            s_entries += [(first + r, first + c, sys.a[r, c]) for r, c in zip(rows, cols)]
+        for e, (i, j) in enumerate(edges):
+            for node, sign in ((i, 1.0), (j, -1.0)):
+                sys, first = systems[node], self.slices[node].start
+                g_entries += [(e, first + r, sign * v) for r, v in _nonzeros(sys.c)]
+                s_entries += [(first + r, self.n_states + e, -sign * v)
+                              for r, v in _nonzeros(sys.b)]
+        self._C = _coo(c_entries, self.n)
+        self._G = _coo(g_entries, self.p)
+        self._S = _coo(s_entries, self.n_states)
+
+    def edge_noise(self, w: np.ndarray) -> np.ndarray:
+        """``D^T w`` for node noise ``w`` in ``node_ids`` order."""
+        return w[self._heads] - w[self._tails]
 
     def phi(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        if self._lin.any():
-            out[self._lin] = self._gains[self._lin] * v[self._lin]
-        if self._sine.any():
-            m = self._sine
-            vv = v[m]
-            out[m] = np.where(np.abs(vv) < _HALF_PI,
-                              self._gains[m] * np.sin(vv), self._gains[m] * vv)
-        if self._smooth.any():
-            m = self._smooth
-            vv = v[m]
-            out[m] = np.where(
-                np.abs(vv) < _HALF_PI,
-                self._gains[m] * np.sin(vv),
-                self._gains[m] * np.sign(vv) * (np.abs(vv) - _HALF_PI + 1.0),
-            )
-        for k, c in self._tabulated:
-            out[k] = evaluate_coupling(c, v[k])
+        for sl, formula, params in self._kinds:
+            out[sl] = formula(*params, v[sl])
         return out
 
+    def edge_inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """Coupling arguments ``v = D^T (C x + w)`` given ``dw = D^T w``."""
+        return _matvec(self._G, x) + dw
+
     def outputs(self, x: np.ndarray) -> np.ndarray:
-        return self.C @ x
+        return _matvec(self._C, x)
 
-    def input_vector(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return -(self.D @ self.phi(self.Dt @ (y + w)))
+    def inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """Node inputs ``u = -D phi(v)``."""
+        f = self.phi(self.edge_inputs(x, dw))
+        return (np.bincount(self._tails, f, minlength=self.n)
+                - np.bincount(self._heads, f, minlength=self.n))
 
-    def deriv(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        u = self.input_vector(self.C @ x, w)
-        return self.A @ x + self.B @ u
+    def deriv(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        z = np.concatenate((x, self.phi(self.edge_inputs(x, dw))))
+        return _matvec(self._S, z)
 
-    def rk4(self, x: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self.deriv(x, w)
-        k2 = self.deriv(x + 0.5 * dt * k1, w)
-        k3 = self.deriv(x + 0.5 * dt * k2, w)
-        k4 = self.deriv(x + dt * k3, w)
+    def rk4(self, x: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+        k1 = self.deriv(x, dw)
+        k2 = self.deriv(x + 0.5 * dt * k1, dw)
+        k3 = self.deriv(x + 0.5 * dt * k2, dw)
+        k4 = self.deriv(x + dt * k3, dw)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def initial_state(self, outputs: Mapping[int, float],
                       states: Mapping[int, np.ndarray]) -> np.ndarray:
         x = np.zeros(self.n_states)
-        for idx, node in enumerate(self.node_ids):
-            x[self.slices[idx]] = _node_initial_state(
-                self.systems[idx], node, outputs.get(node), states.get(node)
-            )
+        for node, sys in zip(self.node_ids, self.systems):
+            x[self.slices[node]] = _node_initial_state(sys, outputs.get(node), states.get(node))
         return x
 
 
-def _node_initial_state(sys: LtiSystem, node: int, y0: float | None,
+def _node_initial_state(sys: LtiSystem, y0: float | None,
                         x0: np.ndarray | None) -> np.ndarray:
+    """Declared state, else the minimum-norm state with output ``y0``.
+
+    ``Scenario`` has checked that the declared state fits and that a
+    nonzero ``y0`` can be matched.
+    """
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (sys.order,):
-            raise ValueError(
-                f"node {node}: initial state must have {sys.order} entries"
-            )
-        return x0
-    if sys.order == 0:
-        return np.empty(0)
-    if y0 is None or y0 == 0.0:
+        return np.asarray(x0, dtype=float)
+    if sys.order == 0 or y0 is None or y0 == 0.0:
         return np.zeros(sys.order)
-    cc = float(sys.c @ sys.c)
-    if cc == 0.0:
-        raise ValueError(f"node {node}: cannot match a nonzero initial output")
-    return sys.c * (y0 / cc)  # minimum-norm solution of C x = y0
+    return sys.c * (y0 / float(sys.c @ sys.c))  # minimum-norm solution of C x = y0
 
 
 def step(
@@ -323,18 +360,18 @@ def step(
     """
     ctx = _PhaseContext(graph, systems, couplings)
     x = np.zeros(ctx.n_states)
-    for idx, node in enumerate(ctx.node_ids):
+    for node, sys in zip(ctx.node_ids, ctx.systems):
         arr = np.asarray(state[node], dtype=float)
-        if arr.shape != (ctx.systems[idx].order,):
-            raise ValueError(f"node {node}: state must have {ctx.systems[idx].order} entries")
-        x[ctx.slices[idx]] = arr
+        if arr.shape != (sys.order,):
+            raise ValueError(f"node {node}: state must have {sys.order} entries")
+        x[ctx.slices[node]] = arr
     w = np.array([float(w_sample.get(node, 0.0)) for node in ctx.node_ids])
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = ctx.rk4(x, w, dt)
+        x_next = ctx.rk4(x, ctx.edge_noise(w), dt)
     if not np.all(np.isfinite(x_next)):
         raise SimulationDiverged(t0 + dt)
     y = ctx.outputs(x_next)
-    next_state = {node: x_next[ctx.slices[idx]].copy() for idx, node in enumerate(ctx.node_ids)}
+    next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
     return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
 
 
@@ -360,10 +397,8 @@ def run(scenario: Scenario) -> TrajectoryRecord:
     times = np.arange(n_samples) * (stride * dt)
     y_rec = np.full((n_samples, len(all_ids)), np.nan)
     u_rec = np.full((n_samples, len(all_ids)), np.nan)
-    w_rec = np.empty((n_samples, len(all_ids)))
+    w_rec = noise[np.minimum(np.arange(n_samples) * stride, total_steps - 1)]
     active = np.zeros(n_samples, dtype=int)
-    for s in range(n_samples):
-        w_rec[s] = noise[min(s * stride, total_steps - 1)]
 
     starts = scenario.phase_start_steps()
     bounds = starts[1:] + [total_steps]
@@ -373,25 +408,22 @@ def run(scenario: Scenario) -> TrajectoryRecord:
     prev_ctx: _PhaseContext | None = None
     for phase_idx, graph in enumerate(phases):
         ctx = _PhaseContext(graph, scenario.systems, scenario.couplings)
-        if prev_ctx is None:
-            x = ctx.initial_state(scenario.initial_outputs, scenario.initial_states)
-        else:
-            x_new = ctx.initial_state(scenario.initial_outputs, scenario.initial_states)
-            for idx_prev, node in enumerate(prev_ctx.node_ids):
-                x_new[ctx.slices[ctx.node_ids.index(node)]] = x[prev_ctx.slices[idx_prev]]
-            x = x_new
-        cols = [col_of[node] for node in ctx.node_ids]
+        x_new = ctx.initial_state(scenario.initial_outputs, scenario.initial_states)
+        if prev_ctx is not None:
+            for node, sl in prev_ctx.slices.items():
+                x_new[ctx.slices[node]] = x[sl]
+        x = x_new
+        cols = np.array([col_of[node] for node in ctx.node_ids], dtype=np.intp)
 
         with np.errstate(over="ignore", invalid="ignore"):
             for step_i in range(starts[phase_idx], bounds[phase_idx]):
-                w = noise[step_i, cols]
+                dw = ctx.edge_noise(noise[step_i, cols])
                 if step_i % stride == 0:
                     s = step_i // stride
-                    y = ctx.outputs(x)
-                    y_rec[s, cols] = y
-                    u_rec[s, cols] = ctx.input_vector(y, w)
+                    y_rec[s, cols] = ctx.outputs(x)
+                    u_rec[s, cols] = ctx.inputs(x, dw)
                     active[s] = phase_idx
-                x = ctx.rk4(x, w, dt)
+                x = ctx.rk4(x, dw, dt)
                 if not np.all(np.isfinite(x)):
                     raise SimulationDiverged((step_i + 1) * dt)
         prev_ctx = ctx
@@ -399,11 +431,9 @@ def run(scenario: Scenario) -> TrajectoryRecord:
     if total_steps % stride == 0:
         ctx = prev_ctx
         cols = [col_of[node] for node in ctx.node_ids]
-        w = noise[total_steps - 1, cols]
-        y = ctx.outputs(x)
         s = total_steps // stride
-        y_rec[s, cols] = y
-        u_rec[s, cols] = ctx.input_vector(y, w)
+        y_rec[s, cols] = ctx.outputs(x)
+        u_rec[s, cols] = ctx.inputs(x, ctx.edge_noise(noise[total_steps - 1, cols]))
         active[s] = len(phases) - 1
 
     return TrajectoryRecord(

@@ -205,6 +205,34 @@ def test_cli_simulate_deterministic_and_zero_noise(tmp_path):
     assert meta_payload["event_times"] == [1.0]
 
 
+def _with_feedthrough(raw):
+    raw["nodes"][0]["dynamics"] = {"num": [1, 1], "den": [1, 1]}  # biproper
+
+
+def _with_short_x0(raw):
+    raw["nodes"][0]["x0"] = [0.1, 0.2]  # first-order lag: one state
+
+
+def _with_late_plug(raw):
+    raw["plug_events"][0]["time"] = 3.0  # t_end is 2.0
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_with_feedthrough, "direct feedthrough"),
+    (_with_short_x0, "initial state must have 1 entries"),
+    (_with_late_plug, "outside [0, t_end]"),
+], ids=["feedthrough", "x0_length", "plug_after_t_end"])
+def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, message):
+    # these parse, but cannot be simulated: a typed error, not a traceback
+    raw = _fig2_scenario([[1, 4], [3, 6]])
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_cli_report_on_golden_run(tmp_path, golden_doc, golden_traj):
     scenario_path = tmp_path / "paper_example.json"
     write_scenario(paper_example(), scenario_path)
