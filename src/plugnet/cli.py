@@ -180,6 +180,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.horizons < 2:
+        raise PlugnetError(f"--horizons must be at least 2 (got {args.horizons})")
     doc = parse_scenario(args.scenario)
     traj = read_trajectory_csv(Path(args.traj))
     graph = doc.final_graph()

@@ -4,7 +4,8 @@ Every edge carries a fixed orientation chosen at construction: the first
 node of the pair is the positive end, the second the negative end. The
 orientation is arbitrary but stable, so incidence matrices and edge-indexed
 quantities are reproducible. Graphs are immutable values; composing a plug
-plan returns a new graph.
+plan returns a new graph. A graph builds its node index and adjacency once,
+at construction, so every query on it is a lookup.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ class Graph:
 
     ``edges[k] = (i, j)`` means node ``i`` is the positive end and node
     ``j`` the negative end of edge ``k``. No self-loops, no duplicate
-    undirected edges.
+    undirected edges. ``index``, ``neighbors``, ``degree`` and ``has_edge``
+    are lookups into a node-position map and a node-to-neighbours map that
+    construction builds while it validates the edges.
     """
 
     node_ids: tuple[int, ...]
@@ -34,19 +37,23 @@ class Graph:
         object.__setattr__(
             self, "edges", tuple((int(i), int(j)) for i, j in self.edges)
         )
-        if len(set(self.node_ids)) != len(self.node_ids):
+        position = {i: k for k, i in enumerate(self.node_ids)}
+        if len(position) != len(self.node_ids):
             raise GraphError(f"duplicate node ids in {self.node_ids}")
-        known = set(self.node_ids)
-        seen: set[frozenset[int]] = set()
+        adjacency: dict[int, set[int]] = {i: set() for i in self.node_ids}
         for i, j in self.edges:
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
-            if i not in known or j not in known:
+            if i not in adjacency or j not in adjacency:
                 raise GraphError(f"edge ({i}, {j}) references an unknown node")
-            key = frozenset((i, j))
-            if key in seen:
+            if j in adjacency[i]:
                 raise GraphError(f"duplicate undirected edge ({i}, {j})")
-            seen.add(key)
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(
+            self, "_adjacency", {i: frozenset(nbrs) for i, nbrs in adjacency.items()}
+        )
 
     @classmethod
     def from_pairs(cls, node_ids: Iterable[int], pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -64,25 +71,21 @@ class Graph:
 
     def index(self, node: int) -> int:
         try:
-            return self.node_ids.index(node)
-        except ValueError:
+            return self._position[node]
+        except KeyError:
             raise GraphError(f"node {node} not in graph") from None
 
     def neighbors(self, node: int) -> frozenset[int]:
-        self.index(node)
-        out = set()
-        for i, j in self.edges:
-            if i == node:
-                out.add(j)
-            elif j == node:
-                out.add(i)
-        return frozenset(out)
+        try:
+            return self._adjacency[node]
+        except KeyError:
+            raise GraphError(f"node {node} not in graph") from None
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in {frozenset(e) for e in self.edges}
+        return j in self._adjacency.get(i, ())
 
     def edge_keys(self) -> set[frozenset[int]]:
         return {frozenset(e) for e in self.edges}
@@ -94,10 +97,9 @@ def incidence(g: Graph) -> np.ndarray:
     Integer-valued; column sums are exactly zero.
     """
     d = np.zeros((g.n, g.p), dtype=int)
-    pos = {node: k for k, node in enumerate(g.node_ids)}
     for k, (i, j) in enumerate(g.edges):
-        d[pos[i], k] = 1
-        d[pos[j], k] = -1
+        d[g.index(i), k] = 1
+        d[g.index(j), k] = -1
     return d
 
 
@@ -105,16 +107,12 @@ def is_connected(g: Graph) -> bool:
     """True iff every node is reachable from every other (empty graph: True)."""
     if g.n <= 1:
         return True
-    adjacency: dict[int, set[int]] = {i: set() for i in g.node_ids}
-    for i, j in g.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
     start = g.node_ids[0]
     visited = {start}
     stack = [start]
     while stack:
         current = stack.pop()
-        for nxt in adjacency[current] - visited:
+        for nxt in g.neighbors(current) - visited:
             visited.add(nxt)
             stack.append(nxt)
     return len(visited) == g.n

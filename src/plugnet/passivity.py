@@ -169,20 +169,19 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
 
 @dataclass(frozen=True)
 class IfpIndex:
-    """Input-feedforward passivity index with its offset and provenance.
+    """Input-feedforward passivity index with its provenance.
 
     ``nu > 0`` is a passivity surplus, ``nu < 0`` a shortage. ``omega`` is
     the minimizing frequency when the index came from a sweep.
     """
 
     nu: float
-    delta: float = 0.0
     provenance: str = "declared"
     omega: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.nu) or not math.isfinite(self.delta):
-            raise PlugnetError("passivity index and offset must be finite")
+        if not math.isfinite(self.nu):
+            raise PlugnetError("passivity index must be finite")
         if self.provenance not in ("declared", "frequency_sweep"):
             raise PlugnetError(f"unknown provenance {self.provenance!r}")
 

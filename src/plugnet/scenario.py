@@ -37,7 +37,7 @@ SCHEMA_VERSION = "1"
 
 _TOP_KEYS = {"version", "nodes", "graphs", "initial", "couplings",
              "plug_events", "noise", "solver", "outputs"}
-_NODE_KEYS = {"id", "dynamics", "nu", "delta", "y0", "x0"}
+_NODE_KEYS = {"id", "dynamics", "nu", "y0", "x0"}
 _DYNAMICS_KEYS = {"num", "den"}
 _GRAPH_KEYS = {"nodes", "edges"}
 _COUPLING_KEYS = {"edge", "kind", "a", "alpha_lower", "alpha_upper", "table"}
@@ -76,7 +76,6 @@ class NodeSpec:
     node_id: int
     system: LtiSystem | None
     declared_nu: float | None
-    delta: float
     y0: float | None
     x0: tuple[float, ...] | None
 
@@ -193,8 +192,6 @@ class ScenarioDocument:
                 }
             if spec.declared_nu is not None:
                 entry["nu"] = spec.declared_nu
-            if spec.delta != 0.0:
-                entry["delta"] = spec.delta
             if spec.y0 is not None:
                 entry["y0"] = spec.y0
             if spec.x0 is not None:
@@ -269,7 +266,6 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
             node_id=node_id,
             system=system,
             declared_nu=float(nu) if nu is not None else None,
-            delta=float(entry.get("delta", 0.0)),
             y0=float(entry["y0"]) if "y0" in entry else None,
             x0=tuple(float(v) for v in x0) if x0 is not None else None,
         )

@@ -123,7 +123,7 @@ class Scenario:
             prev = phases[-1]
             if not set(prev.node_ids) <= set(new_graph.node_ids):
                 raise ValueError("plug event drops active nodes")
-            if not prev.edge_keys() <= new_graph.edge_keys():
+            if not all(new_graph.has_edge(i, j) for i, j in prev.edges):
                 raise ValueError("plug event drops active edges")
             phases.append(new_graph)
         for g in phases:
@@ -258,9 +258,8 @@ class _PhaseContext:
         order = sorted(range(graph.p), key=lambda k: edge_couplings[k].kind)
         edges = [graph.edges[k] for k in order]
         self.p = len(edges)
-        local = {node: k for k, node in enumerate(self.node_ids)}
-        self._heads = np.array([local[i] for i, _ in edges], dtype=np.intp)
-        self._tails = np.array([local[j] for _, j in edges], dtype=np.intp)
+        self._heads = np.array([graph.index(i) for i, _ in edges], dtype=np.intp)
+        self._tails = np.array([graph.index(j) for _, j in edges], dtype=np.intp)
 
         self._kinds = []
         start = 0

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from plugnet.errors import GraphError
 from plugnet.graph import (
@@ -59,6 +62,56 @@ def test_degree_and_neighbors():
     assert g.degree(2) == 3
     assert g.neighbors(2) == frozenset({1, 3, 4})
     assert g.degree(1) == 1
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs on sparse, unsorted labels with randomly oriented edges."""
+    nodes = draw(st.lists(st.integers(-50, 500), unique=True, max_size=9))
+    pairs = list(itertools.combinations(nodes, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return Graph(nodes, [(j, i) if flip else (i, j) for (i, j), flip in zip(chosen, flips)])
+
+
+@given(_graphs())
+def test_lookups_match_scans_over_node_ids_and_edges(g):
+    keys = {frozenset(e) for e in g.edges}
+    for node in g.node_ids:
+        scanned = {j for i, j in g.edges if i == node} | {i for i, j in g.edges if j == node}
+        assert g.index(node) == list(g.node_ids).index(node)
+        assert g.neighbors(node) == frozenset(scanned)
+        assert g.degree(node) == len(scanned)
+    for i in g.node_ids:
+        for j in g.node_ids:
+            assert g.has_edge(i, j) == g.has_edge(j, i) == (frozenset((i, j)) in keys)
+
+    absent = max(g.node_ids, default=0) + 1
+    for node in g.node_ids:
+        assert not g.has_edge(node, absent) and not g.has_edge(absent, node)
+    for query in (g.index, g.neighbors, g.degree):
+        with pytest.raises(GraphError, match="not in graph"):
+            query(absent)
+
+    reached = set(g.node_ids[:1])
+    frontier = list(reached)
+    while frontier:
+        node = frontier.pop(0)
+        for i, j in g.edges:
+            for a, b in ((i, j), (j, i)):
+                if a == node and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    assert is_connected(g) == (len(reached) == g.n)
+
+    d = np.zeros((g.n, g.p), dtype=int)
+    for k, (i, j) in enumerate(g.edges):
+        for row, node in enumerate(g.node_ids):
+            if node == i:
+                d[row, k] = 1
+            if node == j:
+                d[row, k] = -1
+    assert np.array_equal(incidence(g), d)
 
 
 def test_graph_rejects_self_loop():

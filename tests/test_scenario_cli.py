@@ -33,10 +33,11 @@ def test_parse_rejects_unknown_top_level_key():
         parse_scenario_dict(raw)
 
 
-def test_parse_rejects_unknown_node_key():
+@pytest.mark.parametrize("key", ["colour", "delta"])
+def test_parse_rejects_unknown_node_key(key):
     raw = paper_example()
-    raw["nodes"][0]["colour"] = "red"
-    with pytest.raises(ScenarioError, match="colour"):
+    raw["nodes"][0][key] = 0.5
+    with pytest.raises(ScenarioError, match=key):
         parse_scenario_dict(raw)
 
 
@@ -251,6 +252,19 @@ def test_cli_report_on_golden_run(tmp_path, golden_doc, golden_traj):
     assert payload["analytic_rho_bound"] is not None
     header = dis_path.read_text().splitlines()[0]
     assert header == "t,disagreement"
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_cli_report_rejects_fewer_than_two_horizons(tmp_path, capsys, golden_traj, count):
+    scenario_path = tmp_path / "paper_example.json"
+    write_scenario(paper_example(), scenario_path)
+    csv_path = tmp_path / "traj.csv"
+    write_trajectory_csv(golden_traj, csv_path)
+    code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--horizons", str(count)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--horizons" in err
 
 
 def test_golden_estimate_matches_direct_api(golden_doc, golden_traj):
