@@ -38,11 +38,21 @@ class EstimatorError(PlugnetError):
 
 
 class SimulationDiverged(PlugnetError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state.
 
-    def __init__(self, time: float):
-        super().__init__(f"simulation diverged (non-finite state) at t = {time:.6g}")
+    ``step`` counts RK4 steps from 1, so the state is first non-finite at
+    the end of step ``step``, at time ``time = step * dt``; ``node`` is the
+    first node, in the active graph's order, whose state is non-finite.
+    """
+
+    def __init__(self, time: float, node: int, step: int):
+        super().__init__(
+            f"simulation diverged (non-finite state) at node {node}, "
+            f"step {step}, t = {time:.6g}"
+        )
         self.time = time
+        self.node = node
+        self.step = step
 
 
 class ScenarioError(PlugnetError):

@@ -9,6 +9,7 @@ their declared bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,16 +49,16 @@ class LtiSystem:
         return self.a.shape[0]
 
     def response(self, s) -> np.ndarray:
-        """Frequency response from the state-space matrices (not the polynomials)."""
+        """Frequency response from the state-space matrices (not the polynomials).
+
+        One stacked solve of ``(s I - A) x = B`` over all points of ``s``.
+        """
         s = np.atleast_1d(np.asarray(s, dtype=complex))
-        k = self.order
-        if k == 0:
+        if self.order == 0:
             return np.full(s.shape, self.d, dtype=complex)
-        eye = np.eye(k)
-        out = np.empty(s.shape, dtype=complex)
-        for idx, sval in enumerate(s):
-            out[idx] = self.c @ np.linalg.solve(sval * eye - self.a, self.b) + self.d
-        return out
+        pencils = s[:, None, None] * np.eye(self.order) - self.a
+        x = np.linalg.solve(pencils, self.b[:, None])
+        return x[:, :, 0] @ self.c + self.d
 
     def poles(self) -> np.ndarray:
         return np.roots(self.den) if len(self.den) > 1 else np.empty(0, dtype=complex)
@@ -76,12 +77,13 @@ def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[nz[0]:]
 
 
-def _cancel_common_roots(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove zero/pole pairs equal to within _CANCEL_TOL, preserving the gain."""
-    if len(num) < 2 or len(den) < 2:
-        return num, den
-    zeros = list(np.roots(num))
-    poles = list(np.roots(den))
+def _cancel_common_roots(num: np.ndarray, den: np.ndarray, zeros: list, poles: list):
+    """Remove zero/pole pairs equal to within _CANCEL_TOL, preserving the gain.
+
+    ``zeros``/``poles`` are the roots of ``num``/``den``. Returns the
+    reduced numerator and denominator with their zeros and poles.
+    """
+    poles = list(poles)
     kept_zeros = []
     for z in zeros:
         dists = [abs(z - p) for p in poles]
@@ -90,24 +92,19 @@ def _cancel_common_roots(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, 
         else:
             kept_zeros.append(z)
     if len(kept_zeros) == len(zeros):
-        return num, den
+        return num, den, zeros, poles
     new_num = num[0] * np.atleast_1d(np.poly(kept_zeros)).real
     new_den = np.atleast_1d(np.poly(poles)).real
-    return new_num, new_den
+    return new_num, new_den, kept_zeros, poles
 
 
-def _verify_realization(sys: LtiSystem) -> None:
+def _verify_realization(sys: LtiSystem, roots: list) -> None:
     """Cross-check the state-space response against the polynomials.
 
-    Twenty pseudorandom points on a circle enclosing all poles and zeros;
-    relative tolerance 1e-8.
+    Twenty pseudorandom points on a circle enclosing ``roots`` (all poles
+    and zeros of ``sys``); relative tolerance 1e-8.
     """
-    roots = []
-    if len(sys.num) > 1:
-        roots.extend(np.roots(sys.num))
-    if len(sys.den) > 1:
-        roots.extend(np.roots(sys.den))
-    radius = 2.0 * (1.0 + (max(abs(r) for r in roots) if roots else 0.0))
+    radius = 2.0 * (1.0 + max((abs(r) for r in roots), default=0.0))
     rng = np.random.default_rng(1724)
     s = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=20))
     h_ss = sys.response(s)
@@ -123,8 +120,13 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
     """Controllable-canonical realization of a proper rational function.
 
     Exactly-equal common roots (tolerance 1e-9) are cancelled first, so the
-    realization order equals the reduced denominator degree. Raises
-    RealizationError for improper functions or a zero denominator.
+    realization order equals the reduced denominator degree. The result is
+    checked against the polynomials at twenty points in one batched solve
+    (see ``LtiSystem.response``); the polynomial roots are computed once
+    for both the cancellation and that check. The returned system is
+    immutable, so callers may share one realization between nodes with the
+    same transfer function. Raises RealizationError for improper functions
+    or a zero denominator.
     """
     num_c = _strip_leading_zeros(np.atleast_1d(np.asarray(num, dtype=float)))
     den_c = _strip_leading_zeros(np.atleast_1d(np.asarray(den, dtype=float)))
@@ -137,7 +139,9 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
         )
     num_c = num_c / den_c[0]
     den_c = den_c / den_c[0]
-    num_c, den_c = _cancel_common_roots(num_c, den_c)
+    num_c, den_c, zeros, poles = _cancel_common_roots(
+        num_c, den_c, list(np.roots(num_c)), list(np.roots(den_c))
+    )
 
     k = len(den_c) - 1
     if k == 0:
@@ -163,7 +167,7 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
     b = np.zeros(k)
     b[0] = 1.0
     sys = LtiSystem(num=tuple(num_c), den=tuple(den_c), a=a, b=b, c=c, d=float(d))
-    _verify_realization(sys)
+    _verify_realization(sys, zeros + poles)
     return sys
 
 
@@ -425,6 +429,22 @@ class SectorCheck:
     within_declared: bool
 
 
+@functools.lru_cache(maxsize=8)
+def _sector_grid(samples: int, range_: float) -> np.ndarray:
+    """The sample points of ``verify_sector``: a symmetric log+linear grid.
+
+    The positive points in ascending order, then their negatives. A pure
+    function of its arguments, built once per pair and read-only, because
+    every caller shares it.
+    """
+    lin = np.linspace(range_ / samples, range_, samples)
+    log = np.logspace(math.log10(range_) - 8.0, math.log10(range_), samples)
+    xs = np.unique(np.concatenate([lin, log]))
+    grid = np.concatenate([xs, -xs])
+    grid.flags.writeable = False
+    return grid
+
+
 def verify_sector(c: SectorCoupling, samples: int = 2001, range_: float = 10.0) -> SectorCheck:
     """Sample phi(x)/x on a symmetric log+linear grid and compare with declared bounds.
 
@@ -435,13 +455,10 @@ def verify_sector(c: SectorCoupling, samples: int = 2001, range_: float = 10.0) 
         raise PlugnetError("need at least 2 samples")
     if range_ <= 0.0:
         raise PlugnetError("sampling range must be positive")
-    lin = np.linspace(range_ / samples, range_, samples)
-    log = np.logspace(math.log10(range_) - 8.0, math.log10(range_), samples)
-    xs = np.unique(np.concatenate([lin, log]))
-
-    pos = evaluate_coupling(c, xs)
-    neg = evaluate_coupling(c, -xs)
-    ratios = np.concatenate([pos / xs, neg / (-xs)])
+    xs = _sector_grid(samples, range_)
+    values = evaluate_coupling(c, xs)
+    ratios = values / xs
+    pos, neg = np.split(values, 2)
     lower = float(ratios.min())
     upper = float(ratios.max())
     odd_ok = bool(np.all(np.abs(pos + neg) <= 1e-12 * np.maximum(1.0, np.abs(pos))))

@@ -31,7 +31,7 @@ from .passivity import (
     tabulated,
     verify_sector,
 )
-from .sim import NoiseSpec, PlugEvent, Scenario, SolverConfig
+from .sim import NoiseSpec, PlugEvent, Scenario, SolverConfig, check_plug_times
 
 SCHEMA_VERSION = "1"
 
@@ -158,13 +158,14 @@ class ScenarioDocument:
 
     def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
         """Passivity indices (declared where present, sweep otherwise) and
-        upper sector bounds per edge."""
+        upper sector bounds per edge. Each distinct system is swept once."""
         nus: dict[int, float] = {}
+        sweeps: dict[LtiSystem, IfpIndex] = {}
         for node_id, spec in self.nodes.items():
             if spec.declared_nu is not None:
                 nus[node_id] = spec.declared_nu
             elif spec.system is not None:
-                nus[node_id] = estimate_ifp_index(spec.system).nu
+                nus[node_id] = _sweep(spec.system, sweeps).nu
             else:
                 raise ScenarioError(
                     f"node {node_id} has neither a declared index nor dynamics"
@@ -173,9 +174,11 @@ class ScenarioDocument:
         return nus, alphas
 
     def sweep_indices(self) -> dict[int, IfpIndex]:
-        """Frequency-sweep indices for every node that has dynamics."""
+        """Frequency-sweep indices for every node that has dynamics; each
+        distinct system is swept once."""
+        sweeps: dict[LtiSystem, IfpIndex] = {}
         return {
-            node_id: estimate_ifp_index(spec.system)
+            node_id: _sweep(spec.system, sweeps)
             for node_id, spec in self.nodes.items()
             if spec.system is not None
         }
@@ -237,10 +240,36 @@ class ScenarioDocument:
         return out
 
 
+def _sweep(system: LtiSystem, sweeps: dict[LtiSystem, IfpIndex]) -> IfpIndex:
+    """The IFP sweep of ``system``, run only when ``sweeps`` lacks it."""
+    if system not in sweeps:
+        sweeps[system] = estimate_ifp_index(system)
+    return sweeps[system]
+
+
+def _coefficient_key(dynamics: dict) -> tuple | None:
+    """``(num, den)`` as tuples when both are flat lists of numbers, else None.
+
+    Equal keys mean equal coefficients, hence the same realization; other
+    forms are realized node by node and left to ``realize`` to judge.
+    """
+    key = []
+    for coeffs in (dynamics["num"], dynamics["den"]):
+        if not isinstance(coeffs, (list, tuple)) or not all(
+            isinstance(v, (int, float)) for v in coeffs
+        ):
+            return None
+        key.append(tuple(coeffs))
+    return tuple(key)
+
+
 def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError("nodes: must be a non-empty list")
     nodes: dict[int, NodeSpec] = {}
+    # One realization per distinct transfer function in this document; the
+    # systems are immutable, so nodes share them.
+    realized: dict[tuple, LtiSystem] = {}
     for idx, entry in enumerate(raw):
         path = f"nodes[{idx}]"
         _check_keys(entry, _NODE_KEYS, {"id"}, path)
@@ -251,11 +280,17 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
             raise ScenarioError(f"{path}: duplicate node id {node_id}")
         system = None
         if "dynamics" in entry:
-            _check_keys(entry["dynamics"], _DYNAMICS_KEYS, _DYNAMICS_KEYS, f"{path}.dynamics")
-            try:
-                system = realize(entry["dynamics"]["num"], entry["dynamics"]["den"])
-            except PlugnetError as exc:
-                raise ScenarioError(f"{path}.dynamics: {exc}") from exc
+            dynamics = entry["dynamics"]
+            _check_keys(dynamics, _DYNAMICS_KEYS, _DYNAMICS_KEYS, f"{path}.dynamics")
+            key = _coefficient_key(dynamics)
+            system = realized.get(key)
+            if system is None:
+                try:
+                    system = realize(dynamics["num"], dynamics["den"])
+                except PlugnetError as exc:
+                    raise ScenarioError(f"{path}.dynamics: {exc}") from exc
+                if key is not None:
+                    realized[key] = system
         nu = entry.get("nu")
         if nu is not None and not isinstance(nu, (int, float)):
             raise ScenarioError(f"{path}: nu must be a number")
@@ -356,6 +391,8 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     for idx, entry in enumerate(raw.get("plug_events", [])):
         path = f"plug_events[{idx}]"
         _check_keys(entry, _PLUG_KEYS, {"time", "base", "boundary"}, path)
+        if not isinstance(entry["time"], (int, float)):
+            raise ScenarioError(f"{path}.time: must be a number")
         if ("added" in entry) == ("added_node" in entry):
             raise ScenarioError(f"{path}: exactly one of 'added'/'added_node' required")
         if entry["base"] not in graphs:
@@ -420,6 +457,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
             t_end=float(raw["solver"]["t_end"]),
             sample_stride=int(raw["solver"].get("sample_stride", 1)),
         )
+        check_plug_times([float(e["time"]) for e in plug_entries], solver)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -447,7 +485,14 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
 
 
 def parse_scenario(path: str | Path) -> ScenarioDocument:
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file.
+
+    The cost follows the document's distinct content: each distinct
+    transfer function is realized once (its realization check one batched
+    solve), and nodes with equal ``num``/``den`` share that immutable
+    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` sweep each
+    distinct system once. Nothing is reused across parses.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,6 +82,25 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
+def check_plug_times(times: Sequence[float], solver: SolverConfig) -> None:
+    """Plug-event times lie in ``[0, t_end]``, increase strictly and fall on the step grid.
+
+    Raises ValueError naming ``plug_events[k].time`` of the first event
+    that breaks a rule.
+    """
+    last = -1.0
+    for k, t in enumerate(times):
+        where = f"plug_events[{k}].time"
+        if not (0.0 <= t <= solver.t_end):
+            raise ValueError(f"{where}: plug event at t={t} outside [0, t_end]")
+        if t <= last:
+            raise ValueError(f"{where}: plug event times must be strictly increasing")
+        steps = t / solver.dt
+        if abs(steps - round(steps)) > 1e-6:
+            raise ValueError(f"{where}: plug event at t={t} not on the step grid")
+        last = t
+
+
 @dataclass(frozen=True)
 class PlugEvent:
     time: float
@@ -106,16 +125,7 @@ class Scenario:
             raise ValueError("scenario declares no systems")
         if any(i < 0 for i in self.systems):
             raise ValueError("node ids must be nonnegative (they key noise streams)")
-        last = -1.0
-        for ev in self.plug_events:
-            if not (0.0 <= ev.time <= self.solver.t_end):
-                raise ValueError(f"plug event at t={ev.time} outside [0, t_end]")
-            if ev.time <= last:
-                raise ValueError("plug event times must be strictly increasing")
-            steps = ev.time / self.solver.dt
-            if abs(steps - round(steps)) > 1e-6:
-                raise ValueError(f"plug event at t={ev.time} not on the step grid")
-            last = ev.time
+        check_plug_times([ev.time for ev in self.plug_events], self.solver)
         object.__setattr__(self, "plug_events", tuple(self.plug_events))
         phases = [self.initial_graph]
         for ev in self.plug_events:
@@ -320,6 +330,9 @@ class _PhaseContext:
         k4 = self.deriv(x + dt * k3, dw)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    def first_nonfinite_node(self, x: np.ndarray) -> int:
+        return next(node for node, sl in self.slices.items() if not np.all(np.isfinite(x[sl])))
+
     def initial_state(self, outputs: Mapping[int, float],
                       states: Mapping[int, np.ndarray]) -> np.ndarray:
         x = np.zeros(self.n_states)
@@ -354,8 +367,10 @@ def step(
     """One RK4 update of the coupled network; noise held across stages.
 
     Returns the next per-node states and the outputs at the end of the
-    step. Convenience wrapper over the phase machinery; ``run`` builds the
-    context once per phase instead.
+    step. A divergence is reported as step ``round(t0 / dt) + 1``, the
+    number ``run`` gives a step that starts at ``t0``. Convenience wrapper
+    over the phase machinery; ``run`` builds the context once per phase
+    instead.
     """
     ctx = _PhaseContext(graph, systems, couplings)
     x = np.zeros(ctx.n_states)
@@ -368,7 +383,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         x_next = ctx.rk4(x, ctx.edge_noise(w), dt)
     if not np.all(np.isfinite(x_next)):
-        raise SimulationDiverged(t0 + dt)
+        raise SimulationDiverged(t0 + dt, ctx.first_nonfinite_node(x_next), round(t0 / dt) + 1)
     y = ctx.outputs(x_next)
     next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
     return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
@@ -378,8 +393,8 @@ def run(scenario: Scenario) -> TrajectoryRecord:
     """Integrate a scenario phase by phase and sample the trajectories.
 
     Deterministic: the same scenario (same seed) produces bit-identical
-    records. Raises SimulationDiverged with the offending time if the
-    state leaves the finite range.
+    records. Raises SimulationDiverged naming the time, the step and the
+    first node whose state leaves the finite range.
     """
     solver = scenario.solver
     dt = solver.dt
@@ -424,7 +439,9 @@ def run(scenario: Scenario) -> TrajectoryRecord:
                     active[s] = phase_idx
                 x = ctx.rk4(x, dw, dt)
                 if not np.all(np.isfinite(x)):
-                    raise SimulationDiverged((step_i + 1) * dt)
+                    raise SimulationDiverged(
+                        (step_i + 1) * dt, ctx.first_nonfinite_node(x), step_i + 1
+                    )
         prev_ctx = ctx
 
     if total_steps % stride == 0:

@@ -7,6 +7,8 @@ import pytest
 
 from plugnet.errors import EstimatorError, PlugnetError, RealizationError
 from plugnet.passivity import (
+    LtiSystem,
+    _verify_realization,
     estimate_ifp_index,
     evaluate_coupling,
     linear_gain,
@@ -84,6 +86,42 @@ def test_realize_round_trip_random_stable_systems():
         h_ss = sys.response(1j * w)
         h_poly = polynomial_response(num, den, 1j * w)
         assert np.all(np.abs(h_ss - h_poly) <= 1e-8 * (1 + np.abs(h_poly)))
+
+
+def _looped_response(sys, s):
+    """Reference for the batched ``LtiSystem.response``: one solve per point."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if sys.order == 0:
+        return np.full(s.shape, sys.d, dtype=complex)
+    eye = np.eye(sys.order)
+    return np.array([sys.c @ np.linalg.solve(v * eye - sys.a, sys.b) + sys.d for v in s])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("points", ["scalar", 1, 50])
+def test_batched_response_matches_per_point_solves(order, points):
+    rng = np.random.default_rng([order, 0 if points == "scalar" else points])
+    for _ in range(5):
+        den = np.poly(-rng.uniform(0.1, 5.0, size=order))
+        num = rng.standard_normal(int(rng.integers(1, order + 2)))
+        sys = realize(num, den)
+        if points == "scalar":
+            s = complex(rng.standard_normal(), rng.standard_normal())
+        else:
+            s = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        fast = sys.response(s)
+        assert fast.shape == np.atleast_1d(s).shape
+        np.testing.assert_allclose(fast, _looped_response(sys, s), rtol=1e-12, atol=0.0)
+
+
+def test_verify_realization_rejects_a_corrupted_realization():
+    num, den = [1.0, 0.5], [1.0, 0.4, 0.0]
+    sys = realize(num, den)
+    roots = list(np.roots(num)) + list(np.roots(den))
+    _verify_realization(sys, roots)  # the genuine realization passes
+    bad = LtiSystem(num=sys.num, den=sys.den, a=sys.a, b=sys.b, c=1.5 * sys.c, d=sys.d)
+    with pytest.raises(RealizationError, match="deviates"):
+        _verify_realization(bad, roots)
 
 
 # --- passivity index sweep ------------------------------------------------------

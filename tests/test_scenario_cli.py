@@ -110,6 +110,66 @@ def test_sweep_fallback_when_no_declared_index():
     assert nus[1] == pytest.approx(0.0, abs=1e-3)  # first-order lag sweeps to 0
 
 
+def _shared_tf_scenario():
+    """fig2 data with two transfer functions shared among six nodes."""
+    raw = _fig2_scenario([[1, 4], [3, 6]])
+    for node in raw["nodes"]:
+        if node["id"] in (2, 5):
+            node["dynamics"] = {"num": [1.0, 0.5], "den": [1.0, 0.4, 0.0]}
+        if node["id"] % 2:
+            del node["nu"]  # swept by certificate_inputs
+    return raw
+
+
+def test_equal_transfer_functions_share_one_realization(monkeypatch):
+    import plugnet.scenario as scenario_module
+    from plugnet.passivity import estimate_ifp_index, realize
+
+    calls = {"realize": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scenario_module, "realize", counted("realize", realize))
+    monkeypatch.setattr(scenario_module, "estimate_ifp_index",
+                        counted("sweep", estimate_ifp_index))
+    raw = _shared_tf_scenario()
+    doc = parse_scenario_dict(raw)
+    assert calls["realize"] == 2
+    systems = {i: spec.system for i, spec in doc.nodes.items()}
+    assert systems[2] is systems[5]
+    assert all(systems[i] is systems[1] for i in (3, 4, 6))
+    assert systems[1] is not systems[2]
+
+    nus, _ = doc.certificate_inputs()
+    sweeps = doc.sweep_indices()
+    assert calls["sweep"] == 2 + 2  # each call sweeps the two systems once
+
+    # bit-identical to realizing and sweeping node by node
+    for node in raw["nodes"]:
+        alone = estimate_ifp_index(realize(node["dynamics"]["num"], node["dynamics"]["den"]))
+        assert sweeps[node["id"]] == alone
+        assert nus[node["id"]] == node.get("nu", alone.nu)
+
+
+def test_parses_share_no_realization():
+    raw = _shared_tf_scenario()
+    first, second = parse_scenario_dict(raw), parse_scenario_dict(raw)
+    ids = {id(spec.system) for spec in first.nodes.values()}
+    assert ids.isdisjoint(id(spec.system) for spec in second.nodes.values())
+
+
+def test_shared_improper_transfer_function_names_first_occurrence():
+    raw = paper_example()
+    for k in (2, 6):  # nodes 3 and 7
+        raw["nodes"][k]["dynamics"] = {"num": [1, 2, 3], "den": [1, 1]}
+    with pytest.raises(ScenarioError, match=r"^nodes\[2\]\.dynamics: improper"):
+        parse_scenario_dict(raw)
+
+
 # --- trajectory CSV round trip -------------------------------------------------
 
 
@@ -224,7 +284,8 @@ def _with_late_plug(raw):
     (_with_late_plug, "outside [0, t_end]"),
 ], ids=["feedthrough", "x0_length", "plug_after_t_end"])
 def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, message):
-    # these parse, but cannot be simulated: a typed error, not a traceback
+    # a typed error, not a traceback: the first two parse but cannot be
+    # simulated, the late plug is rejected when the file is parsed
     raw = _fig2_scenario([[1, 4], [3, 6]])
     mutate(raw)
     path = tmp_path / "bad.json"
@@ -232,6 +293,49 @@ def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, m
     assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _with_off_grid_plug(raw):
+    raw["plug_events"][0]["time"] = 1.005  # dt is 0.01
+
+
+def _with_text_plug_time(raw):
+    raw["plug_events"][0]["time"] = "soon"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_with_late_plug, "outside [0, t_end]"),
+    (_with_off_grid_plug, "not on the step grid"),
+    (_with_text_plug_time, "must be a number"),
+], ids=["after_t_end", "off_grid", "not_a_number"])
+def test_cli_certify_rejects_bad_plug_time(tmp_path, capsys, mutate, message):
+    raw = _fig2_scenario([[1, 4], [3, 6]])
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plug_events[0].time:") and message in err
+
+
+def test_cli_simulate_reports_divergence(tmp_path, capsys):
+    raw = {
+        "version": "1",
+        "nodes": [
+            {"id": 1, "dynamics": {"num": [1], "den": [1, 1]}, "y0": 0.5},
+            {"id": 2, "dynamics": {"num": [1], "den": [1, -100.0]}, "y0": 1.0},
+        ],
+        "graphs": {"g": {"nodes": [1, 2], "edges": []}},
+        "initial": ["g"],
+        "couplings": [],
+        "noise": {"scale": 0.0, "seed": 1},
+        "solver": {"dt": 0.01, "t_end": 20.0},
+    }
+    path = tmp_path / "unstable.json"
+    write_scenario(raw, path)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation diverged") and "at node 2, step " in err
 
 
 def test_cli_report_on_golden_run(tmp_path, golden_doc, golden_traj):

@@ -175,6 +175,34 @@ def test_divergence_raises_with_time():
     assert 0.0 < exc.value.time <= 20.0
 
 
+def test_divergence_names_node_and_step():
+    # node 1 is a stable lag, node 2 has a pole at +100; no edge joins them
+    unstable = realize([1], [1, -100.0])
+    kwargs = dict(
+        systems={1: LAG, 2: unstable},
+        initial_graph=Graph([1, 2], []),
+        couplings={},
+        noise=NO_NOISE,
+        initial_outputs={1: 0.5, 2: 1.0},
+    )
+    dt = 0.01
+    with pytest.raises(SimulationDiverged) as exc:
+        run(Scenario(solver=SolverConfig(dt=dt, t_end=20.0), **kwargs))
+    err = exc.value
+    assert err.node == 2
+    assert err.time == pytest.approx(err.step * dt)
+    assert f"node 2, step {err.step}," in str(err)
+    # the step named is the first whose state is non-finite
+    before = run(Scenario(solver=SolverConfig(dt=dt, t_end=(err.step - 1) * dt), **kwargs))
+    assert np.all(np.isfinite(before.outputs))
+
+    with pytest.raises(SimulationDiverged) as exc:
+        step({1: np.zeros(1), 2: np.array([1e306])}, Graph([1, 2], []),
+             {1: LAG, 2: unstable}, {}, {}, dt, t0=0.5)
+    assert (exc.value.node, exc.value.step) == (2, 51)
+    assert exc.value.time == pytest.approx(0.51)
+
+
 def test_feedthrough_nodes_are_rejected():
     static = realize([2], [1])
     scenario_kwargs = dict(
