@@ -10,23 +10,32 @@ Three layers:
 * plug certifiers for a single added node and for an added subnetwork,
   which combine the edge conditions with the boundary-edge weight
   construction (gamma) and cross-check the composed problem against both
-  the Gershgorin test and the oracle.
+  the Gershgorin test and an exact positive-definiteness check.
 
 The edge conditions are what a certificate verdict rests on. The composed
 Gershgorin margins are recorded for transparency: with the minimizing
 gamma weight one of them is zero by construction, which is why both the
 strict and the non-strict reading are reported.
+
+A verdict reads positive definiteness of M from a Cholesky factorisation
+of M, which is scattered from the edge ends in time linear in its nonzeros
+(O(p) for p edges of bounded degree). The smallest eigenvalue kappa of M
+is computed on first access of ``CertificateReport.oracle_min_eigenvalue``;
+only when the factorisation fails does the verdict itself call the
+eigenvalue oracle, so that a ``not_pd`` verdict and its kappa come from
+one eigensolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .errors import AssumptionViolation, DegenerateInput, GraphError
-from .graph import Graph, PlugPlan, assumption_1_violation, compose, incidence, is_connected
+from .graph import Graph, PlugPlan, assumption_1_violation, compose, is_connected
 
 DEFAULT_STRICTNESS_TOL = 1e-12
 
@@ -91,44 +100,78 @@ def gershgorin_pd_check(
     the oracle gives the exact answer.
     """
     g = prob.graph
-    total = {node: 0.0 for node in g.node_ids}
-    for k, (i, j) in enumerate(g.edges):
-        total[i] += prob.s_weights[k]
-        total[j] += prob.s_weights[k]
-    margins = []
-    for k, (i, j) in enumerate(g.edges):
-        s_k = prob.s_weights[k]
-        ti = prob.theta[g.index(i)]
-        tj = prob.theta[g.index(j)]
-        margin = (
-            s_k * (ti + tj + prob.sigma[k])
-            - abs(ti) * (total[i] - s_k)
-            - abs(tj) * (total[j] - s_k)
-        )
-        margins.append(float(margin))
-    arr = np.array(margins) if margins else np.empty(0)
+    theta = dict(zip(g.node_ids, prob.theta))
+    total = dict.fromkeys(g.node_ids, 0.0)
+    for (i, j), s_k in zip(g.edges, prob.s_weights):
+        total[i] += s_k
+        total[j] += s_k
+    margins = tuple(
+        s_k * (theta[i] + theta[j] + sigma_k)
+        - abs(theta[i]) * (total[i] - s_k)
+        - abs(theta[j]) * (total[j] - s_k)
+        for (i, j), s_k, sigma_k in zip(g.edges, prob.s_weights, prob.sigma)
+    )
     return GershgorinResult(
-        margins=tuple(margins),
-        ok_strict=bool(np.all(arr >= tol)),
-        ok_nonstrict=bool(np.all(arr >= -tol)),
+        margins=margins,
+        ok_strict=all(m >= tol for m in margins),
+        ok_nonstrict=all(m >= -tol for m in margins),
         tol=tol,
     )
 
 
+_END_SIGN = np.array([1.0, -1.0])  # incidence entry at an edge's positive, negative end
+
+
 def certificate_matrix(prob: CertificateProblem) -> np.ndarray:
-    """M = D^T Theta D + Sigma, the matrix whose definiteness is in question."""
-    d = incidence(prob.graph).astype(float)
-    m = (d.T * prob.theta) @ d  # no dense Theta: one matmul, fewer temporaries
-    m.ravel()[:: len(m) + 1] += prob.sigma  # ravel of the fresh product is a view
+    """M = D^T Theta D + Sigma, the matrix whose definiteness is in question.
+
+    Scattered from the edge ends without forming D: ``M[k, k] = theta_i +
+    theta_j + sigma_k`` for edge k = (i, j), and ``M[k, l] = +-theta_v``
+    when edges k and l share node v, the sign being the product of their
+    incidence entries at v. Every entry is summed from +0.0, so none is a
+    negative zero.
+    """
+    g = prob.graph
+    p = g.p
+    if p == 0:
+        return np.zeros((0, 0))  # bincount of no pairs would come back integer
+    # Position of the node at end 2k (positive) and 2k + 1 (negative) of edge k.
+    ends = np.array([g.index(v) for edge in g.edges for v in edge], dtype=np.intp)
+    order = ends.argsort(kind="stable")  # ends grouped by node
+    edge = order >> 1
+    sign = _END_SIGN[order & 1]
+    weight = sign * np.array(prob.theta)[ends[order]]
+    # Each end pairs with every end at its node, itself included: the end at
+    # sorted position a owns size[a] consecutive pairs, and pair t of them
+    # (counted over all pairs) has its partner at sorted position offset[a] + t.
+    counts = np.bincount(ends)
+    size = counts.repeat(counts)
+    offset = counts.cumsum().repeat(counts) - size.cumsum()
+    partner = offset.repeat(size) + np.arange(size.sum())
+    flat = (edge * p).repeat(size) + edge[partner]
+    m = np.bincount(flat, weight.repeat(size) * sign[partner], p * p).reshape(p, p)
+    m.ravel()[:: p + 1] += prob.sigma  # ravel of the fresh array is a view
     return m
 
 
 def pd_oracle(prob: CertificateProblem) -> float:
-    """Smallest eigenvalue of M, computed exactly (symmetric eigensolve)."""
+    """Smallest eigenvalue kappa of M, computed exactly (symmetric eigensolve).
+
+    Verdicts do not need it: they read positive definiteness from a
+    Cholesky factorisation, and a report computes kappa on first access.
+    """
     m = certificate_matrix(prob)
     if m.shape[0] == 0:
         raise DegenerateInput("no edges: positive definiteness is vacuous")
     return float(np.linalg.eigvalsh(m)[0])
+
+
+def _cholesky_succeeds(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def check_edge_condition(
@@ -214,7 +257,13 @@ class BoundaryCheck:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Everything a verdict rests on, in one serializable record."""
+    """Everything a verdict rests on, in one serializable record.
+
+    The verdict's positive-definiteness reading comes from a Cholesky
+    factorisation of M. ``oracle_min_eigenvalue`` (kappa) is computed from
+    ``problem`` on first access and then kept; a ``not_pd`` report already
+    holds it, from the eigensolve its verdict needed.
+    """
 
     plan_kind: str
     edge_margins: tuple[EdgeMargin, ...]
@@ -224,9 +273,13 @@ class CertificateReport:
     gershgorin_margins: tuple[float, ...]
     gershgorin_ok: bool
     gershgorin_ok_strict: bool
-    oracle_min_eigenvalue: float
     verdict: str
     strictness_tol: float
+    problem: CertificateProblem = field(compare=False, repr=False)
+
+    @cached_property
+    def oracle_min_eigenvalue(self) -> float:
+        return pd_oracle(self.problem)
 
     def failing_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (intra or boundary) whose interface margin is not strictly positive."""
@@ -294,12 +347,10 @@ def _composed_problem(
     return CertificateProblem(composed, theta, sigma, s_weights)
 
 
-def _verdict(
-    condition_margins: list[float], kappa: float, tol: float
-) -> str:
-    if all(m > tol for m in condition_margins) and kappa > 0.0:
+def _verdict(condition_margins: list[float], positive_definite: bool, tol: float) -> str:
+    if all(m > tol for m in condition_margins) and positive_definite:
         return VERDICT_CERTIFIED
-    return VERDICT_ORACLE_PD if kappa > 0.0 else VERDICT_NOT_PD
+    return VERDICT_ORACLE_PD if positive_definite else VERDICT_NOT_PD
 
 
 def _finish_report(
@@ -314,9 +365,13 @@ def _finish_report(
 ) -> CertificateReport:
     prob = _composed_problem(composed, nus, alphas, s_weights)
     gersh = gershgorin_pd_check(prob, tol)
-    kappa = pd_oracle(prob)
+    kappa = None
+    positive_definite = _cholesky_succeeds(certificate_matrix(prob))
+    if not positive_definite:
+        kappa = pd_oracle(prob)
+        positive_definite = kappa > 0.0
     condition_margins = list(margins.values()) + [bc.margin for bc in boundary]
-    return CertificateReport(
+    report = CertificateReport(
         plan_kind=plan_kind,
         edge_margins=tuple(EdgeMargin(e, m) for e, m in margins.items()),
         boundary=tuple(boundary),
@@ -325,10 +380,13 @@ def _finish_report(
         gershgorin_margins=gersh.margins,
         gershgorin_ok=gersh.ok_nonstrict,
         gershgorin_ok_strict=gersh.ok_strict,
-        oracle_min_eigenvalue=kappa,
-        verdict=_verdict(condition_margins, kappa, tol),
+        verdict=_verdict(condition_margins, positive_definite, tol),
         strictness_tol=tol,
+        problem=prob,
     )
+    if kappa is not None:
+        report.__dict__["oracle_min_eigenvalue"] = kappa  # the cached_property's slot
+    return report
 
 
 def certify_fixed_network(

@@ -77,6 +77,17 @@ def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[nz[0]:]
 
 
+def _coefficients(values, which: str) -> np.ndarray:
+    """``values`` as a flat array of finite polynomial coefficients, leading zeros stripped."""
+    try:
+        coeffs = np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        raise RealizationError(f"{which} coefficients must be numbers") from None
+    if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
+        raise RealizationError(f"{which} coefficients must be a flat list of finite numbers")
+    return _strip_leading_zeros(coeffs)
+
+
 def _cancel_common_roots(num: np.ndarray, den: np.ndarray, zeros: list, poles: list):
     """Remove zero/pole pairs equal to within _CANCEL_TOL, preserving the gain.
 
@@ -125,11 +136,12 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
     (see ``LtiSystem.response``); the polynomial roots are computed once
     for both the cancellation and that check. The returned system is
     immutable, so callers may share one realization between nodes with the
-    same transfer function. Raises RealizationError for improper functions
-    or a zero denominator.
+    same transfer function. Raises RealizationError for coefficients that
+    are not a flat list of finite numbers, improper functions or a zero
+    denominator.
     """
-    num_c = _strip_leading_zeros(np.atleast_1d(np.asarray(num, dtype=float)))
-    den_c = _strip_leading_zeros(np.atleast_1d(np.asarray(den, dtype=float)))
+    num_c = _coefficients(num, "numerator")
+    den_c = _coefficients(den, "denominator")
     if np.all(den_c == 0.0):
         raise RealizationError("zero denominator")
     if len(num_c) > len(den_c):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from plugnet import certificates
 from plugnet.certificates import (
     CertificateProblem,
     VERDICT_CERTIFIED,
@@ -12,6 +15,7 @@ from plugnet.certificates import (
     certify_fixed_network,
     certify_network_plug,
     certify_single_node_plug,
+    certificate_matrix,
     check_edge_condition,
     compute_gamma_single,
     gershgorin_pd_check,
@@ -19,7 +23,7 @@ from plugnet.certificates import (
     pd_oracle,
 )
 from plugnet.errors import AssumptionViolation, DegenerateInput, GraphError
-from plugnet.graph import Graph, PlugPlan
+from plugnet.graph import Graph, PlugPlan, incidence
 
 # seven-node example data
 G1 = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -338,3 +342,109 @@ def test_report_serialization_round_trip_fields():
     assert d["gershgorin"]["ok_nonstrict"] is True
     assert d["gershgorin"]["ok_strict"] is False  # zero margins by construction
     assert isinstance(rep.render_table(), str)
+
+
+# --- scattered matrix and Cholesky verdict against the dense eigensolve ---------
+
+
+def _reference_matrix(prob: CertificateProblem) -> np.ndarray:
+    """M = D^T Theta D + Sigma from the dense incidence matrix, as first written."""
+    d = incidence(prob.graph).astype(float)
+    m = (d.T * prob.theta) @ d
+    m.ravel()[:: len(m) + 1] += prob.sigma
+    return m
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _certificate_problems(draw):
+    """Connected graphs (<= 40 nodes) on shuffled labels with random orientations."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(-1000, 1000), unique=True, min_size=n, max_size=n))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # spanning tree
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if i != j and (j, i) not in pairs:
+            pairs.add((i, j))
+    edges = [(labels[j], labels[i]) if draw(st.booleans()) else (labels[i], labels[j])
+             for i, j in sorted(pairs)]
+    graph = Graph(labels, draw(st.permutations(edges)))
+    theta = draw(st.lists(st.floats(-1, 1) | _SIGNED_ZEROS, min_size=n, max_size=n))
+    sigma = draw(st.lists(st.floats(0, 2) | _SIGNED_ZEROS, min_size=graph.p, max_size=graph.p))
+    return CertificateProblem(graph, tuple(theta), tuple(sigma), (1.0,) * graph.p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificate_problems())
+def test_scattered_matrix_and_cholesky_match_dense_eigensolve(prob):
+    reference = _reference_matrix(prob)
+    m = certificate_matrix(prob)
+    assert np.array_equal(m, reference)
+    assert not np.any(np.signbit(m[m == 0.0]))
+    kappa = pd_oracle(prob)
+    assert kappa == np.linalg.eigvalsh(reference)[0]  # bit-identical
+    if abs(kappa) > 1e-9 * np.abs(m).max():
+        assert certificates._cholesky_succeeds(m) == (kappa > 0.0)
+
+
+# --- kappa on demand -------------------------------------------------------------
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Every pd_oracle call made through the module global, in order."""
+    calls = []
+    real = certificates.pd_oracle
+
+    def counting(prob):
+        calls.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(certificates, "pd_oracle", counting)
+    return calls
+
+
+_CERTIFIED_CASES = [
+    (certify_network_plug, PLAN),
+    (certify_single_node_plug, PlugPlan(base=G2, added=8, boundary=((8, 5),))),
+    (certify_fixed_network, G1),
+]
+
+
+@pytest.mark.parametrize("certify, subject", _CERTIFIED_CASES,
+                         ids=["network", "single_node", "fixed"])
+def test_verdict_alone_makes_no_oracle_call(oracle_calls, certify, subject):
+    nus, alphas = {**NUS, 8: -0.45}, {**ALPHAS, (5, 8): 0.37}
+    rep = certify(subject, nus, alphas)
+    assert rep.verdict == VERDICT_CERTIFIED
+    assert oracle_calls == []
+
+
+def test_kappa_is_computed_once_on_first_access(oracle_calls):
+    rep = certify_network_plug(PLAN, NUS, ALPHAS)
+    first, second = rep.oracle_min_eigenvalue, rep.oracle_min_eigenvalue
+    assert len(oracle_calls) == 1 and oracle_calls[0] is rep.problem
+    assert first == second == pd_oracle(rep.problem)
+
+
+def test_not_pd_verdict_makes_exactly_one_oracle_call(oracle_calls):
+    rep = certify_fixed_network(Graph([1, 2], [(1, 2)]), {1: -1.0, 2: -1.0}, {(1, 2): 1.0})
+    assert rep.verdict == VERDICT_NOT_PD
+    assert len(oracle_calls) == 1
+    assert rep.oracle_min_eigenvalue < 0.0
+    assert len(oracle_calls) == 1  # the verdict's eigensolve is the one kept
+
+
+def test_to_dict_is_unchanged_by_computing_kappa_on_demand():
+    eager = certify_network_plug(PLAN, NUS, ALPHAS)
+    kappa = eager.oracle_min_eigenvalue
+    lazy = certify_network_plug(PLAN, NUS, ALPHAS)
+    d = lazy.to_dict()
+    assert list(d) == [
+        "plan_kind", "verdict", "edge_margins", "boundary", "composed_edges",
+        "s_weights", "gershgorin", "oracle_min_eigenvalue", "strictness_tol",
+    ]
+    assert json.dumps(d) == json.dumps(eager.to_dict())
+    assert d["oracle_min_eigenvalue"] == kappa == pd_oracle(lazy.problem)

@@ -59,6 +59,18 @@ def test_realize_rejects_zero_denominator():
         realize([1], [0])
 
 
+@pytest.mark.parametrize("num, den", [
+    (["a", 1], [1, 1]),
+    ([1], [1, {}]),
+    ([[1, 2]], [1, 1, 1]),
+    ([1, math.nan], [1, 1]),
+    ([1], [math.inf, 1]),
+], ids=["text", "object", "nested", "nan", "inf"])
+def test_realize_rejects_bad_coefficients(num, den):
+    with pytest.raises(RealizationError, match="coefficients must be"):
+        realize(num, den)
+
+
 def test_realize_normalizes_leading_coefficient():
     sys = realize([2], [2, 4])
     assert sys.den == (1.0, 2.0)

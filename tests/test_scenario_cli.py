@@ -295,6 +295,23 @@ def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, m
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("num, message", [
+    (["a", 1], "numerator coefficients must be numbers"),
+    ([None, 1], "numerator coefficients must be a flat list of finite numbers"),
+    ([[1, 0.5]], "numerator coefficients must be a flat list of finite numbers"),
+], ids=["text", "null", "nested"])
+def test_cli_rejects_non_numeric_coefficients(tmp_path, capsys, command, num, message):
+    raw = paper_example()
+    raw["nodes"][0]["dynamics"]["num"] = num
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    out = ["--out-dir", str(tmp_path)] if command == "simulate" else []
+    assert main([command, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0].dynamics:") and message in err
+
+
 def _with_off_grid_plug(raw):
     raw["plug_events"][0]["time"] = 1.005  # dt is 0.01
 
