@@ -17,18 +17,50 @@ Gershgorin margins are recorded for transparency: with the minimizing
 gamma weight one of them is zero by construction, which is why both the
 strict and the non-strict reading are reported.
 
-A verdict reads positive definiteness of M from a Cholesky factorisation
-of M, which is scattered from the edge ends in time linear in its nonzeros
-(O(p) for p edges of bounded degree). The smallest eigenvalue kappa of M
-is computed on first access of ``CertificateReport.oracle_min_eigenvalue``;
-only when the factorisation fails does the verdict itself call the
-eigenvalue oracle, so that a ``not_pd`` verdict and its kappa come from
-one eigensolve.
+A verdict proves positive definiteness of M without building it whenever
+it can. The disc margin of edge k with positive weights s is the row
+margin of ``M S``, ``S = diag(s)``; when every margin is strictly positive
+``M S`` is strictly diagonally dominant, and so is ``(M - t I) S`` for
+every t <= 0, so by Levy-Desplanques no t <= 0 is an eigenvalue of the
+symmetric M, which is therefore positive definite. The margins are
+computed from M's own entries (``M[k, k] = theta_i + theta_j + sigma_k``
+bit-identical to ``certificate_matrix``), so the proof rests on the disc
+test itself, not on the algebra that predicts its outcome. A margin counts
+as strictly positive at ``tol``, as in the reported test; the rounding of
+the margin arithmetic, about eps times the row's terms, is not bounded
+separately.
+
+* With the reported weights the test is strict when every edge margin is,
+  which covers certified fixed networks (unit weights).
+* A plug's reported weights put a boundary edge k at ``s_k = gamma_k``,
+  which zeroes the tightest intra-network row at its attachment node. The
+  row margin of k is linear in s_k with slope ``M[k, k]`` and root
+  ``gamma_k - m_k / M[k, k]``, where m_k is its reported margin. The proof
+  weights lower s_k to the midpoint, ``gamma_k - m_k / (2 M[k, k])``: row k
+  keeps half its margin, and every intra row at the attachment gains
+  ``|theta| (gamma_k - s'_k) = |theta| m_k / (2 M[k, k])``. So when every
+  interface margin exceeds twice the tolerance and that gain exceeds it,
+  the disc test with these weights is strict. The proof weights stay
+  internal; the report keeps the reported weights and margins.
+
+Only when neither disc test is strict is M scattered from the edge ends
+(time linear in its nonzeros) and factorised by Cholesky; when that fails
+too, the eigenvalue oracle decides, so that a ``not_pd`` verdict and its
+kappa come from one eigensolve. Otherwise the smallest eigenvalue kappa of
+M is computed on first access of ``CertificateReport.oracle_min_eigenvalue``.
+
+The proof does not ask for the reported margins to be exactly >= 0 and
+reuse Taussky's theorem on irreducibly diagonally dominant matrices: the
+zero row is zero only in exact arithmetic and reads a few 1e-16 below zero
+about as often as it reads zero, so that test would decide by rounding.
+The midpoint weights give the zero row a slack that scales with the
+boundary margin instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -49,7 +81,8 @@ class CertificateProblem:
     """Data of one positive-definiteness question: graph, node and edge weights.
 
     ``theta`` aligns with ``graph.node_ids``, ``sigma`` and ``s_weights``
-    with ``graph.edges``. All ``s_weights`` must be positive.
+    with ``graph.edges``. Every entry must be finite (DegenerateInput
+    otherwise), and all ``s_weights`` positive.
     """
 
     graph: Graph
@@ -69,6 +102,9 @@ class CertificateProblem:
             raise GraphError(
                 f"sigma/s_weights must have one entry per edge ({self.graph.p})"
             )
+        for name in ("theta", "sigma", "s_weights"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise DegenerateInput(f"{name} must be finite")
         if any(s <= 0.0 for s in self.s_weights):
             raise GraphError("s_weights must be strictly positive")
 
@@ -157,8 +193,9 @@ def certificate_matrix(prob: CertificateProblem) -> np.ndarray:
 def pd_oracle(prob: CertificateProblem) -> float:
     """Smallest eigenvalue kappa of M, computed exactly (symmetric eigensolve).
 
-    Verdicts do not need it: they read positive definiteness from a
-    Cholesky factorisation, and a report computes kappa on first access.
+    Verdicts call it only when neither disc test nor a Cholesky
+    factorisation settles positive definiteness; a report computes kappa
+    on first access.
     """
     m = certificate_matrix(prob)
     if m.shape[0] == 0:
@@ -259,8 +296,9 @@ class BoundaryCheck:
 class CertificateReport:
     """Everything a verdict rests on, in one serializable record.
 
-    The verdict's positive-definiteness reading comes from a Cholesky
-    factorisation of M. ``oracle_min_eigenvalue`` (kappa) is computed from
+    The verdict's positive-definiteness reading comes from a strict disc
+    test when one holds, else from a Cholesky factorisation of M (see
+    ``_finish_report``). ``oracle_min_eigenvalue`` (kappa) is computed from
     ``problem`` on first access and then kept; a ``not_pd`` report already
     holds it, from the eigensolve its verdict needed.
     """
@@ -353,6 +391,30 @@ def _verdict(condition_margins: list[float], positive_definite: bool, tol: float
     return VERDICT_ORACLE_PD if positive_definite else VERDICT_NOT_PD
 
 
+def _disc_proves_pd(
+    prob: CertificateProblem, gersh: GershgorinResult, n_boundary: int, tol: float
+) -> bool:
+    """Strict disc test with the reported weights, else with the proof weights.
+
+    ``gersh`` is the reported test. Boundary edges are the last
+    ``n_boundary`` of the composed graph; each with reported margin
+    m_k > 0 gets the proof weight ``s_k - m_k / (2 M[k, k])``, the midpoint
+    between s_k and the root of its own row margin (positive, since that
+    root is nonnegative). All other weights stay as reported.
+    """
+    if gersh.ok_strict or not n_boundary:
+        return gersh.ok_strict
+    g = prob.graph
+    theta = dict(zip(g.node_ids, prob.theta))
+    weights = list(prob.s_weights)
+    for k in range(g.p - n_boundary, g.p):
+        margin = gersh.margins[k]
+        if margin > 0.0:
+            i, j = g.edges[k]
+            weights[k] -= margin / (2.0 * (theta[i] + theta[j] + prob.sigma[k]))
+    return gershgorin_pd_check(replace(prob, s_weights=tuple(weights)), tol).ok_strict
+
+
 def _finish_report(
     plan_kind: str,
     margins: dict[tuple[int, int], float],
@@ -363,10 +425,22 @@ def _finish_report(
     s_weights: tuple[float, ...],
     tol: float,
 ) -> CertificateReport:
+    """Verdict and report for the composed problem.
+
+    Positive definiteness comes from the first of these that settles it:
+    the reported disc test when strict; for a plug, the disc test with the
+    proof weights (see the module docstring) when strict; a Cholesky
+    factorisation of M; the eigenvalue oracle. Only the last computes
+    kappa, and keeps it in the report; otherwise kappa is computed on the
+    first read of ``oracle_min_eigenvalue``. The report holds the reported
+    weights and margins whichever step decided.
+    """
     prob = _composed_problem(composed, nus, alphas, s_weights)
     gersh = gershgorin_pd_check(prob, tol)
     kappa = None
-    positive_definite = _cholesky_succeeds(certificate_matrix(prob))
+    positive_definite = _disc_proves_pd(
+        prob, gersh, len(boundary), tol
+    ) or _cholesky_succeeds(certificate_matrix(prob))
     if not positive_definite:
         kappa = pd_oracle(prob)
         positive_definite = kappa > 0.0

@@ -11,6 +11,7 @@ against its declared bounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -292,19 +293,48 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
                 if key is not None:
                     realized[key] = system
         nu = entry.get("nu")
-        if nu is not None and not isinstance(nu, (int, float)):
-            raise ScenarioError(f"{path}: nu must be a number")
+        if nu is not None:
+            nu = _finite_number(nu, f"{path}.nu")
         if system is None and nu is None:
             raise ScenarioError(f"{path}: need dynamics, a declared nu, or both")
         x0 = entry.get("x0")
+        if x0 is not None:
+            x0 = _initial_state(x0, system, f"{path}.x0")
         nodes[node_id] = NodeSpec(
             node_id=node_id,
             system=system,
-            declared_nu=float(nu) if nu is not None else None,
-            y0=float(entry["y0"]) if "y0" in entry else None,
-            x0=tuple(float(v) for v in x0) if x0 is not None else None,
+            declared_nu=nu,
+            y0=_finite_number(entry["y0"], f"{path}.y0") if "y0" in entry else None,
+            x0=x0,
         )
     return nodes
+
+
+def _finite_number(value: Any, path: str) -> float:
+    """``value`` as a float; a bool, any other non-number, or inf/NaN raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path}: must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: must be finite")
+    return number
+
+
+def _initial_state(value: Any, system: LtiSystem | None, path: str) -> tuple[float, ...]:
+    """A flat list of finite numbers, one per state of the node's realization."""
+    if system is None:
+        raise ScenarioError(f"{path}: a node without dynamics has no state")
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{path}: must be a list of numbers")
+    x0 = tuple(_finite_number(v, f"{path}[{k}]") for k, v in enumerate(value))
+    if len(x0) != system.order:
+        raise ScenarioError(
+            f"{path}: initial state must have {system.order} entries, got {len(x0)}"
+        )
+    return x0
 
 
 def _parse_graphs(raw: Any, nodes: dict[int, NodeSpec]) -> dict[str, Graph]:

@@ -23,7 +23,7 @@ from plugnet.certificates import (
     pd_oracle,
 )
 from plugnet.errors import AssumptionViolation, DegenerateInput, GraphError
-from plugnet.graph import Graph, PlugPlan, incidence
+from plugnet.graph import Graph, PlugPlan, compose, incidence
 
 # seven-node example data
 G1 = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -72,6 +72,21 @@ def test_gershgorin_dimension_mismatch():
     g = Graph([1, 2], [(1, 2)])
     with pytest.raises(GraphError):
         CertificateProblem(g, theta=(1,), sigma=(0,), s_weights=(1,))
+
+
+@pytest.mark.parametrize("field", ["theta", "sigma", "s_weights"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_problem_rejects_non_finite_data(field, value):
+    g = Graph([1, 2], [(1, 2)])
+    data = {"theta": [1.0, 1.0], "sigma": [1.0], "s_weights": [1.0]}
+    data[field][0] = value
+    with pytest.raises(DegenerateInput, match=field):
+        CertificateProblem(g, **data)
+
+
+def test_nan_index_is_a_typed_error_not_a_linalg_failure():
+    with pytest.raises(DegenerateInput):
+        certify_fixed_network(G1, {**NUS, 3: float("nan")}, ALPHAS)
 
 
 def test_pd_oracle_single_edge():
@@ -448,3 +463,190 @@ def test_to_dict_is_unchanged_by_computing_kappa_on_demand():
     ]
     assert json.dumps(d) == json.dumps(eager.to_dict())
     assert d["oracle_min_eigenvalue"] == kappa == pd_oracle(lazy.problem)
+
+
+# --- matrix-free verdicts: a margin rounded below zero ---------------------------
+
+
+def _paper_ring_pair(seed: int, sizes=(30, 10)):
+    """Two rings of nodes with the paper's indices, joined by two boundary edges."""
+    rng = np.random.default_rng(seed)
+    indices = (-0.45, -0.60, -0.63, -0.65, -0.54)
+    ids = list(range(1, sum(sizes) + 1))
+    nus = {i: indices[k] for i, k in zip(ids, rng.permutation(np.arange(len(ids)) % 5))}
+    r1, r2 = ids[: sizes[0]], ids[sizes[0]:]
+    rings = [[(r[k], r[(k + 1) % len(r)]) for k in range(len(r))] for r in (r1, r2)]
+    boundary = ((r1[0], r2[0]), (r1[sizes[0] // 2], r2[sizes[1] // 2]))
+    alphas = {e: round(float(rng.uniform(0.1, 0.28)), 6) for e in rings[0] + rings[1]}
+    alphas.update({e: round(float(rng.uniform(0.1, 0.15)), 6) for e in boundary})
+    plan = PlugPlan(Graph(r1, rings[0]), Graph(r2, rings[1]), boundary)
+    return plan, nus, alphas
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def test_margin_rounded_below_zero_is_certified_without_a_factorisation(
+    cholesky_calls, oracle_calls
+):
+    plan, nus, alphas = _paper_ring_pair(seed=1)
+    rep = certify_network_plug(plan, nus, alphas)
+    # The row that is zero by construction reads below zero: a test asking
+    # for margins exactly >= 0 would fail here.
+    assert -1e-15 < min(rep.gershgorin_margins) < 0.0
+    assert rep.verdict == VERDICT_CERTIFIED
+    fixed = certify_fixed_network(compose(plan), nus, alphas)
+    assert fixed.verdict == VERDICT_CERTIFIED and fixed.gershgorin_ok_strict
+    assert cholesky_calls == [] and oracle_calls == []
+    assert rep.oracle_min_eigenvalue > 0.0 and fixed.oracle_min_eigenvalue > 0.0
+
+
+# --- matrix-free verdicts: the disc proof against the matrix path ----------------
+
+_MAGNITUDE = st.floats(1e-3, 1e3)
+
+
+def _signed(magnitude):
+    return st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+
+
+# Target interface margins: comfortable only, or comfortable, tight, zero
+# and failing mixed.
+_COMFORTABLE = st.floats(1e-6, 1e3)
+_MIXED = st.one_of(
+    _COMFORTABLE, st.floats(1e-13, 1e-6), _SIGNED_ZEROS, st.floats(-1e3, -1e-13)
+)
+
+
+def _connected(draw, labels):
+    """A connected graph on ``labels``: a random spanning tree plus extra edges."""
+    n = len(labels)
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if i != j and (j, i) not in pairs:
+            pairs.add((i, j))
+    return Graph(labels, [(labels[i], labels[j]) for i, j in sorted(pairs)])
+
+
+def _sigma_for(draw, slack, need, gamma=1.0):
+    """Coupling sigma = 1/alpha putting an interface margin at ``slack``.
+
+    The margin reads ``gamma * (sigma + c) - d`` with ``need = (c, d)``;
+    when that sigma lies outside [1e-3, 1e3], or gamma is not positive,
+    sigma is drawn.
+    """
+    c, d = need
+    sigma = (slack + d) / gamma - c if gamma > 0.0 else 0.0
+    return sigma if 1e-3 <= sigma <= 1e3 else draw(_MAGNITUDE)
+
+
+def _intra_alphas(draw, slack, graph, nus, alphas):
+    for i, j in graph.edges:
+        need = (nus[i] + nus[j],
+                (graph.degree(i) - 1) * abs(nus[i]) + (graph.degree(j) - 1) * abs(nus[j]))
+        alphas[(i, j)] = 1.0 / _sigma_for(draw, draw(slack), need)
+
+
+@st.composite
+def _interface_problems(draw):
+    """Fixed, single-node and network certificates on 2-40 nodes.
+
+    Each edge's coupling is solved for a drawn interface margin, so the
+    problems span comfortable, tight, zero and failing margins. Attachment
+    nodes have nonzero indices (gamma divides by them). A fixed network
+    may carry an edge whose M entry is zero (theta_i + theta_j = -sigma).
+    """
+    kind = draw(st.sampled_from(["fixed", "single_node", "network"]))
+    slack = draw(st.sampled_from([_COMFORTABLE, _MIXED]))
+    n = draw(st.integers(3 if kind == "single_node" else 2, 40))
+    # Indices up to 1 or up to 1e3: with the larger ones, most couplings
+    # solved for a margin fall outside [1e-3, 1e3] and are drawn instead.
+    nonzero = _signed(st.floats(1e-3, draw(st.sampled_from([1.0, 1e3]))))
+    nus = {i: draw(nonzero | _SIGNED_ZEROS) for i in range(n)}
+    alphas: dict[tuple[int, int], float] = {}
+    if kind == "fixed":
+        graph = _connected(draw, list(range(n)))
+        _intra_alphas(draw, slack, graph, nus, alphas)
+        if draw(st.booleans()):  # an edge with a zero diagonal entry of M
+            i, j = draw(st.sampled_from(graph.edges))
+            if draw(st.booleans()):
+                h = 2.0 ** draw(st.integers(-9, 9))
+                nus[i] = nus[j] = -h
+                alphas[(i, j)] = 1.0 / (2.0 * h)  # exactly representable
+            elif nus[i] + nus[j] < 0.0:
+                alphas[(i, j)] = -1.0 / (nus[i] + nus[j])
+        return certify_fixed_network, graph, nus, alphas
+    if kind == "single_node":
+        base = _connected(draw, list(range(n - 1)))
+        c = draw(st.sampled_from(base.node_ids))
+        nus[c] = draw(nonzero)
+        _intra_alphas(draw, slack, base, nus, alphas)
+        gamma = compute_gamma_single(c, base, nus, alphas)
+        need = (nus[n - 1] + nus[c], base.degree(c) * abs(nus[c]))
+        alphas[(n - 1, c)] = 1.0 / _sigma_for(draw, draw(slack), need, gamma)
+        return certify_single_node_plug, PlugPlan(base, n - 1, ((n - 1, c),)), nus, alphas
+    split = draw(st.integers(1, n - 1))
+    base = _connected(draw, list(range(split)))
+    added = _connected(draw, list(range(split, n)))
+    k = draw(st.integers(1, min(2, split, n - split)))
+    ps = draw(st.lists(st.sampled_from(base.node_ids), min_size=k, max_size=k, unique=True))
+    qs = draw(st.lists(st.sampled_from(added.node_ids), min_size=k, max_size=k, unique=True))
+    for v in ps + qs:
+        nus[v] = draw(nonzero)
+    _intra_alphas(draw, slack, base, nus, alphas)
+    _intra_alphas(draw, slack, added, nus, alphas)
+    for p, q in zip(ps, qs):
+        gammas = [compute_gamma_single(v, g, nus, alphas)
+                  for v, g in ((p, base), (q, added)) if g.degree(v) > 0]
+        gamma = min(gammas) if gammas else 0.0
+        need = (nus[p] + nus[q], base.degree(p) * abs(nus[p]) + added.degree(q) * abs(nus[q]))
+        alphas[(p, q)] = 1.0 / _sigma_for(draw, draw(slack), need, gamma)
+    plan = PlugPlan(base, added, tuple(zip(ps, qs)))
+    return certify_network_plug, plan, nus, alphas
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interface_problems())
+def test_disc_proof_is_sound_fires_on_margins_and_matches_the_matrix_path(case):
+    certify, subject, nus, alphas = case
+    claims = []
+    real = certificates._disc_proves_pd
+
+    def recording(*args):
+        claims.append(real(*args))
+        return claims[-1]
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certificates, "_disc_proves_pd", recording)
+            report = certify(subject, nus, alphas)
+    except DegenerateInput:  # Assumption 1, or no intra edges on either side
+        return
+    (claimed,) = claims
+    if claimed:
+        # Read M's inertia from the congruent unit-diagonal matrix: eigvalsh
+        # errs by about eps * max|M|, and a tiny sector bound puts max|M|
+        # near 1e12, where it reads a proven-positive kappa below zero.
+        m = certificate_matrix(report.problem)
+        assert np.all(np.diag(m) > 0.0)
+        scale = 1.0 / np.sqrt(np.diag(m))
+        assert np.linalg.eigvalsh(m * np.outer(scale, scale))[0] > 0.0
+    margins = [em.margin for em in report.edge_margins] + [bc.margin for bc in report.boundary]
+    if min(margins) > 1e-6:
+        assert claimed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "_disc_proves_pd", lambda *args: False)
+        forced = certify(subject, nus, alphas)
+    assert json.dumps(report.to_dict()) == json.dumps(forced.to_dict())
+    assert report.render_table() == forced.render_table()

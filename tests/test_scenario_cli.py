@@ -284,8 +284,8 @@ def _with_late_plug(raw):
     (_with_late_plug, "outside [0, t_end]"),
 ], ids=["feedthrough", "x0_length", "plug_after_t_end"])
 def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, message):
-    # a typed error, not a traceback: the first two parse but cannot be
-    # simulated, the late plug is rejected when the file is parsed
+    # a typed error, not a traceback: the feedthrough parses but cannot be
+    # simulated, the other two are rejected when the file is parsed
     raw = _fig2_scenario([[1, 4], [3, 6]])
     mutate(raw)
     path = tmp_path / "bad.json"
@@ -310,6 +310,42 @@ def test_cli_rejects_non_numeric_coefficients(tmp_path, capsys, command, num, me
     assert main([command, str(path), *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: nodes[0].dynamics:") and message in err
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("field, value, message", [
+    ("nu", float("nan"), "nodes[2].nu: must be finite"),
+    ("nu", True, "nodes[2].nu: must be a number"),
+    ("nu", "0.5", "nodes[2].nu: must be a number"),
+    ("y0", "abc", "nodes[2].y0: must be a number"),
+    ("y0", float("nan"), "nodes[2].y0: must be finite"),
+    ("y0", None, "nodes[2].y0: must be a number"),
+    ("x0", 5, "nodes[2].x0: must be a list of numbers"),
+    ("x0", ["a", 1], "nodes[2].x0[0]: must be a number"),
+    ("x0", [[1.0], 2.0], "nodes[2].x0[0]: must be a number"),
+    ("x0", [1.0, float("inf")], "nodes[2].x0[1]: must be finite"),
+    ("x0", [1.0], "nodes[2].x0: initial state must have 2 entries, got 1"),
+], ids=["nu_nan", "nu_bool", "nu_text", "y0_text", "y0_nan", "y0_null", "x0_scalar",
+        "x0_text", "x0_nested", "x0_inf", "x0_length"])
+def test_cli_rejects_bad_node_fields_at_parse_time(tmp_path, capsys, command, field,
+                                                  value, message):
+    # certify and simulate agree: both reject the file when it is parsed
+    raw = paper_example()
+    raw["nodes"][2][field] = value
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    out = ["--out-dir", str(tmp_path)] if command == "simulate" else []
+    assert main([command, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+
+
+def test_x0_on_a_node_without_dynamics_is_rejected():
+    raw = paper_example()
+    del raw["nodes"][2]["dynamics"]
+    raw["nodes"][2]["x0"] = []
+    with pytest.raises(ScenarioError, match=r"nodes\[2\]\.x0: a node without dynamics"):
+        parse_scenario_dict(raw)
 
 
 def _with_off_grid_plug(raw):
