@@ -25,13 +25,16 @@ every t <= 0, so by Levy-Desplanques no t <= 0 is an eigenvalue of the
 symmetric M, which is therefore positive definite. The margins are
 computed from M's own entries (``M[k, k] = theta_i + theta_j + sigma_k``
 bit-identical to ``certificate_matrix``), so the proof rests on the disc
-test itself, not on the algebra that predicts its outcome. A margin counts
-as strictly positive at ``tol``, as in the reported test; the rounding of
-the margin arithmetic, about eps times the row's terms, is not bounded
-separately.
+test itself, not on the algebra that predicts its outcome. A computed
+margin proves its exact counterpart positive only when it exceeds
+``max(tol, 0)`` plus a bound on its rounding error
+(``GershgorinResult.rounding``, a few eps times the largest terms of a
+row; ``GershgorinResult.proves_pd``), so the proof holds for M in exact
+arithmetic. The reported ``ok_strict`` reads ``margin >= tol`` and proves
+nothing at large scale or at ``tol <= 0``.
 
-* With the reported weights the test is strict when every edge margin is,
-  which covers certified fixed networks (unit weights).
+* With the reported weights the test proves when every edge margin clears
+  that bound, which covers certified fixed networks (unit weights).
 * A plug's reported weights put a boundary edge k at ``s_k = gamma_k``,
   which zeroes the tightest intra-network row at its attachment node. The
   row margin of k is linear in s_k with slope ``M[k, k]`` and root
@@ -40,10 +43,11 @@ separately.
   keeps half its margin, and every intra row at the attachment gains
   ``|theta| (gamma_k - s'_k) = |theta| m_k / (2 M[k, k])``. So when every
   interface margin exceeds twice the tolerance and that gain exceeds it,
-  the disc test with these weights is strict. The proof weights stay
-  internal; the report keeps the reported weights and margins.
+  each by a few rounding bounds, the disc test with these weights proves.
+  The proof weights stay internal; the report keeps the reported weights
+  and margins.
 
-Only when neither disc test is strict is M scattered from the edge ends
+Only when neither disc test proves is M scattered from the edge ends
 (time linear in its nonzeros) and factorised by Cholesky; when that fails
 too, the eigenvalue oracle decides, so that a ``not_pd`` verdict and its
 kappa come from one eigensolve. Otherwise the smallest eigenvalue kappa of
@@ -62,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -70,6 +75,8 @@ from .errors import AssumptionViolation, DegenerateInput, GraphError
 from .graph import Graph, PlugPlan, assumption_1_violation, compose, is_connected
 
 DEFAULT_STRICTNESS_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+_TINY = math.ulp(0.0)  # the smallest subnormal
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_ORACLE_PD = "gershgorin_failed_oracle_pd"
@@ -116,13 +123,26 @@ class GershgorinResult:
     ``margins[k]`` is the left side minus the right side of the disc
     inequality for edge k. ``ok_nonstrict`` tolerates zero margins (the
     inequality as written), ``ok_strict`` demands them above ``tol`` (what
-    the plug theorems actually need).
+    the plug theorems actually need). ``rounding`` bounds the rounding error
+    of every margin, and ``proves_pd`` reads the margins as a proof.
     """
 
     margins: tuple[float, ...]
     ok_strict: bool
     ok_nonstrict: bool
     tol: float
+    rounding: float
+
+    @property
+    def proves_pd(self) -> bool:
+        """Whether the margins prove M positive definite in exact arithmetic.
+
+        Each margin must exceed ``max(tol, 0)`` plus the rounding bound:
+        only strictly positive exact margins make ``M S`` strictly
+        diagonally dominant.
+        """
+        bound = max(self.tol, 0.0) + self.rounding
+        return all(m > bound for m in self.margins)
 
 
 def gershgorin_pd_check(
@@ -134,6 +154,13 @@ def gershgorin_pd_check(
     ``s_k (theta_i + theta_j + sigma_k) - |theta_i| (t_i - s_k) - |theta_j| (t_j - s_k)``
     with ``t_i`` the total s-weight of edges at node i. Sufficient only;
     the oracle gives the exact answer.
+
+    ``rounding`` bounds the rounding error of every margin: twice the
+    standard bound for a margin's sums and products, ``(d_i + d_j + 4) eps``
+    times the sum of the magnitudes of its terms, taken at the largest
+    degree d and, per term, at its largest value over the rows
+    (``s_k |theta_i| + |theta_i| (t_i + s_k) <= 3 |theta_i| t_i``), plus
+    as many smallest subnormals for underflow.
     """
     g = prob.graph
     theta = dict(zip(g.node_ids, prob.theta))
@@ -147,11 +174,16 @@ def gershgorin_pd_check(
         - abs(theta[j]) * (total[j] - s_k)
         for (i, j), s_k, sigma_k in zip(g.edges, prob.s_weights, prob.sigma)
     )
+    # theta and total both follow node_ids
+    largest_terms = max(map(abs, map(mul, prob.s_weights, prob.sigma)), default=0.0)
+    largest_terms += 6.0 * max(map(mul, map(abs, prob.theta), total.values()), default=0.0)
+    rounding = (2 * g.max_degree + 4) * (_EPS * largest_terms + _TINY)
     return GershgorinResult(
         margins=margins,
         ok_strict=all(m >= tol for m in margins),
         ok_nonstrict=all(m >= -tol for m in margins),
         tol=tol,
+        rounding=rounding,
     )
 
 
@@ -296,8 +328,8 @@ class BoundaryCheck:
 class CertificateReport:
     """Everything a verdict rests on, in one serializable record.
 
-    The verdict's positive-definiteness reading comes from a strict disc
-    test when one holds, else from a Cholesky factorisation of M (see
+    The verdict's positive-definiteness reading comes from a disc test
+    that proves it when one does, else from a Cholesky factorisation of M (see
     ``_finish_report``). ``oracle_min_eigenvalue`` (kappa) is computed from
     ``problem`` on first access and then kept; a ``not_pd`` report already
     holds it, from the eigensolve its verdict needed.
@@ -394,16 +426,17 @@ def _verdict(condition_margins: list[float], positive_definite: bool, tol: float
 def _disc_proves_pd(
     prob: CertificateProblem, gersh: GershgorinResult, n_boundary: int, tol: float
 ) -> bool:
-    """Strict disc test with the reported weights, else with the proof weights.
+    """Disc proof with the reported weights, else with the proof weights.
 
-    ``gersh`` is the reported test. Boundary edges are the last
+    ``gersh`` is the reported test; a test proves only when
+    ``GershgorinResult.proves_pd``. Boundary edges are the last
     ``n_boundary`` of the composed graph; each with reported margin
     m_k > 0 gets the proof weight ``s_k - m_k / (2 M[k, k])``, the midpoint
     between s_k and the root of its own row margin (positive, since that
     root is nonnegative). All other weights stay as reported.
     """
-    if gersh.ok_strict or not n_boundary:
-        return gersh.ok_strict
+    if gersh.proves_pd or not n_boundary:
+        return gersh.proves_pd
     g = prob.graph
     theta = dict(zip(g.node_ids, prob.theta))
     weights = list(prob.s_weights)
@@ -412,7 +445,7 @@ def _disc_proves_pd(
         if margin > 0.0:
             i, j = g.edges[k]
             weights[k] -= margin / (2.0 * (theta[i] + theta[j] + prob.sigma[k]))
-    return gershgorin_pd_check(replace(prob, s_weights=tuple(weights)), tol).ok_strict
+    return gershgorin_pd_check(replace(prob, s_weights=tuple(weights)), tol).proves_pd
 
 
 def _finish_report(
@@ -428,8 +461,8 @@ def _finish_report(
     """Verdict and report for the composed problem.
 
     Positive definiteness comes from the first of these that settles it:
-    the reported disc test when strict; for a plug, the disc test with the
-    proof weights (see the module docstring) when strict; a Cholesky
+    the reported disc test when it proves; for a plug, the disc test with
+    the proof weights (see the module docstring) when it proves; a Cholesky
     factorisation of M; the eigenvalue oracle. Only the last computes
     kappa, and keeps it in the report; otherwise kappa is computed on the
     first read of ``oracle_min_eigenvalue``. The report holds the reported

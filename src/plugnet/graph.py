@@ -84,6 +84,11 @@ class Graph:
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
 
+    @property
+    def max_degree(self) -> int:
+        """Largest node degree, 0 without edges."""
+        return max(map(len, self._adjacency.values()), default=0)
+
     def has_edge(self, i: int, j: int) -> bool:
         return j in self._adjacency.get(i, ())
 

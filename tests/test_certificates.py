@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -616,6 +618,32 @@ def _interface_problems(draw):
     return certify_network_plug, plan, nus, alphas
 
 
+def _proof_must_fire(report) -> bool:
+    """Whether the exact row margins of the disc proof clear its rounding.
+
+    With the proof weights (module docstring) a row away from the
+    attachment nodes keeps its interface margin m, a boundary row keeps
+    m_k / 2, and a row at an attachment node v of boundary edge k keeps at
+    least |theta_v| m_k / (2 M_kk), each up to a rounding bound r of the
+    reported test (the proof weights are no larger, and neither is their
+    bound). Each must exceed tol by several r for the proof to fire.
+    """
+    prob = report.problem
+    floor = 2.0 * report.strictness_tol + 10.0 * gershgorin_pd_check(prob).rounding
+    margins = [em.margin for em in report.edge_margins] + [bc.margin for bc in report.boundary]
+    if min(margins) <= floor:
+        return False
+    theta = dict(zip(prob.graph.node_ids, prob.theta))
+    first = prob.graph.p - len(report.boundary)
+    for k, bc in enumerate(report.boundary, start=first):
+        i, j = prob.graph.edges[k]
+        m_kk = theta[i] + theta[j] + prob.sigma[k]  # positive, as bc.margin is
+        if any(abs(theta[v]) * bc.margin / (2.0 * m_kk) <= floor
+               for v in (i, j) if prob.graph.degree(v) > 1):
+            return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(_interface_problems())
 def test_disc_proof_is_sound_fires_on_margins_and_matches_the_matrix_path(case):
@@ -642,11 +670,102 @@ def test_disc_proof_is_sound_fires_on_margins_and_matches_the_matrix_path(case):
         assert np.all(np.diag(m) > 0.0)
         scale = 1.0 / np.sqrt(np.diag(m))
         assert np.linalg.eigvalsh(m * np.outer(scale, scale))[0] > 0.0
-    margins = [em.margin for em in report.edge_margins] + [bc.margin for bc in report.boundary]
-    if min(margins) > 1e-6:
+    if _proof_must_fire(report):
         assert claimed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificates, "_disc_proves_pd", lambda *args: False)
         forced = certify(subject, nus, alphas)
     assert json.dumps(report.to_dict()) == json.dumps(forced.to_dict())
     assert report.render_table() == forced.render_table()
+
+
+# --- the disc proof in exact arithmetic ------------------------------------------
+
+
+def _exact_margins(prob: CertificateProblem) -> list[Fraction]:
+    """The disc margins of ``prob`` in rational arithmetic."""
+    g = prob.graph
+    theta = {v: Fraction(t) for v, t in zip(g.node_ids, prob.theta)}
+    total = dict.fromkeys(g.node_ids, Fraction(0))
+    for (i, j), s_k in zip(g.edges, prob.s_weights):
+        total[i] += Fraction(s_k)
+        total[j] += Fraction(s_k)
+    return [
+        Fraction(s_k) * (theta[i] + theta[j] + Fraction(sigma_k))
+        - abs(theta[i]) * (total[i] - Fraction(s_k))
+        - abs(theta[j]) * (total[j] - Fraction(s_k))
+        for (i, j), s_k, sigma_k in zip(g.edges, prob.s_weights, prob.sigma)
+    ]
+
+
+def test_reported_strict_test_is_no_proof_at_scale():
+    # Both rows are exactly zero, so M is singular, yet rounding lifts both
+    # computed margins above tol.
+    prob = CertificateProblem(
+        Graph([0, 1, 2], [(0, 1), (1, 2)]),
+        (-8954.2, -8770.49573, -9178.95),
+        (26495.191460000002, 26719.941460000002),
+        (1.0, 1.0),
+    )
+    theta = [Fraction(t) for t in prob.theta]
+    sigma = [Fraction(x) for x in prob.sigma]
+    m00, m11 = theta[0] + theta[1] + sigma[0], theta[1] + theta[2] + sigma[1]
+    assert m00 * m11 - theta[1] ** 2 == 0
+    assert _exact_margins(prob) == [0, 0]
+    res = gershgorin_pd_check(prob)
+    assert res.ok_strict and min(res.margins) >= res.tol
+    assert not res.proves_pd
+
+
+@pytest.mark.parametrize("tol, nu_2", [(0.0, -0.5), (-1e-3, -0.5005)],
+                         ids=["zero_tol_singular", "negative_tol_indefinite"])
+def test_disc_proof_needs_a_positive_margin_whatever_the_tolerance(cholesky_calls, tol,
+                                                                  nu_2):
+    # M = [[nu_1 + nu_2 + 1/alpha]] is 0, or -5e-4: the reported strict test
+    # accepts it at this tol, the proof may not.
+    rep = certify_fixed_network(Graph([1, 2], [(1, 2)]), {1: -0.5, 2: nu_2}, {(1, 2): 1.0},
+                                tol=tol)
+    assert rep.gershgorin_ok_strict
+    assert rep.verdict == VERDICT_NOT_PD
+    assert len(cholesky_calls) == 1
+    assert rep.oracle_min_eigenvalue == pytest.approx(rep.gershgorin_margins[0], abs=1e-15)
+    assert rep.oracle_min_eigenvalue <= 0.0
+
+
+@st.composite
+def _cancelling_problems(draw):
+    """Disc rows tuned to cancel, with node values up to 1e8 in magnitude.
+
+    Each sigma_k is solved in floating point for a zero margin of row k and
+    moved by a few ulps, so that the computed margin is mostly rounding
+    error, or by a small relative amount, so that the row is dominant.
+    """
+    n = draw(st.integers(2, 12))
+    graph = _connected(draw, list(range(n)))
+    theta = [draw(_signed(st.floats(1e-3, 1e8)) | _SIGNED_ZEROS) for _ in range(n)]
+    weights = [draw(st.just(1.0) | st.floats(1e-3, 1e3)) for _ in graph.edges]
+    total = [0.0] * n
+    for (i, j), s_k in zip(graph.edges, weights):
+        total[i] += s_k
+        total[j] += s_k
+    sigma = []
+    for (i, j), s_k in zip(graph.edges, weights):
+        zero = (abs(theta[i]) * (total[i] - s_k) + abs(theta[j]) * (total[j] - s_k)) / s_k
+        zero -= theta[i] + theta[j]
+        nudge = draw(st.one_of(
+            st.integers(-4, 4).map(lambda k: k * math.ulp(zero)),
+            st.floats(1e-12, 1e-3).map(lambda f: f * (abs(zero) + 1.0)),
+        ))
+        sigma.append(zero + nudge)
+    return CertificateProblem(graph, tuple(theta), tuple(sigma), tuple(weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cancelling_problems(), st.sampled_from([1e-12, 0.0, -1e-3]))
+def test_disc_rounding_bound_holds_in_exact_arithmetic(prob, tol):
+    res = gershgorin_pd_check(prob, tol)
+    exact = _exact_margins(prob)
+    bound = Fraction(res.rounding)
+    assert all(abs(Fraction(m) - e) <= bound for m, e in zip(res.margins, exact))
+    if res.proves_pd:
+        assert min(exact) > max(tol, 0.0)

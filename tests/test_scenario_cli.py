@@ -278,14 +278,16 @@ def _with_late_plug(raw):
     raw["plug_events"][0]["time"] = 3.0  # t_end is 2.0
 
 
-@pytest.mark.parametrize("mutate, message", [
-    (_with_feedthrough, "direct feedthrough"),
-    (_with_short_x0, "initial state must have 1 entries"),
-    (_with_late_plug, "outside [0, t_end]"),
+@pytest.mark.parametrize("mutate, message, at_parse", [
+    (_with_feedthrough, "direct feedthrough", False),
+    (_with_short_x0, "initial state must have 1 entries", True),
+    (_with_late_plug, "outside [0, t_end]", True),
 ], ids=["feedthrough", "x0_length", "plug_after_t_end"])
-def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, message):
+def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, message,
+                                                     at_parse):
     # a typed error, not a traceback: the feedthrough parses but cannot be
-    # simulated, the other two are rejected when the file is parsed
+    # simulated, the other two are rejected when the file is parsed, so
+    # certify rejects them too
     raw = _fig2_scenario([[1, 4], [3, 6]])
     mutate(raw)
     path = tmp_path / "bad.json"
@@ -293,6 +295,10 @@ def test_cli_simulate_exit_1_on_unbuildable_scenario(tmp_path, capsys, mutate, m
     assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    if at_parse:
+        assert main(["certify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("command", ["certify", "simulate"])
@@ -324,9 +330,8 @@ def test_cli_rejects_non_numeric_coefficients(tmp_path, capsys, command, num, me
     ("x0", ["a", 1], "nodes[2].x0[0]: must be a number"),
     ("x0", [[1.0], 2.0], "nodes[2].x0[0]: must be a number"),
     ("x0", [1.0, float("inf")], "nodes[2].x0[1]: must be finite"),
-    ("x0", [1.0], "nodes[2].x0: initial state must have 2 entries, got 1"),
 ], ids=["nu_nan", "nu_bool", "nu_text", "y0_text", "y0_nan", "y0_null", "x0_scalar",
-        "x0_text", "x0_nested", "x0_inf", "x0_length"])
+        "x0_text", "x0_nested", "x0_inf"])
 def test_cli_rejects_bad_node_fields_at_parse_time(tmp_path, capsys, command, field,
                                                   value, message):
     # certify and simulate agree: both reject the file when it is parsed
