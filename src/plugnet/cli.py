@@ -100,12 +100,15 @@ def _print_sweep_table(rows: list[dict]) -> None:
     for row in rows:
         declared = "-" if row["declared_nu"] is None else f"{row['declared_nu']:.4f}"
         sweep = "-" if row["sweep_nu"] is None else f"{row['sweep_nu']:.4f}"
-        omega = "-" if row["sweep_omega"] is None else f"{row['sweep_omega']:.4g}"
+        omega = "-" if row["sweep_nu"] is None else (
+            "inf" if row["sweep_omega"] is None else f"{row['sweep_omega']:.4g}")
         print(f"{row['node']:>6} {declared:>14} {sweep:>14} {omega:>12}")
-    print("(sweep values are informational; certificates use declared indices)")
+    print("(certificates use the declared nu where one is given, the sweep nu otherwise)")
 
 
 def cmd_certify(args) -> int:
+    if not args.tol >= 0.0:
+        raise PlugnetError(f"--tol must be nonnegative (got {args.tol})")
     doc = parse_scenario(args.scenario)
     nus, alphas = doc.certificate_inputs()
     reports = []

@@ -1,15 +1,14 @@
 """Node dynamics and coupling descriptions.
 
 Covers three things: state-space realizations of SISO transfer functions,
-estimation of the input-feedforward passivity index by a frequency sweep
-(for a stable SISO system the index is ``inf_w Re H(jw)``), and
-sector-bounded odd coupling nonlinearities with numeric verification of
-their declared bounds.
+the input-feedforward passivity index of a stable SISO system
+(``inf_w Re H(jw)``) in closed form, and sector-bounded odd coupling
+nonlinearities with their exact sector bounds, which any declared bounds
+must contain.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,6 @@ from .errors import EstimatorError, PlugnetError, RealizationError
 
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _HALF_PI = math.pi / 2.0
 
 
@@ -185,57 +183,46 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
 
 @dataclass(frozen=True)
 class IfpIndex:
-    """Input-feedforward passivity index with its provenance.
+    """Input-feedforward passivity index ``nu = inf_w Re H(jw)``.
 
     ``nu > 0`` is a passivity surplus, ``nu < 0`` a shortage. ``omega`` is
-    the minimizing frequency when the index came from a sweep.
+    the frequency where the infimum is attained, or None when it is the
+    limit as w -> inf.
     """
 
     nu: float
-    provenance: str = "declared"
     omega: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.nu):
             raise PlugnetError("passivity index must be finite")
-        if self.provenance not in ("declared", "frequency_sweep"):
-            raise PlugnetError(f"unknown provenance {self.provenance!r}")
 
 
-def _golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize fn on [lo, hi]; works with boundary minima."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while (hi - lo) > tol * max(1.0, abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """``Pe, Po`` with ``P(jw) = Pe(x) + jw Po(x)`` and ``x = w**2``, descending in x."""
+    ascending = np.asarray(coeffs, dtype=float)[::-1]
+    even, odd = ascending[0::2], ascending[1::2]
+    even = even * (-1.0) ** np.arange(even.size)
+    odd = odd * (-1.0) ** np.arange(odd.size) if odd.size else np.zeros(1)
+    return even[::-1], odd[::-1]
 
 
-def default_omega_grid() -> np.ndarray:
-    """2000 log-spaced frequencies over [1e-4, 1e4] rad/s."""
-    return np.logspace(-4.0, 4.0, 2000)
-
-
-def estimate_ifp_index(
-    sys: LtiSystem,
-    omega_grid: np.ndarray | None = None,
-    refine_tol: float = 1e-9,
-) -> IfpIndex:
-    """Passivity index of a SISO LTI system by sweeping Re H(jw).
+def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
+    """Passivity index ``inf_w Re H(jw)`` of a SISO LTI system, in closed form.
 
     Requires all poles in the closed left half-plane with imaginary-axis
     poles only at the origin (and at most one there); otherwise the real
-    part is unbounded or the system is unstable and the sweep is
-    meaningless. The grid minimum is sharpened by a golden-section search
-    between its neighbouring grid points.
+    part is unbounded or the system is unstable and the index is
+    meaningless.
+
+    With ``H = N/D`` and ``x = w**2``, Re H(jw) = E(x)/F(x) where
+    E = Ne De + x No Do and F = De**2 + x Do**2 = |D(jw)|**2; a pole at the
+    origin puts a factor x in both, cancelled first. The infimum over
+    x >= 0 is then the value at x = 0, the value at a root x > 0 of
+    E'F - EF', or the limit d as x -> inf. Every root with a positive real
+    part is tried at its real part, so a real root that rounding has split
+    into a complex pair still counts; a spurious candidate only adds a
+    value Re H takes.
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -247,29 +234,31 @@ def estimate_ifp_index(
     if int(np.count_nonzero(origin)) > 1:
         raise EstimatorError("repeated pole at the origin: Re H(jw) is unbounded below")
 
-    if sys.order == 0:
-        return IfpIndex(nu=sys.d, provenance="frequency_sweep", omega=0.0)
-
-    grid = default_omega_grid() if omega_grid is None else np.asarray(omega_grid, dtype=float)
-    num, den = list(sys.num), list(sys.den)
-
-    def re_h(w):
-        s = 1j * np.asarray(w, dtype=float)
-        return (np.polyval(num, s) / np.polyval(den, s)).real
-
-    values = re_h(grid)
-    i = int(np.argmin(values))
-    nu, omega = float(values[i]), float(grid[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    if hi > lo:
-        w_star, v_star = _golden_section_min(lambda w: float(re_h(w)), lo, hi, refine_tol)
-        if v_star < nu:
-            nu, omega = float(v_star), float(w_star)
-    return IfpIndex(nu=nu, provenance="frequency_sweep", omega=omega)
-
-
-_COUPLING_KINDS = ("linear_gain", "sat_sine", "sat_sine_smooth", "tabulated")
+    ne, no = _even_odd(sys.num)
+    de, do = _even_odd(sys.den)
+    # E = Ne a + No b and F = De a + Do b, with (a, b) = (De, x Do), or
+    # (De / x, Do) when the denominator's constant term is zero.
+    a, b = de, np.append(do, 0.0)
+    if sys.den[-1] == 0.0:
+        a, b = (de[:-1] if de.size > 1 else np.zeros(1)), do
+    e = np.polyadd(np.polymul(ne, a), np.polymul(no, b))
+    f = np.polyadd(np.polymul(de, a), np.polymul(do, b))
+    g = np.polysub(np.polymul(np.polyder(e), f), np.polymul(e, np.polyder(f)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The companion matrix finds the roots far below the largest one
+        # poorly, so they also come as reciprocals of the reversed
+        # polynomial's roots.
+        roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
+        xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
+        # E and F from the factors' values, not from their own coefficients,
+        # which cancel where |D(jw)| is small. The limit d comes last, so a
+        # value at a finite frequency wins a tie.
+        n_e, n_o, d_e, d_o, a_x, b_x = (np.polyval(p, xs) for p in (ne, no, de, do, a, b))
+        values = np.append((n_e * a_x + n_o * b_x) / (d_e * a_x + d_o * b_x), sys.d)
+    i = int(np.nanargmin(values))
+    if i == xs.size:
+        return IfpIndex(nu=sys.d)
+    return IfpIndex(nu=float(values[i]), omega=math.sqrt(xs[i]))
 
 
 @dataclass(frozen=True)
@@ -278,7 +267,7 @@ class SectorCoupling:
 
     ``alpha_lower``/``alpha_upper`` are the declared sector bounds:
     ``alpha_lower <= phi(x)/x <= alpha_upper`` for x != 0. Use the factory
-    helpers below; they fill in the tight bounds for the built-in kinds.
+    helpers below; they fill in the exact bounds for the built-in kinds.
     """
 
     kind: str
@@ -288,7 +277,7 @@ class SectorCoupling:
     table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _COUPLING_KINDS:
+        if self.kind not in COUPLING_FORMULAS:
             raise PlugnetError(f"unknown coupling kind {self.kind!r}")
         if not (0.0 < self.alpha_lower <= self.alpha_upper < math.inf):
             raise PlugnetError(
@@ -296,18 +285,51 @@ class SectorCoupling:
                 f"got ({self.alpha_lower}, {self.alpha_upper})"
             )
         if self.kind == "tabulated":
-            if not self.table:
-                raise PlugnetError("tabulated coupling needs knot points")
-            xs = [x for x, _ in self.table]
-            if xs[0] <= 0.0 or any(b <= a for a, b in zip(xs, xs[1:])):
-                raise PlugnetError("table knots must be strictly increasing and positive")
+            _table_points(self.table)
         elif self.gain is None or self.gain <= 0.0:
             raise PlugnetError(f"{self.kind} coupling needs a positive gain")
 
 
+def _table_points(points) -> tuple[tuple[float, float], ...]:
+    """``points`` as (x, y) float pairs: finite, with x > 0 strictly increasing."""
+    try:
+        pts = tuple((float(x), float(y)) for x, y in points)
+    except (TypeError, ValueError):
+        raise PlugnetError("table must be a list of [x, y] number pairs") from None
+    xs = [x for x, _ in pts]
+    if not (pts and xs[0] > 0.0 and all(a < b for a, b in zip(xs, xs[1:]))
+            and np.all(np.isfinite(pts))):
+        raise PlugnetError("table knots must be finite, positive and strictly increasing")
+    return pts
+
+
+def _exact_sector(kind: str, gain: float | None, table) -> tuple[float, float]:
+    """inf and sup of phi(x)/x over x != 0, in closed form.
+
+    ``sat_sine``/``sat_sine_smooth``: sin(x)/x falls from 1 towards 2/pi on
+    the sine branch and the linear branches lie between. ``tabulated``: the
+    ratio is monotone on each linear segment, so the knot ratios and the
+    last segment's slope (the limit as x -> inf) are the only candidates.
+    """
+    if kind == "linear_gain":
+        return gain, gain
+    if kind != "tabulated":
+        return 2.0 * gain / math.pi, gain
+    (x0, y0), (x1, y1) = (((0.0, 0.0),) + tuple(table))[-2:]
+    ratios = [y / x for x, y in table] + [(y1 - y0) / (x1 - x0)]
+    return min(ratios), max(ratios)
+
+
+def _analytic(kind: str, a: float) -> SectorCoupling:
+    """A coupling of a gain kind, declared with its exact sector."""
+    a = float(a)
+    lower, upper = _exact_sector(kind, a, None)
+    return SectorCoupling(kind=kind, gain=a, alpha_lower=lower, alpha_upper=upper)
+
+
 def linear_gain(a: float) -> SectorCoupling:
     """phi(x) = a*x, sector [a, a]."""
-    return SectorCoupling(kind="linear_gain", gain=float(a), alpha_lower=float(a), alpha_upper=float(a))
+    return _analytic("linear_gain", a)
 
 
 def saturated_sine(a: float) -> SectorCoupling:
@@ -315,22 +337,18 @@ def saturated_sine(a: float) -> SectorCoupling:
 
     Implemented exactly as stated, including the jump at |x| = pi/2 where
     the sine branch approaches a while the linear branch takes a*pi/2.
-    Tight sector: [2a/pi, a].
+    Exact sector: [2a/pi, a].
     """
-    a = float(a)
-    return SectorCoupling(kind="sat_sine", gain=a, alpha_lower=2.0 * a / math.pi, alpha_upper=a)
+    return _analytic("sat_sine", a)
 
 
 def saturated_sine_smooth(a: float) -> SectorCoupling:
     """Continuous variant: the linear branch is shifted to meet a*sin at pi/2.
 
     phi(x) = a*sin(x) for |x| < pi/2, a*sign(x)*(|x| - pi/2 + 1) otherwise.
-    Same tight sector [2a/pi, a].
+    Same exact sector [2a/pi, a].
     """
-    a = float(a)
-    return SectorCoupling(
-        kind="sat_sine_smooth", gain=a, alpha_lower=2.0 * a / math.pi, alpha_upper=a
-    )
+    return _analytic("sat_sine_smooth", a)
 
 
 def tabulated(
@@ -340,23 +358,16 @@ def tabulated(
 ) -> SectorCoupling:
     """Odd piecewise-linear coupling through (0, 0) and the given x > 0 knots.
 
-    Beyond the last knot the final segment's slope continues. When bounds
-    are not given, the tight ones are computed from the knot ratios and the
-    trailing slope (the ratio is monotone within each linear segment, so
-    knots and the limit slope are the only candidates).
+    Beyond the last knot the final segment's slope continues. A bound that
+    is not given is the exact one.
     """
-    pts = tuple((float(x), float(y)) for x, y in points)
-    if alpha_lower is None or alpha_upper is None:
-        xs = np.array([0.0] + [x for x, _ in pts])
-        ys = np.array([0.0] + [y for _, y in pts])
-        ratios = list(ys[1:] / xs[1:])
-        ratios.append((ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
-        lower = min(ratios) if alpha_lower is None else alpha_lower
-        upper = max(ratios) if alpha_upper is None else alpha_upper
-    else:
-        lower, upper = alpha_lower, alpha_upper
+    pts = _table_points(points)
+    exact = _exact_sector("tabulated", None, pts)
     return SectorCoupling(
-        kind="tabulated", alpha_lower=float(lower), alpha_upper=float(upper), table=pts
+        kind="tabulated",
+        alpha_lower=float(exact[0] if alpha_lower is None else alpha_lower),
+        alpha_upper=float(exact[1] if alpha_upper is None else alpha_upper),
+        table=pts,
     )
 
 
@@ -433,46 +444,18 @@ def evaluate_coupling(c: SectorCoupling, x):
 
 @dataclass(frozen=True)
 class SectorCheck:
-    """Observed sector bounds and symmetry flags from sampling a coupling."""
+    """The exact sector of a coupling, and whether its declared bounds contain it."""
 
-    alpha_lower_observed: float
-    alpha_upper_observed: float
-    odd_symmetry_ok: bool
+    alpha_lower: float
+    alpha_upper: float
     within_declared: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _sector_grid(samples: int, range_: float) -> np.ndarray:
-    """The sample points of ``verify_sector``: a symmetric log+linear grid.
-
-    The positive points in ascending order, then their negatives. A pure
-    function of its arguments, built once per pair and read-only, because
-    every caller shares it.
-    """
-    lin = np.linspace(range_ / samples, range_, samples)
-    log = np.logspace(math.log10(range_) - 8.0, math.log10(range_), samples)
-    xs = np.unique(np.concatenate([lin, log]))
-    grid = np.concatenate([xs, -xs])
-    grid.flags.writeable = False
-    return grid
-
-
-def verify_sector(c: SectorCoupling, samples: int = 2001, range_: float = 10.0) -> SectorCheck:
-    """Sample phi(x)/x on a symmetric log+linear grid and compare with declared bounds.
+def verify_sector(c: SectorCoupling) -> SectorCheck:
+    """The exact sector of ``c`` against its declared bounds, compared with no slack.
 
     A violation of the declared bounds is reported through
     ``within_declared``, not raised; parsing layers decide what to do.
     """
-    if samples < 2:
-        raise PlugnetError("need at least 2 samples")
-    if range_ <= 0.0:
-        raise PlugnetError("sampling range must be positive")
-    xs = _sector_grid(samples, range_)
-    values = evaluate_coupling(c, xs)
-    ratios = values / xs
-    pos, neg = np.split(values, 2)
-    lower = float(ratios.min())
-    upper = float(ratios.max())
-    odd_ok = bool(np.all(np.abs(pos + neg) <= 1e-12 * np.maximum(1.0, np.abs(pos))))
-    within = lower >= c.alpha_lower - 1e-9 and upper <= c.alpha_upper + 1e-9
-    return SectorCheck(lower, upper, odd_ok, within)
+    lower, upper = _exact_sector(c.kind, c.gain, c.table)
+    return SectorCheck(lower, upper, c.alpha_lower <= lower and upper <= c.alpha_upper)

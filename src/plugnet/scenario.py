@@ -4,8 +4,8 @@ A scenario file declares nodes (dynamics and/or a declared passivity
 index), named graphs, couplings per edge, optional plug events joining the
 named graphs, and the noise/solver blocks. Parsing is strict: unknown keys
 are rejected so golden files fail loudly on drift, every cross-reference
-must resolve, and every declared coupling must pass the sector check
-against its declared bounds.
+must resolve, and the declared sector bounds of every coupling must
+contain its exact sector.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import PlugnetError, ScenarioError
 from .graph import Graph, PlugPlan
 from .passivity import (
+    COUPLING_FORMULAS,
     IfpIndex,
     LtiSystem,
     SectorCoupling,
@@ -158,8 +159,9 @@ class ScenarioDocument:
             raise ScenarioError(str(exc)) from exc
 
     def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
-        """Passivity indices (declared where present, sweep otherwise) and
-        upper sector bounds per edge. Each distinct system is swept once."""
+        """Passivity indices (declared where present, computed from the
+        dynamics otherwise) and upper sector bounds per edge. Each distinct
+        system's index is computed once."""
         nus: dict[int, float] = {}
         sweeps: dict[LtiSystem, IfpIndex] = {}
         for node_id, spec in self.nodes.items():
@@ -175,8 +177,8 @@ class ScenarioDocument:
         return nus, alphas
 
     def sweep_indices(self) -> dict[int, IfpIndex]:
-        """Frequency-sweep indices for every node that has dynamics; each
-        distinct system is swept once."""
+        """Indices computed from the dynamics of every node that has them;
+        each distinct system's index is computed once."""
         sweeps: dict[LtiSystem, IfpIndex] = {}
         return {
             node_id: _sweep(spec.system, sweeps)
@@ -242,7 +244,7 @@ class ScenarioDocument:
 
 
 def _sweep(system: LtiSystem, sweeps: dict[LtiSystem, IfpIndex]) -> IfpIndex:
-    """The IFP sweep of ``system``, run only when ``sweeps`` lacks it."""
+    """The IFP index of ``system``, computed only when ``sweeps`` lacks it."""
     if system not in sweeps:
         sweeps[system] = estimate_ifp_index(system)
     return sweeps[system]
@@ -359,27 +361,29 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
     _check_keys(entry, _COUPLING_KEYS, {"edge", "kind"}, path)
     edge = _edge_pair(entry["edge"], f"{path}.edge")
     kind = entry["kind"]
-    if kind not in ("linear_gain", "sat_sine", "sat_sine_smooth", "tabulated"):
+    if not isinstance(kind, str) or kind not in COUPLING_FORMULAS:
         raise ScenarioError(f"{path}: unknown coupling kind {kind!r}")
+    numbers = {key: _finite_number(entry[key], f"{path}.{key}")
+               for key in ("a", "alpha_lower", "alpha_upper") if key in entry}
     try:
         if kind == "linear_gain":
-            c = linear_gain(entry["a"])
+            c = linear_gain(numbers["a"])
         elif kind == "sat_sine":
-            c = saturated_sine(entry["a"])
+            c = saturated_sine(numbers["a"])
         elif kind == "sat_sine_smooth":
-            c = saturated_sine_smooth(entry["a"])
+            c = saturated_sine_smooth(numbers["a"])
         else:
             c = tabulated(
                 entry["table"],
-                alpha_lower=entry.get("alpha_lower"),
-                alpha_upper=entry.get("alpha_upper"),
+                alpha_lower=numbers.get("alpha_lower"),
+                alpha_upper=numbers.get("alpha_upper"),
             )
-        if kind != "tabulated" and ("alpha_lower" in entry or "alpha_upper" in entry):
+        if kind != "tabulated" and ("alpha_lower" in numbers or "alpha_upper" in numbers):
             c = SectorCoupling(
                 kind=c.kind,
                 gain=c.gain,
-                alpha_lower=float(entry.get("alpha_lower", c.alpha_lower)),
-                alpha_upper=float(entry.get("alpha_upper", c.alpha_upper)),
+                alpha_lower=numbers.get("alpha_lower", c.alpha_lower),
+                alpha_upper=numbers.get("alpha_upper", c.alpha_upper),
                 table=c.table,
             )
     except KeyError as exc:
@@ -464,13 +468,11 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
 
     for edge, c in couplings.items():
         check = verify_sector(c)
-        if not check.odd_symmetry_ok:
-            raise ScenarioError(f"coupling on edge {list(edge)} is not odd-symmetric")
         if not check.within_declared:
             raise ScenarioError(
                 f"coupling on edge {list(edge)} violates its declared sector "
-                f"bounds: observed [{check.alpha_lower_observed:.6g}, "
-                f"{check.alpha_upper_observed:.6g}], declared "
+                f"bounds: exact [{check.alpha_lower:.6g}, "
+                f"{check.alpha_upper:.6g}], declared "
                 f"[{c.alpha_lower:.6g}, {c.alpha_upper:.6g}]"
             )
 
@@ -520,8 +522,8 @@ def parse_scenario(path: str | Path) -> ScenarioDocument:
     The cost follows the document's distinct content: each distinct
     transfer function is realized once (its realization check one batched
     solve), and nodes with equal ``num``/``den`` share that immutable
-    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` sweep each
-    distinct system once. Nothing is reused across parses.
+    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` compute
+    each distinct system's index once. Nothing is reused across parses.
     """
     path = Path(path)
     try:

@@ -223,6 +223,78 @@ def test_cli_certify_fails_on_forced_negative_margin(tmp_path, capsys):
     assert "(1, 2)" in out
 
 
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def _edge_1_2_tabulated_far_knots(raw):
+    # knot ratios 0.4, 0.4, 10 and trailing slope 29.2; all beyond |x| = 10
+    raw["couplings"][0] = {"edge": [1, 2], "kind": "tabulated",
+                           "table": [[1, 0.4], [20, 8], [30, 300]],
+                           "alpha_lower": 0.4, "alpha_upper": 0.4}
+
+
+def _sat_sine_lower_just_above_exact(raw):
+    raw["couplings"][0]["alpha_lower"] = 0.2547  # exact 2 * 0.4 / pi = 0.254648
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_edge_1_2_tabulated_far_knots, "exact [0.4, 29.2], declared [0.4, 0.4]"),
+    (_sat_sine_lower_just_above_exact, "exact [0.254648, 0.4], declared [0.2547, 0.4]"),
+], ids=["tabulated_far_knots", "sat_sine_lower"])
+def test_cli_certify_rejects_declared_bounds_narrower_than_the_exact_sector(
+        tmp_path, capsys, mutate, message):
+    raw = paper_example()
+    assert raw["couplings"][0]["edge"] == [1, 2]
+    mutate(raw)
+    path = tmp_path / "narrow.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "coupling on edge [1, 2] violates its declared sector bounds" in err
+    assert message in err
+
+
+def test_cli_certify_sees_a_resonance_above_the_old_sweep_range(tmp_path, capsys):
+    # zeta = 0.01 at 1e5 rad/s: inf Re H = -1 / (4 zeta (1 + zeta)) = -24.75
+    # near w = 1.01e5, beyond the 1e4 rad/s a sampled sweep used to reach
+    raw = paper_example()
+    node = raw["nodes"][0]
+    assert node["id"] == 1
+    node["dynamics"] = {"num": [1e10], "den": [1, 2e3, 1e10]}
+    del node["nu"]
+    path, report = tmp_path / "resonant.json", tmp_path / "certify.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path), "--json", str(report)]) == 2
+    row = _strict_json(report)["passivity_indices"][0]
+    assert row["node"] == 1 and row["declared_nu"] is None
+    assert row["sweep_nu"] == pytest.approx(-1.0 / (4 * 0.01 * 1.01), rel=1e-12)
+    assert row["sweep_omega"] == pytest.approx(1.01e5, rel=1e-2)
+    assert "NOT certified" in capsys.readouterr().out
+
+
+def test_cli_certify_writes_null_when_the_infimum_is_the_limit(tmp_path, capsys):
+    # 1/(s+1): Re H = 1/(1 + w^2) has infimum 0 only as w -> inf
+    path, report = tmp_path / "fig2a.json", tmp_path / "certify.json"
+    write_scenario(_fig2_scenario([[1, 4], [3, 6]]), path)
+    assert main(["certify", str(path), "--json", str(report)]) == 0
+    rows = _strict_json(report)["passivity_indices"]
+    assert [(r["sweep_nu"], r["sweep_omega"]) for r in rows] == [(0.0, None)] * 6
+    out = capsys.readouterr().out
+    assert "0.0000          inf" in out
+    assert "certificates use the declared nu where one is given" in out
+
+
+@pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan"])
+def test_cli_certify_rejects_a_tolerance_below_zero(tmp_path, capsys, tol):
+    path = tmp_path / "example.json"
+    write_scenario(paper_example(), path)
+    assert main(["certify", str(path), f"--tol={tol}"]) == 1
+    assert "--tol must be nonnegative" in capsys.readouterr().err
+
+
 def test_cli_certify_assumption_gate(tmp_path, capsys):
     ok_path = tmp_path / "fig2a.json"
     bad_path = tmp_path / "fig2b.json"
@@ -343,6 +415,30 @@ def test_cli_rejects_bad_node_fields_at_parse_time(tmp_path, capsys, command, fi
     assert main([command, str(path), *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("a", None, "couplings[0].a: must be a number"),
+    ("a", [0.4], "couplings[0].a: must be a number"),
+    ("a", "0.4", "couplings[0].a: must be a number"),
+    ("a", True, "couplings[0].a: must be a number"),
+    ("alpha_upper", float("inf"), "couplings[0].alpha_upper: must be finite"),
+    ("kind", ["sat_sine"], "couplings[0]: unknown coupling kind"),
+    ("table", [[1, 0.4, 2]], "couplings[0]: table must be a list of [x, y] number pairs"),
+    ("table", [], "couplings[0]: table knots must be finite, positive"),
+], ids=["a_null", "a_list", "a_text", "a_bool", "alpha_inf", "kind_list", "table_triple",
+        "table_empty"])
+def test_cli_rejects_bad_coupling_fields_at_parse_time(tmp_path, capsys, field, value,
+                                                       message):
+    # a typed error naming the field, never a traceback
+    raw = paper_example()
+    if field == "table":
+        raw["couplings"][0] = {"edge": [1, 2], "kind": "tabulated"}
+    raw["couplings"][0][field] = value
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_x0_on_a_node_without_dynamics_is_rejected():
