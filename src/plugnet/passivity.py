@@ -5,12 +5,20 @@ the input-feedforward passivity index of a stable SISO system
 (``inf_w Re H(jw)``) in closed form, and sector-bounded odd coupling
 nonlinearities with their exact sector bounds, which any declared bounds
 must contain.
+
+A heterogeneous network realizes and indexes one system per node, so the
+per-system cost is kept to the arithmetic: the polynomial helpers below
+compute exactly what ``np.roots``, ``np.polymul``, ``np.polyadd``/
+``np.polysub`` and ``np.polyval`` compute, operation for operation, without
+their wrappers. Each polynomial's roots are solved once: ``realize`` keeps
+the denominator's roots as the system's poles, and the realization check
+scales fixed pseudorandom points on the unit circle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +28,62 @@ from .errors import EstimatorError, PlugnetError, RealizationError
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
 _HALF_PI = math.pi / 2.0
+# Where the realization check compares the state-space response with the
+# polynomials, before scaling to a circle enclosing every pole and zero.
+_CHECK_POINTS = np.exp(1j * np.random.default_rng(1724).uniform(0.0, 2.0 * math.pi, size=20))
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """``np.roots(p)`` of a flat float array: the same companion matrix and
+    eigenvalue call, and the roots at zero appended for trailing zeros."""
+    nz = p.nonzero()[0]
+    if nz.size == 0:
+        return np.array([])
+    trailing = len(p) - nz[-1] - 1
+    p = p[nz[0]:nz[-1] + 1]
+    if len(p) > 1:
+        companion = np.eye(len(p) - 1, k=-1)
+        companion[0, :] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.array([])
+    if trailing:
+        roots = np.concatenate((roots, np.zeros(trailing, roots.dtype)))
+    return roots
+
+
+def _trimmed(p: np.ndarray) -> np.ndarray:
+    """``p`` without leading zeros, or ``[0.]`` when all are zero (as ``np.poly1d``)."""
+    nz = p.nonzero()[0]
+    return p[nz[0]:] if nz.size else np.zeros(1)
+
+
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.polymul(p, q)`` of float arrays."""
+    return np.convolve(_trimmed(p), _trimmed(q))
+
+
+def _derivative(p: np.ndarray) -> np.ndarray:
+    """``np.polyder(p)`` of a float array."""
+    return p[:-1] * np.arange(len(p) - 1, 0, -1)
+
+
+def _padded(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p`` and ``q`` with leading zeros to a common length, as ``np.polyadd`` pads."""
+    diff = len(q) - len(p)
+    if diff > 0:
+        p = np.concatenate((np.zeros(diff), p))
+    elif diff < 0:
+        q = np.concatenate((np.zeros(-diff), q))
+    return p, q
+
+
+def _polyval(p, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(p, x)``: Horner's rule from zero, in the same operation order."""
+    y = np.zeros_like(x)
+    for coeff in p:
+        y = y * x + coeff
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +101,8 @@ class LtiSystem:
     b: np.ndarray
     c: np.ndarray
     d: float
+    # The roots of ``den`` when ``realize`` has already solved for them.
+    _poles: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.a, self.b, self.c):
@@ -59,13 +125,18 @@ class LtiSystem:
         return x[:, :, 0] @ self.c + self.d
 
     def poles(self) -> np.ndarray:
-        return np.roots(self.den) if len(self.den) > 1 else np.empty(0, dtype=complex)
+        """The roots of ``den`` (a new array): kept from ``realize``, else solved."""
+        if self._poles is not None:
+            return self._poles.copy()
+        if len(self.den) == 1:
+            return np.empty(0, dtype=complex)
+        return _roots(np.array(self.den, dtype=float))
 
 
 def polynomial_response(num: Sequence[float], den: Sequence[float], s) -> np.ndarray:
     """Evaluate num(s)/den(s) directly; the independent check against realize()."""
     s = np.asarray(s, dtype=complex)
-    return np.polyval(list(num), s) / np.polyval(list(den), s)
+    return _polyval(num, s) / _polyval(den, s)
 
 
 def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
@@ -110,12 +181,12 @@ def _cancel_common_roots(num: np.ndarray, den: np.ndarray, zeros: list, poles: l
 def _verify_realization(sys: LtiSystem, roots: list) -> None:
     """Cross-check the state-space response against the polynomials.
 
-    Twenty pseudorandom points on a circle enclosing ``roots`` (all poles
-    and zeros of ``sys``); relative tolerance 1e-8.
+    The twenty fixed pseudorandom points of ``_CHECK_POINTS``, scaled to a
+    circle enclosing ``roots`` (all poles and zeros of ``sys``); relative
+    tolerance 1e-8.
     """
     radius = 2.0 * (1.0 + max((abs(r) for r in roots), default=0.0))
-    rng = np.random.default_rng(1724)
-    s = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=20))
+    s = radius * _CHECK_POINTS
     h_ss = sys.response(s)
     h_poly = polynomial_response(sys.num, sys.den, s)
     err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
@@ -130,13 +201,13 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
 
     Exactly-equal common roots (tolerance 1e-9) are cancelled first, so the
     realization order equals the reduced denominator degree. The result is
-    checked against the polynomials at twenty points in one batched solve
-    (see ``LtiSystem.response``); the polynomial roots are computed once
-    for both the cancellation and that check. The returned system is
-    immutable, so callers may share one realization between nodes with the
-    same transfer function. Raises RealizationError for coefficients that
-    are not a flat list of finite numbers, improper functions or a zero
-    denominator.
+    checked against the polynomials at twenty fixed points in one batched
+    solve (see ``LtiSystem.response``). Each polynomial's roots are solved
+    once, for the cancellation, the radius of that check and, when nothing
+    cancels, the system's ``poles()``. The returned system is immutable, so
+    callers may share one realization between nodes with the same transfer
+    function. Raises RealizationError for coefficients that are not a flat
+    list of finite numbers, improper functions or a zero denominator.
     """
     num_c = _coefficients(num, "numerator")
     den_c = _coefficients(den, "denominator")
@@ -149,8 +220,9 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
         )
     num_c = num_c / den_c[0]
     den_c = den_c / den_c[0]
+    den_roots = _roots(den_c)
     num_c, den_c, zeros, poles = _cancel_common_roots(
-        num_c, den_c, list(np.roots(num_c)), list(np.roots(den_c))
+        num_c, den_c, list(_roots(num_c)), list(den_roots)
     )
 
     k = len(den_c) - 1
@@ -177,6 +249,8 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
     b = np.zeros(k)
     b[0] = 1.0
     sys = LtiSystem(num=tuple(num_c), den=tuple(den_c), a=a, b=b, c=c, d=float(d))
+    if len(poles) == len(den_roots):  # nothing cancelled: den_roots are the poles
+        object.__setattr__(sys, "_poles", den_roots)
     _verify_realization(sys, zeros + poles)
     return sys
 
@@ -222,7 +296,8 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     E'F - EF', or the limit d as x -> inf. Every root with a positive real
     part is tried at its real part, so a real root that rounding has split
     into a complex pair still counts; a spurious candidate only adds a
-    value Re H takes.
+    value Re H takes. The poles are the ones ``realize`` solved for, so
+    the only root solves here are those of E'F - EF' and of its reverse.
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -241,19 +316,19 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     a, b = de, np.append(do, 0.0)
     if sys.den[-1] == 0.0:
         a, b = (de[:-1] if de.size > 1 else np.zeros(1)), do
-    e = np.polyadd(np.polymul(ne, a), np.polymul(no, b))
-    f = np.polyadd(np.polymul(de, a), np.polymul(do, b))
-    g = np.polysub(np.polymul(np.polyder(e), f), np.polymul(e, np.polyder(f)))
+    e = np.add(*_padded(_polymul(ne, a), _polymul(no, b)))
+    f = np.add(*_padded(_polymul(de, a), _polymul(do, b)))
+    g = np.subtract(*_padded(_polymul(_derivative(e), f), _polymul(e, _derivative(f))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The companion matrix finds the roots far below the largest one
         # poorly, so they also come as reciprocals of the reversed
         # polynomial's roots.
-        roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
+        roots = np.concatenate([_roots(g), 1.0 / _roots(g[::-1])]).real
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
         # E and F from the factors' values, not from their own coefficients,
         # which cancel where |D(jw)| is small. The limit d comes last, so a
         # value at a finite frequency wins a tie.
-        n_e, n_o, d_e, d_o, a_x, b_x = (np.polyval(p, xs) for p in (ne, no, de, do, a, b))
+        n_e, n_o, d_e, d_o, a_x, b_x = (_polyval(p, xs) for p in (ne, no, de, do, a, b))
         values = np.append((n_e * a_x + n_o * b_x) / (d_e * a_x + d_o * b_x), sys.d)
     i = int(np.nanargmin(values))
     if i == xs.size:

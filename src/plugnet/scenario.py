@@ -95,6 +95,9 @@ class ScenarioDocument:
     noise: NoiseSpec
     solver: SolverConfig
     outputs: dict[str, str] = field(default_factory=dict)
+    # The IFP index of each distinct system, filled as certificate_inputs
+    # and sweep_indices need them, so neither repeats the other's work.
+    _sweeps: dict[LtiSystem, IfpIndex] = field(default_factory=dict, init=False, repr=False)
 
     def initial_graph(self) -> Graph:
         nodes: tuple[int, ...] = ()
@@ -161,14 +164,13 @@ class ScenarioDocument:
     def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
         """Passivity indices (declared where present, computed from the
         dynamics otherwise) and upper sector bounds per edge. Each distinct
-        system's index is computed once."""
+        system's index is computed once per document."""
         nus: dict[int, float] = {}
-        sweeps: dict[LtiSystem, IfpIndex] = {}
         for node_id, spec in self.nodes.items():
             if spec.declared_nu is not None:
                 nus[node_id] = spec.declared_nu
             elif spec.system is not None:
-                nus[node_id] = _sweep(spec.system, sweeps).nu
+                nus[node_id] = _sweep(spec.system, self._sweeps).nu
             else:
                 raise ScenarioError(
                     f"node {node_id} has neither a declared index nor dynamics"
@@ -178,10 +180,9 @@ class ScenarioDocument:
 
     def sweep_indices(self) -> dict[int, IfpIndex]:
         """Indices computed from the dynamics of every node that has them;
-        each distinct system's index is computed once."""
-        sweeps: dict[LtiSystem, IfpIndex] = {}
+        each distinct system's index is computed once per document."""
         return {
-            node_id: _sweep(spec.system, sweeps)
+            node_id: _sweep(spec.system, self._sweeps)
             for node_id, spec in self.nodes.items()
             if spec.system is not None
         }
@@ -276,9 +277,7 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
     for idx, entry in enumerate(raw):
         path = f"nodes[{idx}]"
         _check_keys(entry, _NODE_KEYS, {"id"}, path)
-        node_id = entry["id"]
-        if not isinstance(node_id, int) or node_id < 0:
-            raise ScenarioError(f"{path}: id must be a nonnegative integer")
+        node_id = _integer(entry["id"], f"{path}.id", minimum=0)
         if node_id in nodes:
             raise ScenarioError(f"{path}: duplicate node id {node_id}")
         system = None
@@ -323,6 +322,15 @@ def _finite_number(value: Any, path: str) -> float:
     if not math.isfinite(number):
         raise ScenarioError(f"{path}: must be finite")
     return number
+
+
+def _integer(value: Any, path: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``; a bool or any other non-integer raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: must be an integer")
+    if value < minimum:
+        raise ScenarioError(f"{path}: must be at least {minimum}")
+    return value
 
 
 def _initial_state(value: Any, system: LtiSystem | None, path: str) -> tuple[float, ...]:
@@ -425,8 +433,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     for idx, entry in enumerate(raw.get("plug_events", [])):
         path = f"plug_events[{idx}]"
         _check_keys(entry, _PLUG_KEYS, {"time", "base", "boundary"}, path)
-        if not isinstance(entry["time"], (int, float)):
-            raise ScenarioError(f"{path}.time: must be a number")
+        _finite_number(entry["time"], f"{path}.time")
         if ("added" in entry) == ("added_node" in entry):
             raise ScenarioError(f"{path}: exactly one of 'added'/'added_node' required")
         if entry["base"] not in graphs:
@@ -476,18 +483,20 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
                 f"[{c.alpha_lower:.6g}, {c.alpha_upper:.6g}]"
             )
 
-    _check_keys(raw["noise"], _NOISE_KEYS, {"scale", "seed"}, "noise")
-    _check_keys(raw["solver"], _SOLVER_KEYS, {"dt", "t_end"}, "solver")
+    noise_raw, solver_raw = raw["noise"], raw["solver"]
+    _check_keys(noise_raw, _NOISE_KEYS, {"scale", "seed"}, "noise")
+    _check_keys(solver_raw, _SOLVER_KEYS, {"dt", "t_end"}, "solver")
     try:
         noise = NoiseSpec(
-            scale=float(raw["noise"]["scale"]),
-            seed=int(raw["noise"]["seed"]),
-            kind=raw["noise"].get("kind", "white_gaussian_held"),
+            scale=_finite_number(noise_raw["scale"], "noise.scale"),
+            seed=_integer(noise_raw["seed"], "noise.seed", minimum=0),
+            kind=noise_raw.get("kind", "white_gaussian_held"),
         )
         solver = SolverConfig(
-            dt=float(raw["solver"]["dt"]),
-            t_end=float(raw["solver"]["t_end"]),
-            sample_stride=int(raw["solver"].get("sample_stride", 1)),
+            dt=_finite_number(solver_raw["dt"], "solver.dt"),
+            t_end=_finite_number(solver_raw["t_end"], "solver.t_end"),
+            sample_stride=_integer(solver_raw.get("sample_stride", 1), "solver.sample_stride",
+                                   minimum=1),
         )
         check_plug_times([float(e["time"]) for e in plug_entries], solver)
     except ValueError as exc:
@@ -522,8 +531,9 @@ def parse_scenario(path: str | Path) -> ScenarioDocument:
     The cost follows the document's distinct content: each distinct
     transfer function is realized once (its realization check one batched
     solve), and nodes with equal ``num``/``den`` share that immutable
-    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` compute
-    each distinct system's index once. Nothing is reused across parses.
+    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` share one
+    memo, so each distinct system's index is computed once per document
+    (``certify`` calls both). Nothing is reused across parses.
     """
     path = Path(path)
     try:

@@ -9,9 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from plugnet.errors import EstimatorError, PlugnetError, RealizationError
 from plugnet.passivity import (
     COUPLING_FORMULAS,
+    IfpIndex,
     LtiSystem,
     SectorCheck,
     SectorCoupling,
+    _cancel_common_roots,
+    _coefficients,
+    _even_odd,
     _verify_realization,
     coupling_parameters,
     estimate_ifp_index,
@@ -448,3 +452,181 @@ def test_closed_form_index_is_the_infimum_of_a_dense_sweep(sys):
 def test_closed_form_index_on_cases_that_need_its_guards(num, den):
     sys = realize(num, den)
     _check_against_the_grid(sys, estimate_ifp_index(sys))
+
+
+# --- the lean polynomial arithmetic against numpy's polynomial functions ---------
+#
+# The reference below is realize/estimate_ifp_index as they were written with
+# np.roots, np.polymul/polyadd/polysub/polyval and a fresh default_rng(1724) per
+# realization check; the module's own helpers must give the same bits.
+
+
+def _ref_verify_realization(sys, roots):
+    radius = 2.0 * (1.0 + max((abs(r) for r in roots), default=0.0))
+    rng = np.random.default_rng(1724)
+    s = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=20))
+    h_ss = sys.response(s)
+    h_poly = np.polyval(list(sys.num), s) / np.polyval(list(sys.den), s)
+    err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
+    if not np.all(err <= 1e-8):
+        raise RealizationError(
+            f"state-space response deviates from the polynomials (max rel err {err.max():.3g})"
+        )
+
+
+def _ref_realize(num, den):
+    num_c = _coefficients(num, "numerator")
+    den_c = _coefficients(den, "denominator")
+    if np.all(den_c == 0.0):
+        raise RealizationError("zero denominator")
+    if len(num_c) > len(den_c):
+        raise RealizationError(
+            f"improper transfer function (numerator degree {len(num_c) - 1} "
+            f"> denominator degree {len(den_c) - 1})"
+        )
+    num_c = num_c / den_c[0]
+    den_c = den_c / den_c[0]
+    num_c, den_c, zeros, poles = _cancel_common_roots(
+        num_c, den_c, list(np.roots(num_c)), list(np.roots(den_c))
+    )
+    k = len(den_c) - 1
+    if k == 0:
+        return LtiSystem(num=tuple(num_c), den=(1.0,), a=np.empty((0, 0)), b=np.empty(0),
+                         c=np.empty(0), d=float(num_c[0]))
+    alpha = den_c[1:]
+    padded = np.zeros(k + 1)
+    padded[k + 1 - len(num_c):] = num_c
+    d = padded[0]
+    c = padded[1:] - d * alpha
+    a = np.zeros((k, k))
+    a[0, :] = -alpha
+    if k > 1:
+        a[1:, :-1] = np.eye(k - 1)
+    b = np.zeros(k)
+    b[0] = 1.0
+    sys = LtiSystem(num=tuple(num_c), den=tuple(den_c), a=a, b=b, c=c, d=float(d))
+    _ref_verify_realization(sys, zeros + poles)
+    return sys
+
+
+def _ref_poles(sys):
+    return np.roots(sys.den) if len(sys.den) > 1 else np.empty(0, dtype=complex)
+
+
+def _ref_estimate_ifp_index(sys):
+    poles = _ref_poles(sys)
+    if np.any(poles.real > 1e-9):
+        raise EstimatorError(f"unstable system: pole at {poles[poles.real > 1e-9][0]:.6g}")
+    on_axis = np.abs(poles.real) <= 1e-9
+    origin = on_axis & (np.abs(poles) <= 1e-9)
+    if np.any(on_axis & ~origin):
+        raise EstimatorError("pole on the imaginary axis away from the origin")
+    if int(np.count_nonzero(origin)) > 1:
+        raise EstimatorError("repeated pole at the origin: Re H(jw) is unbounded below")
+    ne, no = _even_odd(sys.num)
+    de, do = _even_odd(sys.den)
+    a, b = de, np.append(do, 0.0)
+    if sys.den[-1] == 0.0:
+        a, b = (de[:-1] if de.size > 1 else np.zeros(1)), do
+    e = np.polyadd(np.polymul(ne, a), np.polymul(no, b))
+    f = np.polyadd(np.polymul(de, a), np.polymul(do, b))
+    g = np.polysub(np.polymul(np.polyder(e), f), np.polymul(e, np.polyder(f)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
+        xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
+        n_e, n_o, d_e, d_o, a_x, b_x = (np.polyval(p, xs) for p in (ne, no, de, do, a, b))
+        values = np.append((n_e * a_x + n_o * b_x) / (d_e * a_x + d_o * b_x), sys.d)
+    i = int(np.nanargmin(values))
+    if i == xs.size:
+        return IfpIndex(nu=sys.d)
+    return IfpIndex(nu=float(values[i]), omega=math.sqrt(xs[i]))
+
+
+def _bits(x):
+    """Everything that makes two results equal bit for bit: type, dtype, shape, bytes."""
+    if x is None:
+        return None
+    arr = np.asarray(x)
+    return type(x).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the error paths must match too
+        return None, (type(exc), str(exc))
+
+
+_SPAN = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _transfer_functions(draw):
+    """(num, den) lists: real roots and complex pairs of either sign with
+    magnitudes in [1e-6, 1e6], resonances down to no damping, poles and zeros
+    at the origin, exact common roots, static gains, leading zeros,
+    improper and zero denominators, and raw coefficients."""
+
+    def roots(count, poles):
+        # mostly stable poles, so that most systems reach the index
+        signs = [-1.0, -1.0, -1.0, 1.0, 0.0] if poles else [-1.0, 1.0, 0.0]
+        out = []
+        while len(out) < count:
+            if count - len(out) >= 2 and draw(st.booleans()):
+                zeta = draw(st.sampled_from([0.0, 1e-3]) | st.floats(-0.2 if poles else -1.0, 1.0))
+                r = draw(_SPAN) * complex(-zeta, math.sqrt(1.0 - zeta ** 2))
+                out += [r, r.conjugate()]
+            else:
+                out.append(draw(st.sampled_from(signs)) * draw(_SPAN))
+        return out
+
+    if draw(st.integers(0, 9)) == 9:
+        coeffs = st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e6, 1e6), max_size=6)
+        return draw(coeffs), draw(coeffs)
+    poles = roots(draw(st.integers(0, 4)), poles=True)
+    if poles and draw(st.booleans()):
+        poles[-1] = 0.0
+    zeros = roots(draw(st.integers(0, len(poles) + 1)), poles=False)
+    if poles and zeros and draw(st.booleans()):
+        zeros[-1] = poles[draw(st.integers(0, len(poles) - 1))]  # exactly cancels
+    num = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0)) \
+        * np.atleast_1d(np.poly(zeros)).real
+    den = 10.0 ** draw(st.floats(-3.0, 3.0)) * np.atleast_1d(np.poly(poles)).real
+    if draw(st.integers(0, 19)) == 19:
+        den = 0.0 * den
+    leading_zeros = [[0.0] * draw(st.integers(0, 2)) for _ in range(2)]
+    return leading_zeros[0] + num.tolist(), leading_zeros[1] + den.tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_transfer_functions())
+def test_realize_and_index_are_bit_identical_to_numpy_polynomials(tf):
+    num, den = tf
+    got, got_error = _outcome(realize, num, den)
+    want, want_error = _outcome(_ref_realize, num, den)
+    assert got_error == want_error
+    if want is None:
+        return
+    for name in ("num", "den", "a", "b", "c", "d"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _bits(got.poles()) == _bits(_ref_poles(want))
+    got, got_error = _outcome(estimate_ifp_index, got)
+    want, want_error = _outcome(_ref_estimate_ifp_index, want)
+    assert got_error == want_error
+    if want is not None:
+        assert (_bits(got.nu), _bits(got.omega)) == (_bits(want.nu), _bits(want.omega))
+
+
+@pytest.mark.parametrize("num, den, order", [
+    ([1.0, 0.5], [1.0, 0.4, 0.0], 2),  # a pole at the origin
+    ([2.0, -1.0, 3.0], [1.0, 2.0, 5.0, 1.0], 3),
+    ([1.0, 1.0], np.convolve([1.0, 1.0], [1.0, 2.0]), 1),  # (s+1) cancels
+    ([1.0, 0.0], [1.0, 3.0, 0.0], 1),  # s cancels at the origin
+], ids=["origin", "complex", "cancelled", "cancelled_origin"])
+def test_poles_are_the_roots_of_the_denominator(num, den, order):
+    sys = realize(num, den)
+    assert sys.order == order
+    poles = sys.poles()
+    assert _bits(poles) == _bits(np.roots(sys.den))
+    poles[:] = 99.0
+    assert _bits(sys.poles()) == _bits(np.roots(sys.den))

@@ -7,9 +7,11 @@ import pytest
 
 from helpers import fig2_scenario as _fig2_scenario
 
+import plugnet.scenario
 from plugnet.cli import main, read_trajectory_csv, write_trajectory_csv
 from plugnet.errors import ScenarioError
 from plugnet.metrics import estimate_io_gain
+from plugnet.passivity import estimate_ifp_index
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
 
 
@@ -146,7 +148,7 @@ def test_equal_transfer_functions_share_one_realization(monkeypatch):
 
     nus, _ = doc.certificate_inputs()
     sweeps = doc.sweep_indices()
-    assert calls["sweep"] == 2 + 2  # each call sweeps the two systems once
+    assert calls["sweep"] == 2  # the two systems once, shared by both calls
 
     # bit-identical to realizing and sweeping node by node
     for node in raw["nodes"]:
@@ -439,6 +441,54 @@ def test_cli_rejects_bad_coupling_fields_at_parse_time(tmp_path, capsys, field, 
     write_scenario(raw, path)
     assert main(["certify", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("block, field, value, message", [
+    ("solver", "dt", "0.001", "solver.dt: must be a number"),
+    ("noise", "seed", 2.7, "noise.seed: must be an integer"),
+    ("noise", "seed", True, "noise.seed: must be an integer"),
+    ("solver", "sample_stride", 2.5, "solver.sample_stride: must be an integer"),
+    ("plug_events", "time", True, "plug_events[0].time: must be a number"),
+    ("noise", "scale", None, "noise.scale: must be a number"),
+    ("solver", "t_end", [30], "solver.t_end: must be a number"),
+], ids=["dt_text", "seed_float", "seed_bool", "stride_float", "plug_time_bool",
+        "scale_null", "t_end_list"])
+def test_cli_rejects_bad_noise_solver_and_plug_time_fields(tmp_path, capsys, block, field,
+                                                          value, message):
+    # read like the node and coupling fields: no truncation, no bool as a number
+    raw = paper_example()
+    target = raw[block][0] if block == "plug_events" else raw[block]
+    target[field] = value
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_certify_computes_each_index_once(tmp_path, capsys, monkeypatch):
+    # nodes 1-3 share one system and have no declared nu, node 4 has its
+    # own; the text table and the certificate read the same indices
+    raw = paper_example()
+    for node in raw["nodes"][:4]:
+        del node["nu"]
+    for node in raw["nodes"][1:3]:
+        node["dynamics"] = dict(raw["nodes"][0]["dynamics"])
+    path = tmp_path / "shared.json"
+    write_scenario(raw, path)
+    calls = []
+
+    def counting(sys):
+        calls.append(sys)
+        return estimate_ifp_index(sys)
+
+    monkeypatch.setattr(plugnet.scenario, "estimate_ifp_index", counting)
+    doc = parse_scenario(path)
+    doc.certificate_inputs()
+    assert len(calls) == 2  # the declared nodes 5-7 are not swept
+    calls.clear()
+    assert main(["certify", str(path)]) == 2  # the swept indices are below the declared
+    assert capsys.readouterr().out.count("-0.6122") == 3
+    assert len(calls) == 5 and len(set(calls)) == 5  # each distinct system once
 
 
 def test_x0_on_a_node_without_dynamics_is_rejected():
