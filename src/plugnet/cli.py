@@ -20,11 +20,13 @@ import numpy as np
 from . import __version__
 from .certificates import (
     VERDICT_CERTIFIED,
+    CertificateReport,
     certify_fixed_network,
     certify_network_plug,
     certify_single_node_plug,
 )
 from .errors import AssumptionViolation, DegenerateInput, PlugnetError
+from .graph import PlugPlan
 from .metrics import analytic_gain_bound, default_horizons, disagreement, estimate_io_gain
 from .scenario import ScenarioDocument, parse_scenario, paper_example, write_scenario
 from .sim import TrajectoryRecord, run
@@ -106,6 +108,12 @@ def _print_sweep_table(rows: list[dict]) -> None:
     print("(certificates use the declared nu where one is given, the sweep nu otherwise)")
 
 
+def _certify_plug(plan: PlugPlan, nus, alphas, **options) -> CertificateReport:
+    """The certificate of one plug: the single-node or the network construction."""
+    certify = certify_single_node_plug if plan.is_single_node else certify_network_plug
+    return certify(plan, nus, alphas, **options)
+
+
 def cmd_certify(args) -> int:
     if not args.tol >= 0.0:
         raise PlugnetError(f"--tol must be nonnegative (got {args.tol})")
@@ -114,11 +122,7 @@ def cmd_certify(args) -> int:
     reports = []
     if doc.plug_entries:
         for entry in doc.plug_entries:
-            plan = doc.plug_plan(entry)
-            if plan.is_single_node:
-                reports.append(certify_single_node_plug(plan, nus, alphas, tol=args.tol))
-            else:
-                reports.append(certify_network_plug(plan, nus, alphas, tol=args.tol))
+            reports.append(_certify_plug(entry.plan, nus, alphas, tol=args.tol))
     else:
         for name in doc.initial_names:
             reports.append(certify_fixed_network(doc.graphs[name], nus, alphas, tol=args.tol))
@@ -195,12 +199,7 @@ def cmd_report(args) -> int:
     try:
         nus, alphas = doc.certificate_inputs()
         if doc.plug_entries:
-            plan = doc.plug_plan(doc.plug_entries[-1])
-            report = (
-                certify_single_node_plug(plan, nus, alphas)
-                if plan.is_single_node
-                else certify_network_plug(plan, nus, alphas)
-            )
+            report = _certify_plug(doc.plug_entries[-1].plan, nus, alphas)
         else:
             report = certify_fixed_network(graph, nus, alphas)
         if report.oracle_min_eigenvalue > 0.0:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .passivity import (
     tabulated,
     verify_sector,
 )
-from .sim import NoiseSpec, PlugEvent, Scenario, SolverConfig, check_plug_times
+from .sim import (NoiseSpec, PlugEvent, Scenario, SolverConfig, _node_initial_state,
+                  topology_phases)
 
 SCHEMA_VERSION = "1"
 
@@ -75,11 +76,24 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
 class NodeSpec:
     """One node as declared in a scenario file."""
 
-    node_id: int
     system: LtiSystem | None
     declared_nu: float | None
     y0: float | None
     x0: tuple[float, ...] | None
+
+
+@dataclass(frozen=True)
+class PlugEntry(PlugEvent):
+    """A plug event as the file declares it: ``base`` and ``added`` name its
+    graphs (``added`` is None when a single node joins)."""
+
+    base: str
+    added: str | None
+
+    def to_dict(self) -> dict:
+        added = {"added_node": self.plan.added} if self.added is None else {"added": self.added}
+        return {"time": self.time, "base": self.base, **added,
+                "boundary": [list(e) for e in self.plan.boundary]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,44 +105,27 @@ class ScenarioDocument:
     graphs: dict[str, Graph]
     initial_names: tuple[str, ...]
     couplings: dict[tuple[int, int], SectorCoupling]
-    plug_entries: tuple[dict, ...]
+    plug_entries: tuple[PlugEntry, ...]
     noise: NoiseSpec
     solver: SolverConfig
+    # The graph of each topology phase: the initial graph, then one per plug.
+    phases: tuple[Graph, ...]
     outputs: dict[str, str] = field(default_factory=dict)
     # The IFP index of each distinct system, filled as certificate_inputs
     # and sweep_indices need them, so neither repeats the other's work.
     _sweeps: dict[LtiSystem, IfpIndex] = field(default_factory=dict, init=False, repr=False)
 
     def initial_graph(self) -> Graph:
-        nodes: tuple[int, ...] = ()
-        edges: tuple[tuple[int, int], ...] = ()
-        for name in self.initial_names:
-            g = self.graphs[name]
-            nodes += g.node_ids
-            edges += g.edges
-        return Graph(nodes, edges)
+        return self.phases[0]
 
-    def plug_plan(self, entry: dict) -> PlugPlan:
-        base = self.graphs[entry["base"]]
-        added: Union[Graph, int]
-        if "added" in entry:
-            added = self.graphs[entry["added"]]
-        else:
-            added = entry["added_node"]
-        return PlugPlan(base=base, added=added, boundary=tuple(entry["boundary"]))
+    def plug_plan(self, entry: PlugEntry) -> PlugPlan:
+        return entry.plan
 
-    def plug_events(self) -> tuple[PlugEvent, ...]:
-        return tuple(
-            PlugEvent(time=float(e["time"]), plan=self.plug_plan(e))
-            for e in self.plug_entries
-        )
+    def plug_events(self) -> tuple[PlugEntry, ...]:
+        return self.plug_entries
 
     def final_graph(self) -> Graph:
-        from .graph import compose
-
-        if not self.plug_entries:
-            return self.initial_graph()
-        return compose(self.plug_plan(self.plug_entries[-1]))
+        return self.phases[-1]
 
     def build_scenario(self, seed: int | None = None) -> Scenario:
         systems = {}
@@ -227,7 +224,7 @@ class ScenarioDocument:
             },
             "initial": list(self.initial_names),
             "couplings": couplings,
-            "plug_events": [dict(e) for e in self.plug_entries],
+            "plug_events": [e.to_dict() for e in self.plug_entries],
             "noise": {
                 "scale": self.noise.scale,
                 "seed": self.noise.seed,
@@ -298,16 +295,16 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
             nu = _finite_number(nu, f"{path}.nu")
         if system is None and nu is None:
             raise ScenarioError(f"{path}: need dynamics, a declared nu, or both")
+        y0 = _finite_number(entry["y0"], f"{path}.y0") if "y0" in entry else None
         x0 = entry.get("x0")
         if x0 is not None:
             x0 = _initial_state(x0, system, f"{path}.x0")
-        nodes[node_id] = NodeSpec(
-            node_id=node_id,
-            system=system,
-            declared_nu=nu,
-            y0=_finite_number(entry["y0"], f"{path}.y0") if "y0" in entry else None,
-            x0=x0,
-        )
+        if system is not None:
+            try:
+                _node_initial_state(system, y0, x0)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}.{'y0' if x0 is None else 'x0'}: {exc}") from exc
+        nodes[node_id] = NodeSpec(system=system, declared_nu=nu, y0=y0, x0=x0)
     return nodes
 
 
@@ -334,17 +331,12 @@ def _integer(value: Any, path: str, minimum: int) -> int:
 
 
 def _initial_state(value: Any, system: LtiSystem | None, path: str) -> tuple[float, ...]:
-    """A flat list of finite numbers, one per state of the node's realization."""
+    """A flat list of finite numbers for a node that has dynamics."""
     if system is None:
         raise ScenarioError(f"{path}: a node without dynamics has no state")
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{path}: must be a list of numbers")
-    x0 = tuple(_finite_number(v, f"{path}[{k}]") for k, v in enumerate(value))
-    if len(x0) != system.order:
-        raise ScenarioError(
-            f"{path}: initial state must have {system.order} entries, got {len(x0)}"
-        )
-    return x0
+    return tuple(_finite_number(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
 def _parse_graphs(raw: Any, nodes: dict[int, NodeSpec]) -> dict[str, Graph]:
@@ -419,21 +411,23 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     for name in initial:
         if name not in graphs:
             raise ScenarioError(f"initial: unknown graph {name!r}")
-    seen_nodes: set[int] = set()
+    initial_nodes: tuple[int, ...] = ()
+    initial_edges: tuple[tuple[int, int], ...] = ()
     for name in initial:
-        overlap = seen_nodes & set(graphs[name].node_ids)
+        g = graphs[name]
+        overlap = set(initial_nodes) & set(g.node_ids)
         if overlap:
             raise ScenarioError(
                 f"initial: graphs share node(s) {sorted(overlap)}"
             )
-        seen_nodes |= set(graphs[name].node_ids)
+        initial_nodes += g.node_ids
+        initial_edges += g.edges
 
     plug_entries = []
-    boundary_edges: set[tuple[int, int]] = set()
     for idx, entry in enumerate(raw.get("plug_events", [])):
         path = f"plug_events[{idx}]"
         _check_keys(entry, _PLUG_KEYS, {"time", "base", "boundary"}, path)
-        _finite_number(entry["time"], f"{path}.time")
+        time = _finite_number(entry["time"], f"{path}.time")
         if ("added" in entry) == ("added_node" in entry):
             raise ScenarioError(f"{path}: exactly one of 'added'/'added_node' required")
         if entry["base"] not in graphs:
@@ -445,10 +439,12 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         boundary = [
             _edge_pair(e, f"{path}.boundary[{k}]") for k, e in enumerate(entry["boundary"])
         ]
-        normalized = dict(entry)
-        normalized["boundary"] = [list(e) for e in boundary]
-        plug_entries.append(normalized)
-        boundary_edges |= {_edge_key(*e) for e in boundary}
+        added = graphs[entry["added"]] if "added" in entry else entry["added_node"]
+        try:
+            plan = PlugPlan(base=graphs[entry["base"]], added=added, boundary=tuple(boundary))
+        except PlugnetError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+        plug_entries.append(PlugEntry(time, plan, base=entry["base"], added=entry.get("added")))
 
     couplings: dict[tuple[int, int], SectorCoupling] = {}
     for idx, entry in enumerate(raw["couplings"]):
@@ -458,7 +454,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         couplings[key] = c
     declared_edges = set(couplings)
     needed = {_edge_key(i, j) for g in graphs.values() for i, j in g.edges}
-    needed |= boundary_edges
+    needed |= {_edge_key(*e) for p in plug_entries for e in p.plan.boundary}
     missing = sorted(needed - declared_edges)
     if missing:
         raise ScenarioError(
@@ -498,14 +494,14 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
             sample_stride=_integer(solver_raw.get("sample_stride", 1), "solver.sample_stride",
                                    minimum=1),
         )
-        check_plug_times([float(e["time"]) for e in plug_entries], solver)
+        phases = topology_phases(Graph(initial_nodes, initial_edges), plug_entries, solver)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
     outputs_raw = raw.get("outputs", {})
     _check_keys(outputs_raw, _OUTPUT_KEYS, set(), "outputs")
 
-    doc = ScenarioDocument(
+    return ScenarioDocument(
         version=raw["version"],
         nodes=nodes,
         graphs=graphs,
@@ -514,15 +510,9 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         plug_entries=tuple(plug_entries),
         noise=noise,
         solver=solver,
+        phases=phases,
         outputs={k: str(v) for k, v in outputs_raw.items()},
     )
-    try:
-        doc.initial_graph()
-        for entry in doc.plug_entries:
-            doc.plug_plan(entry)
-    except PlugnetError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return doc
 
 
 def parse_scenario(path: str | Path) -> ScenarioDocument:

@@ -82,29 +82,43 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-def check_plug_times(times: Sequence[float], solver: SolverConfig) -> None:
-    """Plug-event times lie in ``[0, t_end]``, increase strictly and fall on the step grid.
-
-    Raises ValueError naming ``plug_events[k].time`` of the first event
-    that breaks a rule.
-    """
-    last = -1.0
-    for k, t in enumerate(times):
-        where = f"plug_events[{k}].time"
-        if not (0.0 <= t <= solver.t_end):
-            raise ValueError(f"{where}: plug event at t={t} outside [0, t_end]")
-        if t <= last:
-            raise ValueError(f"{where}: plug event times must be strictly increasing")
-        steps = t / solver.dt
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError(f"{where}: plug event at t={t} not on the step grid")
-        last = t
-
-
 @dataclass(frozen=True)
 class PlugEvent:
     time: float
     plan: PlugPlan
+
+
+def topology_phases(initial_graph: Graph, plug_events: Sequence[PlugEvent],
+                    solver: SolverConfig) -> tuple[Graph, ...]:
+    """The graph of each topology phase: ``initial_graph``, then each plug's composition.
+
+    Plug times lie in ``[0, t_end]``, increase strictly and fall on the step
+    grid, and each plug keeps every node and edge of the phase before it.
+    Raises ValueError naming ``plug_events[k]`` of the first event that
+    breaks a rule.
+    """
+    phases = [initial_graph]
+    last = -1.0
+    for k, ev in enumerate(plug_events):
+        where = f"plug_events[{k}]"
+        t = ev.time
+        if not (0.0 <= t <= solver.t_end):
+            raise ValueError(f"{where}.time: plug event at t={t} outside [0, t_end]")
+        if t <= last:
+            raise ValueError(f"{where}.time: plug event times must be strictly increasing")
+        steps = t / solver.dt
+        if abs(steps - round(steps)) > 1e-6:
+            raise ValueError(f"{where}.time: plug event at t={t} not on the step grid")
+        last = t
+        graph = compose(ev.plan)
+        dropped = sorted(set(phases[-1].node_ids) - set(graph.node_ids))
+        if dropped:
+            raise ValueError(f"{where}.base: plug event drops active node(s) {dropped}")
+        dropped = [list(e) for e in phases[-1].edges if not graph.has_edge(*e)]
+        if dropped:
+            raise ValueError(f"{where}.base: plug event drops active edge(s) {dropped}")
+        phases.append(graph)
+    return tuple(phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +139,8 @@ class Scenario:
             raise ValueError("scenario declares no systems")
         if any(i < 0 for i in self.systems):
             raise ValueError("node ids must be nonnegative (they key noise streams)")
-        check_plug_times([ev.time for ev in self.plug_events], self.solver)
         object.__setattr__(self, "plug_events", tuple(self.plug_events))
-        phases = [self.initial_graph]
-        for ev in self.plug_events:
-            new_graph = compose(ev.plan)
-            prev = phases[-1]
-            if not set(prev.node_ids) <= set(new_graph.node_ids):
-                raise ValueError("plug event drops active nodes")
-            if not all(new_graph.has_edge(i, j) for i, j in prev.edges):
-                raise ValueError("plug event drops active edges")
-            phases.append(new_graph)
+        phases = topology_phases(self.initial_graph, self.plug_events, self.solver)
         for g in phases:
             for node in g.node_ids:
                 if node not in self.systems:
@@ -144,14 +149,12 @@ class Scenario:
             for i, j in g.edges:
                 _coupling_for(self.couplings, i, j)
         for node, sys in self.systems.items():
-            if node in self.initial_states:
-                if np.shape(self.initial_states[node]) != (sys.order,):
-                    raise ValueError(
-                        f"node {node}: initial state must have {sys.order} entries"
-                    )
-            elif sys.order and self.initial_outputs.get(node) and not np.any(sys.c):
-                raise ValueError(f"node {node}: cannot match a nonzero initial output")
-        object.__setattr__(self, "_phases", tuple(phases))
+            try:
+                _node_initial_state(sys, self.initial_outputs.get(node),
+                                    self.initial_states.get(node))
+            except ValueError as exc:
+                raise ValueError(f"node {node}: {exc}") from None
+        object.__setattr__(self, "_phases", phases)
 
     @property
     def phases(self) -> tuple[Graph, ...]:
@@ -345,13 +348,18 @@ def _node_initial_state(sys: LtiSystem, y0: float | None,
                         x0: np.ndarray | None) -> np.ndarray:
     """Declared state, else the minimum-norm state with output ``y0``.
 
-    ``Scenario`` has checked that the declared state fits and that a
-    nonzero ``y0`` can be matched.
+    Raises ValueError when the declared state does not have one entry per
+    state, or when a nonzero ``y0`` cannot be matched because C is zero.
     """
     if x0 is not None:
-        return np.asarray(x0, dtype=float)
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (sys.order,):
+            raise ValueError(f"initial state must have {sys.order} entries, got {x0.size}")
+        return x0
     if sys.order == 0 or y0 is None or y0 == 0.0:
         return np.zeros(sys.order)
+    if not np.any(sys.c):
+        raise ValueError("cannot match a nonzero initial output: C is zero")
     return sys.c * (y0 / float(sys.c @ sys.c))  # minimum-norm solution of C x = y0
 
 

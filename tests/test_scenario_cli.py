@@ -24,7 +24,7 @@ def test_parse_bundled_example(golden_doc):
     assert golden_doc.initial_graph().p == 6
     assert golden_doc.final_graph().p == 8
     assert len(golden_doc.couplings) == 8
-    assert golden_doc.plug_entries[0]["time"] == 15.0
+    assert golden_doc.plug_entries[0].time == 15.0
     assert golden_doc.solver.t_end == 30.0
 
 
