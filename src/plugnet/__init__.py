@@ -63,6 +63,7 @@ from .passivity import (
 )
 from .scenario import (
     NodeSpec,
+    PlugEntry,
     ScenarioDocument,
     paper_example,
     parse_scenario,
@@ -78,6 +79,7 @@ from .sim import (
     noise_stream,
     run,
     step,
+    topology_phases,
 )
 
 __version__ = "0.1.0"

@@ -53,13 +53,8 @@ def write_trajectory_csv(traj: TrajectoryRecord, path: Path) -> None:
         + [f"u{i}" for i in ids]
         + [f"w{i}" for i in ids]
     )
-    lines = [",".join(header)]
-    for s in range(len(traj.times)):
-        row = [repr(float(traj.times[s]))]
-        row += [repr(float(v)) for v in traj.outputs[s]]
-        row += [repr(float(v)) for v in traj.inputs[s]]
-        row += [repr(float(v)) for v in traj.noise[s]]
-        lines.append(",".join(row))
+    rows = np.column_stack((traj.times, traj.outputs, traj.inputs, traj.noise)).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -228,8 +223,8 @@ def cmd_report(args) -> int:
     json_path.write_text(json.dumps(payload, indent=2) + "\n")
 
     dis = disagreement(traj, graph)
-    lines = ["t,disagreement"]
-    lines += [f"{repr(float(t))},{repr(float(v))}" for t, v in zip(traj.times, dis)]
+    rows = np.column_stack((traj.times, dis)).tolist()
+    lines = ["t,disagreement"] + [",".join(map(repr, row)) for row in rows]
     dis_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {json_path} and {dis_path}")
     return EXIT_OK if estimate.satisfied else EXIT_NOT_CERTIFIED

@@ -44,15 +44,36 @@ def truncated_norm(times: np.ndarray, values: np.ndarray, horizon: float) -> flo
     return float(np.sqrt(np.interp(horizon, times, cum)))
 
 
-def disagreement(traj: TrajectoryRecord, graph: Graph) -> np.ndarray:
-    """Pointwise Euclidean norm of the edge output differences |D^T Y(t)|.
+def _edge_differences(traj: TrajectoryRecord, graph: Graph,
+                      signals: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """``D^T s`` over ``graph``'s edges for each recorded signal ``s``.
 
     The graph may cover a subset of the recorded nodes (e.g. one
-    subnetwork); its nodes must all be recorded.
+    subnetwork); its nodes must all be recorded. At a sample where an edge
+    has an unrecorded (NaN) output end, such as a node that joins later,
+    the edge adds zero to every signal's differences. A record without NaN
+    outputs takes the plain product.
     """
     cols = [traj.column(node) for node in graph.node_ids]
     d = incidence(graph).astype(float)
-    edge_diffs = traj.outputs[:, cols] @ d
+    unrecorded = np.isnan(traj.outputs[:, cols])
+    if not unrecorded.any():
+        return [s[:, cols] @ d for s in signals]
+    idle = (unrecorded @ np.abs(d)) > 0.0  # sample x edge: an end is unrecorded
+    diffs = []
+    for s in signals:
+        diff = np.where(unrecorded, 0.0, s[:, cols]) @ d
+        diff[idle] = 0.0
+        diffs.append(diff)
+    return diffs
+
+
+def disagreement(traj: TrajectoryRecord, graph: Graph) -> np.ndarray:
+    """Pointwise Euclidean norm of the edge output differences |D^T Y(t)|.
+
+    See ``_edge_differences`` for subgraphs and unrecorded samples.
+    """
+    (edge_diffs,) = _edge_differences(traj, graph, (traj.outputs,))
     return np.linalg.norm(edge_diffs, axis=1)
 
 
@@ -115,7 +136,8 @@ def estimate_io_gain(
     """Fit a feasible gain/offset pair over a grid of horizons.
 
     Norms come from the trapezoid rule on the recorded sampling grid; the
-    fit is ``fit_gain_offset`` on the per-horizon norm pairs.
+    fit is ``fit_gain_offset`` on the per-horizon norm pairs. An edge adds
+    nothing at a sample where one of its ends is not recorded yet.
     """
     if horizons is None:
         horizons = default_horizons(float(traj.times[-1]))
@@ -123,10 +145,9 @@ def estimate_io_gain(
     if horizons.size < 2:
         raise ValueError("need at least two horizons")
 
-    cols = [traj.column(node) for node in graph.node_ids]
-    d = incidence(graph).astype(float)
-    y_cum = _squared_cumulative(traj.times, traj.outputs[:, cols] @ d)
-    w_cum = _squared_cumulative(traj.times, traj.noise[:, cols] @ d)
+    dy, dw = _edge_differences(traj, graph, (traj.outputs, traj.noise))
+    y_cum = _squared_cumulative(traj.times, dy)
+    w_cum = _squared_cumulative(traj.times, dw)
     y_t = np.sqrt(np.interp(horizons, traj.times, y_cum))
     w_t = np.sqrt(np.interp(horizons, traj.times, w_cum))
 

@@ -154,6 +154,8 @@ def _coefficients(values, which: str) -> np.ndarray:
         raise RealizationError(f"{which} coefficients must be numbers") from None
     if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
         raise RealizationError(f"{which} coefficients must be a flat list of finite numbers")
+    if coeffs.size == 0:
+        raise RealizationError(f"{which} coefficients must not be empty")
     return _strip_leading_zeros(coeffs)
 
 

@@ -6,6 +6,14 @@ named graphs, and the noise/solver blocks. Parsing is strict: unknown keys
 are rejected so golden files fail loudly on drift, every cross-reference
 must resolve, and the declared sector bounds of every coupling must
 contain its exact sector.
+
+Each plug event is resolved once, at parse: its ``PlugPlan`` goes into a
+typed ``PlugEntry``, and the document keeps the graph of every topology
+phase. The rules a simulation also needs are checked by their one owner in
+``plugnet.sim`` (``topology_phases`` for plug times and for a plug's base
+keeping the active network, ``_node_initial_state`` for ``x0`` and
+``y0``), so a file that parses is one ``simulate`` accepts, save for
+missing dynamics and direct feedthrough.
 """
 
 from __future__ import annotations
@@ -61,11 +69,18 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
         raise ScenarioError(f"{path}: missing required key(s) {missing}")
 
 
+def _list(value: Any, path: str) -> list:
+    """``value`` when it is a list; anything else raises."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{path}: must be a list")
+    return value
+
+
 def _edge_pair(value: Any, path: str) -> tuple[int, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{path}: edge must be a pair of integer node ids")
-    return int(value[0]), int(value[1])
+    i, j = (_integer(v, f"{path}[{k}]", minimum=0) for k, v in enumerate(value))
+    return i, j
 
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:
@@ -346,12 +361,15 @@ def _parse_graphs(raw: Any, nodes: dict[int, NodeSpec]) -> dict[str, Graph]:
     for name, entry in raw.items():
         path = f"graphs.{name}"
         _check_keys(entry, _GRAPH_KEYS, _GRAPH_KEYS, path)
-        for node in entry["nodes"]:
+        node_ids = [_integer(v, f"{path}.nodes[{k}]", minimum=0)
+                    for k, v in enumerate(_list(entry["nodes"], f"{path}.nodes"))]
+        for node in node_ids:
             if node not in nodes:
                 raise ScenarioError(f"{path}: node {node} is not declared")
-        pairs = [_edge_pair(e, f"{path}.edges[{k}]") for k, e in enumerate(entry["edges"])]
+        pairs = [_edge_pair(e, f"{path}.edges[{k}]")
+                 for k, e in enumerate(_list(entry["edges"], f"{path}.edges"))]
         try:
-            graphs[name] = Graph.from_pairs(entry["nodes"], pairs)
+            graphs[name] = Graph.from_pairs(node_ids, pairs)
         except PlugnetError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
     return graphs
@@ -409,7 +427,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     if not isinstance(initial, list) or not initial:
         raise ScenarioError("initial: must be a non-empty list of graph names")
     for name in initial:
-        if name not in graphs:
+        if not isinstance(name, str) or name not in graphs:
             raise ScenarioError(f"initial: unknown graph {name!r}")
     initial_nodes: tuple[int, ...] = ()
     initial_edges: tuple[tuple[int, int], ...] = ()
@@ -424,22 +442,24 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         initial_edges += g.edges
 
     plug_entries = []
-    for idx, entry in enumerate(raw.get("plug_events", [])):
+    for idx, entry in enumerate(_list(raw.get("plug_events", []), "plug_events")):
         path = f"plug_events[{idx}]"
         _check_keys(entry, _PLUG_KEYS, {"time", "base", "boundary"}, path)
         time = _finite_number(entry["time"], f"{path}.time")
         if ("added" in entry) == ("added_node" in entry):
             raise ScenarioError(f"{path}: exactly one of 'added'/'added_node' required")
-        if entry["base"] not in graphs:
+        if not isinstance(entry["base"], str) or entry["base"] not in graphs:
             raise ScenarioError(f"{path}: unknown base graph {entry['base']!r}")
-        if "added" in entry and entry["added"] not in graphs:
-            raise ScenarioError(f"{path}: unknown added graph {entry['added']!r}")
-        if "added_node" in entry and entry["added_node"] not in nodes:
-            raise ScenarioError(f"{path}: added node {entry['added_node']} not declared")
-        boundary = [
-            _edge_pair(e, f"{path}.boundary[{k}]") for k, e in enumerate(entry["boundary"])
-        ]
-        added = graphs[entry["added"]] if "added" in entry else entry["added_node"]
+        if "added" in entry:
+            if not isinstance(entry["added"], str) or entry["added"] not in graphs:
+                raise ScenarioError(f"{path}: unknown added graph {entry['added']!r}")
+            added = graphs[entry["added"]]
+        else:
+            added = _integer(entry["added_node"], f"{path}.added_node", minimum=0)
+            if added not in nodes:
+                raise ScenarioError(f"{path}: added node {added} not declared")
+        boundary = [_edge_pair(e, f"{path}.boundary[{k}]")
+                    for k, e in enumerate(_list(entry["boundary"], f"{path}.boundary"))]
         try:
             plan = PlugPlan(base=graphs[entry["base"]], added=added, boundary=tuple(boundary))
         except PlugnetError as exc:
@@ -447,7 +467,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         plug_entries.append(PlugEntry(time, plan, base=entry["base"], added=entry.get("added")))
 
     couplings: dict[tuple[int, int], SectorCoupling] = {}
-    for idx, entry in enumerate(raw["couplings"]):
+    for idx, entry in enumerate(_list(raw["couplings"], "couplings")):
         key, c = _parse_coupling(entry, f"couplings[{idx}]")
         if key in couplings:
             raise ScenarioError(f"couplings[{idx}]: duplicate coupling for edge {list(key)}")

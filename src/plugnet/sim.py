@@ -22,6 +22,9 @@ depends only on the seed and the node id, so plugging more nodes in never
 perturbs existing noise streams. Scheduled plug events swap in the
 composed graph mid-run, carrying node states over and initializing newly
 added nodes from their declared initial outputs (minimum-norm state).
+``topology_phases`` owns the rules on the sequence of topologies and
+``_node_initial_state`` those on initial states; ``Scenario`` and the
+scenario parser both call them.
 """
 
 from __future__ import annotations

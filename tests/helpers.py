@@ -24,3 +24,17 @@ def fig2_scenario(boundary, noise_scale=0.0):
         "noise": {"scale": noise_scale, "seed": 3},
         "solver": {"dt": 0.01, "t_end": 2.0, "sample_stride": 5},
     }
+
+
+def late_node_scenario():
+    """The bundled example cut to g1; node 8 (node 5's dynamics) joins at t = 2."""
+    from plugnet.scenario import paper_example
+
+    raw = paper_example()
+    raw["nodes"] = raw["nodes"][:4] + [dict(raw["nodes"][4], id=8)]
+    raw["graphs"] = {"g1": raw["graphs"]["g1"]}
+    raw["initial"] = ["g1"]
+    raw["couplings"] = [c for c in raw["couplings"] if max(c["edge"]) <= 4]
+    raw["couplings"].append({"edge": [1, 8], "kind": "sat_sine", "a": 0.37})
+    raw["plug_events"] = [{"time": 2.0, "base": "g1", "added_node": 8, "boundary": [[8, 1]]}]
+    return raw

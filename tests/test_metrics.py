@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plugnet.graph import Graph
+from plugnet.graph import Graph, incidence
 from plugnet.metrics import (
     analytic_gain_bound,
     disagreement,
@@ -106,6 +106,41 @@ def test_disagreement_subgraph_selects_columns():
     assert np.allclose(disagreement(traj, Graph([1, 2], [(1, 2)])), 1.0)
     with pytest.raises(ValueError):
         disagreement(traj, Graph([1, 9], [(1, 9)]))
+
+
+def test_disagreement_without_nan_is_the_plain_product():
+    # a record with every output recorded keeps the incidence product bit for bit
+    rng = np.random.default_rng(2)
+    t = np.linspace(0, 1, 41)
+    outputs = rng.standard_normal((41, 4))
+    g = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
+    d = incidence(g).astype(float)
+    got = disagreement(_record(t, outputs, ids=(1, 2, 3, 4)), g)
+    assert np.array_equal(got, np.linalg.norm(outputs @ d, axis=1))
+
+
+def test_unrecorded_end_adds_zero():
+    # node 3 joins at the sixth sample: edge 2-3 counts from then on, in
+    # the output and in the noise disagreement alike
+    rng = np.random.default_rng(5)
+    t = np.linspace(0, 2, 21)
+    outputs = rng.standard_normal((21, 3))
+    noise = rng.standard_normal((21, 3))
+    late = outputs.copy()
+    late[:5, 2] = np.nan
+    g = Graph.from_pairs([1, 2, 3], [(1, 2), (2, 3)])
+    traj = _record(t, late, noise=noise, ids=(1, 2, 3))
+    dy = np.column_stack([outputs[:, 0] - outputs[:, 1], outputs[:, 1] - outputs[:, 2]])
+    dw = np.column_stack([noise[:, 0] - noise[:, 1], noise[:, 1] - noise[:, 2]])
+    dy[:5, 1] = 0.0
+    dw[:5, 1] = 0.0
+    assert np.allclose(disagreement(traj, g), np.linalg.norm(dy, axis=1), rtol=1e-14, atol=0)
+    est = estimate_io_gain(traj, g, horizons=t[1:])
+    assert est.satisfied and np.isfinite(est.rho_hat)
+    for (_, y, w), horizon in zip(est.samples, t[1:]):
+        keep = t <= horizon
+        assert y == pytest.approx(truncated_norm(t[keep], dy[keep], horizon), rel=1e-12)
+        assert w == pytest.approx(truncated_norm(t[keep], dw[keep], horizon), rel=1e-12)
 
 
 # --- gain estimation -------------------------------------------------------------

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from helpers import fig2_scenario as _fig2_scenario
+from helpers import late_node_scenario
 
 import plugnet.scenario
 from plugnet.cli import main, read_trajectory_csv, write_trajectory_csv
 from plugnet.errors import ScenarioError
+from plugnet.graph import Graph, PlugPlan
 from plugnet.metrics import estimate_io_gain
 from plugnet.passivity import estimate_ifp_index
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
+from plugnet.sim import PlugEvent
 
 
 # --- parsing -----------------------------------------------------------------
@@ -642,3 +646,149 @@ def test_explicit_initial_state_passes_through():
     doc = parse_scenario_dict(raw)
     traj = run(doc.build_scenario())
     assert traj.outputs[0, traj.column(1)] == pytest.approx(0.8)
+
+
+# --- one owner per rule: certify and simulate reject the same files ---------------
+
+
+def _base_drops_node(raw):
+    # node 5 joins g1 alone, so the active nodes 6 and 7 fall out
+    raw["plug_events"] = [{"time": 15.0, "base": "g1", "added_node": 5, "boundary": [[1, 5]]}]
+    raw["couplings"] = [c for c in raw["couplings"] if c["edge"] != [4, 7]]
+
+
+def _base_drops_edge(raw):
+    # the plug's base is g1 without its active edge 3-4
+    raw["graphs"]["g1_cut"] = {"nodes": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [2, 4]]}
+    raw["plug_events"][0]["base"] = "g1_cut"
+
+
+def _plug_plan_of(raw) -> PlugPlan:
+    def graph(name):
+        return Graph.from_pairs(raw["graphs"][name]["nodes"], raw["graphs"][name]["edges"])
+
+    entry = raw["plug_events"][0]
+    added = graph(entry["added"]) if "added" in entry else entry["added_node"]
+    return PlugPlan(base=graph(entry["base"]), added=added,
+                    boundary=tuple(map(tuple, entry["boundary"])))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_base_drops_node, "plug event drops active node(s) [6, 7]"),
+    (_base_drops_edge, "plug event drops active edge(s) [[3, 4]]"),
+], ids=["drops_node", "drops_edge"])
+def test_plug_base_must_keep_the_active_network(tmp_path, capsys, golden_doc, mutate,
+                                                message):
+    raw = paper_example()
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    for command in (["certify", str(path)], ["simulate", str(path), "--out-dir", str(tmp_path)]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plug_events[0].base:") and message in err
+    # library callers meet the same rule when they build a Scenario
+    scenario = golden_doc.build_scenario()
+    event = PlugEvent(time=15.0, plan=_plug_plan_of(raw))
+    with pytest.raises(ValueError, match=r"^plug_events\[0\]\.base: plug event drops"):
+        dataclasses.replace(scenario, plug_events=(event,))
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_nonzero_y0_needs_an_output_map(tmp_path, capsys, command):
+    raw = paper_example()
+    raw["nodes"][2]["dynamics"] = {"num": [0], "den": [1, 1]}  # C = 0, y0 = -1.25
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    out = ["--out-dir", str(tmp_path)] if command == "simulate" else []
+    assert main([command, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[2].y0: cannot match a nonzero initial output")
+
+
+def _graph_node(raw):
+    raw["graphs"]["g1"]["nodes"][0] = True
+
+
+def _graph_edge(raw):
+    raw["graphs"]["g1"]["edges"][0] = [True, 2]
+
+
+def _coupling_edge(raw):
+    raw["couplings"][0]["edge"] = [True, 2]
+
+
+def _boundary(raw):
+    raw["plug_events"][0]["boundary"][0] = [True, 5]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_graph_node, "graphs.g1.nodes[0]: must be an integer"),
+    (_graph_edge, "graphs.g1.edges[0][0]: must be an integer"),
+    (_coupling_edge, "couplings[0].edge[0]: must be an integer"),
+    (_boundary, "plug_events[0].boundary[0][0]: must be an integer"),
+], ids=["graph_node", "graph_edge", "coupling_edge", "boundary"])
+def test_cli_rejects_bool_node_ids(tmp_path, capsys, mutate, message):
+    # true is not node 1, wherever a node id is read
+    raw = paper_example()
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_rejects_bool_added_node(tmp_path, capsys):
+    raw = late_node_scenario()
+    raw["plug_events"][0]["added_node"] = True
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: plug_events[0].added_node: must be an integer")
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ([], [2], "numerator coefficients must not be empty"),
+    ([], [1.0, 0.7, 0.0], "numerator coefficients must not be empty"),
+    ([1], [], "denominator coefficients must not be empty"),
+], ids=["static", "dynamic", "empty_den"])
+def test_cli_rejects_empty_coefficient_lists(tmp_path, capsys, num, den, message):
+    raw = paper_example()
+    raw["nodes"][0]["dynamics"] = {"num": num, "den": den}
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0].dynamics:") and message in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_report_on_a_node_that_joins_late(tmp_path, capsys):
+    # node 8's outputs are unrecorded (NaN) before t = 2; its edge adds
+    # nothing to the disagreement until then
+    path = tmp_path / "late.json"
+    write_scenario(late_node_scenario(), path)
+    assert main(["certify", str(path)]) == 0
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert main(["report", "--traj", str(tmp_path / "late_traj.csv"), "--scenario", str(path),
+                 "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "late_traj_report.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert payload["satisfied"] and np.isfinite(payload["rho_hat"])
+    assert "nan" not in (tmp_path / "late_traj_disagreement.csv").read_text()
+
+
+def test_plug_entries_are_typed_and_round_trip():
+    doc = parse_scenario_dict(late_node_scenario())
+    (entry,) = doc.plug_entries
+    assert (entry.time, entry.base, entry.added) == (2.0, "g1", None)
+    assert doc.plug_plan(entry) is entry.plan and doc.plug_events() == (entry,)
+    assert doc.phases == (doc.initial_graph(), doc.final_graph())
+    assert doc.final_graph().has_edge(1, 8)
+    assert doc.to_dict()["plug_events"] == [
+        {"time": 2.0, "base": "g1", "added_node": 8, "boundary": [[8, 1]]}
+    ]
+    assert parse_scenario_dict(doc.to_dict()).to_dict() == doc.to_dict()
