@@ -53,8 +53,10 @@ def write_trajectory_csv(traj: TrajectoryRecord, path: Path) -> None:
         + [f"u{i}" for i in ids]
         + [f"w{i}" for i in ids]
     )
-    rows = np.column_stack((traj.times, traj.outputs, traj.inputs, traj.noise)).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    # rows become Python floats one at a time: the whole table as floats
+    # would outweigh the text
+    table = np.column_stack((traj.times, traj.outputs, traj.inputs, traj.noise))
+    lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -79,8 +79,8 @@ def _list(value: Any, path: str) -> list:
 def _edge_pair(value: Any, path: str) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{path}: edge must be a pair of integer node ids")
-    i, j = (_integer(v, f"{path}[{k}]", minimum=0) for k, v in enumerate(value))
-    return i, j
+    i, j = value
+    return _integer(i, f"{path}[0]", minimum=0), _integer(j, f"{path}[1]", minimum=0)
 
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:

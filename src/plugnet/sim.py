@@ -361,9 +361,10 @@ def _node_initial_state(sys: LtiSystem, y0: float | None,
         return x0
     if sys.order == 0 or y0 is None or y0 == 0.0:
         return np.zeros(sys.order)
-    if not np.any(sys.c):
+    cc = float(sys.c @ sys.c)
+    if cc == 0.0:
         raise ValueError("cannot match a nonzero initial output: C is zero")
-    return sys.c * (y0 / float(sys.c @ sys.c))  # minimum-norm solution of C x = y0
+    return sys.c * (y0 / cc)  # minimum-norm solution of C x = y0
 
 
 def step(

@@ -16,7 +16,7 @@ from plugnet.graph import Graph, PlugPlan
 from plugnet.metrics import estimate_io_gain
 from plugnet.passivity import estimate_ifp_index
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
-from plugnet.sim import PlugEvent
+from plugnet.sim import PlugEvent, TrajectoryRecord
 
 
 # --- parsing -----------------------------------------------------------------
@@ -188,6 +188,20 @@ def test_trajectory_csv_round_trip(tmp_path, golden_traj):
     assert np.array_equal(back.outputs, golden_traj.outputs)
     assert np.array_equal(back.inputs, golden_traj.inputs)
     assert np.array_equal(back.noise, golden_traj.noise)
+
+
+def test_trajectory_csv_rows_match_per_value_repr(tmp_path):
+    # the row formatter against the per-value loop it replaced: one repr
+    # per float, NaN, signed zero, infinities and extreme magnitudes included
+    values = np.array([[0.0, -0.0, np.nan, 1e-300], [np.inf, -np.inf, 1 / 3, -2.5e17]])
+    traj = TrajectoryRecord(node_ids=(1,), times=np.array([0.0, 0.1]), outputs=values[:, :1],
+                            inputs=values[:, 1:2], noise=values[:, 2:3],
+                            active_graph=np.zeros(2, dtype=int))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    rows = [",".join(repr(float(v)) for v in (t, *y, *u, *w))
+            for t, y, u, w in zip(traj.times, traj.outputs, traj.inputs, traj.noise)]
+    assert path.read_text() == "\n".join(["t,y1,u1,w1", *rows]) + "\n"
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -792,3 +806,27 @@ def test_plug_entries_are_typed_and_round_trip():
         {"time": 2.0, "base": "g1", "added_node": 8, "boundary": [[8, 1]]}
     ]
     assert parse_scenario_dict(doc.to_dict()).to_dict() == doc.to_dict()
+
+
+@pytest.mark.parametrize("block, field, value, message", [
+    ("graphs", "edges", 5, "graphs.g1.edges: must be a list"),
+    ("graphs", "nodes", "1234", "graphs.g1.nodes: must be a list"),
+    ("plug_events", "boundary", {"1": 5}, "plug_events[0].boundary: must be a list"),
+    ("plug_events", "base", ["g1"], "plug_events[0]: unknown base graph ['g1']"),
+    ("plug_events", "added", {"g": 2}, "plug_events[0]: unknown added graph {'g': 2}"),
+    ("initial", 0, ["g1"], "initial: unknown graph ['g1']"),
+    (None, "plug_events", 3, "plug_events: must be a list"),
+    (None, "couplings", 3, "couplings: must be a list"),
+], ids=["edges_number", "nodes_text", "boundary_object", "base_list", "added_object",
+        "initial_list", "plug_events_number", "couplings_number"])
+def test_cli_rejects_malformed_lists_and_graph_names(tmp_path, capsys, block, field, value,
+                                                     message):
+    # a typed error naming the field, not a TypeError traceback
+    raw = paper_example()
+    target = {"graphs": raw["graphs"].get("g1"), "plug_events": raw["plug_events"][0],
+              "initial": raw["initial"], None: raw}[block]
+    target[field] = value
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
