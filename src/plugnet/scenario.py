@@ -426,12 +426,11 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     initial = raw["initial"]
     if not isinstance(initial, list) or not initial:
         raise ScenarioError("initial: must be a non-empty list of graph names")
-    for name in initial:
-        if not isinstance(name, str) or name not in graphs:
-            raise ScenarioError(f"initial: unknown graph {name!r}")
     initial_nodes: tuple[int, ...] = ()
     initial_edges: tuple[tuple[int, int], ...] = ()
     for name in initial:
+        if not isinstance(name, str) or name not in graphs:
+            raise ScenarioError(f"initial: unknown graph {name!r}")
         g = graphs[name]
         overlap = set(initial_nodes) & set(g.node_ids)
         if overlap:
