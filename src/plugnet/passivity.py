@@ -146,12 +146,21 @@ def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[nz[0]:]
 
 
+def _bool_or_text(value) -> bool:
+    """``True`` or ``"1"``: values that ``float`` reads as numbers but that are not."""
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
 def _coefficients(values, which: str) -> np.ndarray:
     """``values`` as a flat array of finite polynomial coefficients, leading zeros stripped."""
     try:
+        if any(map(_bool_or_text, values if isinstance(values, (list, tuple)) else [values])):
+            raise TypeError
         coeffs = np.atleast_1d(np.asarray(values, dtype=float))
     except (TypeError, ValueError):
         raise RealizationError(f"{which} coefficients must be numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        coeffs = np.array([math.inf])
     if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
         raise RealizationError(f"{which} coefficients must be a flat list of finite numbers")
     if coeffs.size == 0:
@@ -370,9 +379,14 @@ class SectorCoupling:
 def _table_points(points) -> tuple[tuple[float, float], ...]:
     """``points`` as (x, y) float pairs: finite, with x > 0 strictly increasing."""
     try:
-        pts = tuple((float(x), float(y)) for x, y in points)
+        pairs = [(x, y) for x, y in points]
+        if any(_bool_or_text(v) for pair in pairs for v in pair):
+            raise TypeError
+        pts = tuple((float(x), float(y)) for x, y in pairs)
     except (TypeError, ValueError):
         raise PlugnetError("table must be a list of [x, y] number pairs") from None
+    except OverflowError:  # an integer beyond the float range
+        pts = ((math.inf, math.inf),)
     xs = [x for x, _ in pts]
     if not (pts and xs[0] > 0.0 and all(a < b for a, b in zip(xs, xs[1:]))
             and np.all(np.isfinite(pts))):

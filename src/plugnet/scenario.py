@@ -33,6 +33,7 @@ from .passivity import (
     IfpIndex,
     LtiSystem,
     SectorCoupling,
+    _table_points,
     estimate_ifp_index,
     linear_gain,
     realize,
@@ -383,6 +384,11 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
         raise ScenarioError(f"{path}: unknown coupling kind {kind!r}")
     numbers = {key: _finite_number(entry[key], f"{path}.{key}")
                for key in ("a", "alpha_lower", "alpha_upper") if key in entry}
+    if kind == "tabulated" and "table" in entry:
+        try:
+            _table_points(entry["table"])
+        except PlugnetError as exc:
+            raise ScenarioError(f"{path}.table: {exc}") from exc
     try:
         if kind == "linear_gain":
             c = linear_gain(numbers["a"])
@@ -519,6 +525,9 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
 
     outputs_raw = raw.get("outputs", {})
     _check_keys(outputs_raw, _OUTPUT_KEYS, set(), "outputs")
+    for key, value in outputs_raw.items():
+        if not isinstance(value, str):
+            raise ScenarioError(f"outputs.{key}: must be a string")
 
     return ScenarioDocument(
         version=raw["version"],
@@ -530,7 +539,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         noise=noise,
         solver=solver,
         phases=phases,
-        outputs={k: str(v) for k, v in outputs_raw.items()},
+        outputs=dict(outputs_raw),
     )
 
 

@@ -8,16 +8,38 @@ with per-node noise added inside the coupling argument:
 
 Stacked over the network this is ``dx/dt = A x - B D phi(D^T (C x + w))``
 with block-diagonal A, B, C and incidence matrix D. The core never forms
-them densely: each topology phase builds two sparse operators once,
-``G = D^T C`` and ``S = [A | -B D]``, so a stage costs time proportional to
-the number of states and edges. The couplings are evaluated by kind with
-the formulas of ``plugnet.passivity``, all edges of one kind in one call.
-A dense reference in the tests holds this core to a relative error of
-1e-12 with identical NaN masks.
+them densely. With step h, ``v_s = D^T (C x_s + w)``, ``f_s = phi(v_s)``
+and ``k_s = A x_s - B D f_s``, every RK4 stage state ``x_s`` and the state
+after the step are linear in ``(x, f_1, ..., f_{s-1})``. So each topology
+phase runs the recurrence once per distinct node system, symbolically in
+its state and its four stage inputs, and scatters the result along the
+edges into the maps of one step:
+
+* H (4p x N): the part of the four stages' ``v_s`` that is linear in x;
+* L_2, L_3, L_4: what ``f_1 .. f_{s-1}`` add to ``v_s``;
+* [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``.
+
+A row of H or a column of Q touches one edge's end nodes, L_s(e, e') is
+nonzero only where edges e and e' share a node, and P is block-diagonal.
+A step is five products and one coupling evaluation per stage. A map with
+at most ``DENSE_MAX_ENTRIES`` entries in dense form is evaluated as one
+``ndarray.dot``, a larger one as COO triplets, so the cost of a large
+phase stays linear in the number of states and edges. The couplings are
+evaluated by kind with the formulas of ``plugnet.passivity``, all edges of
+one kind in one call. A dense reference in the tests holds this core to a
+relative error of 1e-12 with identical NaN masks, and a second test holds
+the collapsed step, dense and COO, to the stage-wise recurrence
+``dx/dt = S [x; phi(G x + D^T w)]`` with ``G = D^T C``, ``S = [A | -B D]``.
+
+That stage-wise recurrence also decides divergence. When a step ends in a
+state whose squared norm is not finite, it is replayed from the last
+finite state stage by stage with COO operators, and the replay names the
+node: the collapsed step skips the stage states where a huge state first
+overflows, and a dense product spreads one non-finite entry to every row.
 
 Integration is classic RK4 with a fixed step. Noise is piecewise-constant:
 one Gaussian draw per node per step, held across the step's internal
-stages (so ``D^T w`` is formed once per step). The draw for (node, step)
+stages (so ``D^T w`` is formed once per step, in blocks of steps). The draw for (node, step)
 depends only on the seed and the node id, so plugging more nodes in never
 perturbs existing noise streams. Scheduled plug events swap in the
 composed graph mid-run, carrying node states over and initializing newly
@@ -29,6 +51,7 @@ scenario parser both call them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -220,11 +243,15 @@ def noise_stream(noise: NoiseSpec, node_id: int, n_steps: int, dt: float) -> np.
     return scale * z
 
 
-def _coo(entries: list[tuple[int, int, float]], n_rows: int) -> tuple:
-    """A sparse matrix with ``n_rows`` rows from its (row, col, value) entries."""
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
-    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(vals, dtype=float), n_rows)
+# An operator whose dense form has at most this many entries is evaluated as
+# one ``ndarray.dot``, a larger one as COO triplets (one gather, one multiply,
+# one ``bincount``). Measured with one BLAS thread on a 2-core x86-64 host: a
+# product with 2-4 % fill took 3.7 us dense against 5.7 us COO at 100 x 250
+# and broke even at 120 x 300; whole runs on rings of order-2 nodes were
+# faster dense up to 60 nodes ([P | Q] 120 x 360) and slower at 80 nodes.
+DENSE_MAX_ENTRIES = 30_000
+# ``run`` forms the edge noise ``D^T w`` of this many node or edge samples at once.
+_NOISE_BLOCK_ENTRIES = 16_384
 
 
 def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
@@ -236,8 +263,65 @@ def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
     return np.bincount(rows, vals * x[cols], minlength=n_rows).astype(float, copy=False)
 
 
-def _nonzeros(vec: np.ndarray) -> list[tuple[int, float]]:
-    return [(int(r), float(vec[r])) for r in np.flatnonzero(vec)]
+class _Triplets:
+    """A sparse matrix assembled block by block; entries at one (row, col) add up."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape
+        self._parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+
+    def add(self, rows, cols, vals) -> None:
+        """Add the nonzero entries of ``rows``, ``cols`` and ``vals``, broadcast together."""
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        keep = vals != 0.0
+        self._parts.append((rows[keep], cols[keep], vals[keep]))
+
+    def coo(self) -> tuple:
+        rows, cols, vals = (np.concatenate(a) for a in zip(*self._parts))
+        return rows.astype(np.intp), cols.astype(np.intp), vals.astype(float), self.shape[0]
+
+    def operator(self):
+        """``x -> M x``: dense ``dot`` up to ``DENSE_MAX_ENTRIES`` entries, COO beyond."""
+        rows, cols, vals, n_rows = self.coo()
+        n_cols = self.shape[1]
+        if n_rows * n_cols > DENSE_MAX_ENTRIES:
+            return functools.partial(_matvec, (rows, cols, vals, n_rows))
+        dense = np.bincount(rows * n_cols + cols, vals, minlength=n_rows * n_cols)
+        return dense.astype(float, copy=False).reshape(self.shape).dot
+
+
+def _node_steps(a: np.ndarray, b: np.ndarray, c: np.ndarray, orders: np.ndarray,
+                h: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 steps of size ``h`` of a stack of systems, as linear maps of ``[x; u_1; ...; u_4]``.
+
+    System k is ``a[k], b[k], c[k]`` zero-padded from order ``orders[k]`` to
+    m; ``x`` is its state at the start of the step and ``u_s`` its input at
+    stage s. Returns ``(y, x_next)``: ``y[k, s]`` (m + 4 entries) is the
+    output at stage s, which reads only ``u_r`` with r < s, and
+    ``x_next[k]`` (m x (m + 4)) the state after the step. Padded rows and
+    columns of both are zero.
+    """
+    m = a.shape[-1]
+    start = (np.arange(m) < orders[:, None])[:, :, None] * np.eye(m, m + 4)
+    ys, ks = [], []
+    for s, coef in enumerate((0.0, 0.5, 0.5, 1.0)):
+        x_s = start + (coef * h) * ks[-1] if s else start
+        ys.append(c[:, None, :] @ x_s)
+        k = a @ x_s
+        k[:, :, m + s] += b
+        ks.append(k)
+    return (np.concatenate(ys, axis=1),
+            start + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
+
+
+def _same_node_pairs(end_node: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b) of edge ends at one node, ``a == b`` included."""
+    order = np.argsort(end_node, kind="stable")
+    deg = np.bincount(end_node, minlength=n)
+    reps = deg[end_node[order]]
+    a = np.repeat(order, reps)
+    within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return a, order[(np.cumsum(deg) - deg)[end_node[a]] + within]
 
 
 def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
@@ -249,12 +333,15 @@ def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
 
 
 class _PhaseContext:
-    """Sparse operators and coupling groups for one topology phase.
+    """Step operators and coupling groups for one topology phase.
 
-    One stage is ``v = G x + D^T w``, then ``dx/dt = S [x; phi(v)]`` (see
-    the module docstring); each product is one gather, one multiply and one
-    ``bincount``. Edges are held grouped by coupling kind, one slice per
-    kind, so their internal order is not that of ``graph.edges``.
+    ``rk4`` is the collapsed step of the module docstring. Its operators
+    H, L_2..L_4 and [P | Q] are built for a step size on first use, each
+    evaluated by ``_Triplets.operator``. ``deriv`` is the stage-wise
+    derivative ``S [x; phi(G x + dw)]`` with COO operators; S is built on
+    first use, since only the divergence replay and the tests call it.
+    Edges are held grouped by coupling kind, one slice per kind, so their
+    internal order is not that of ``graph.edges``.
     """
 
     def __init__(self, graph: Graph, systems: Mapping[int, LtiSystem],
@@ -286,27 +373,96 @@ class _PhaseContext:
                                 coupling_parameters(group_couplings)))
             start = stop
 
-        c_entries, g_entries, s_entries = [], [], []
-        for idx, (node, sys) in enumerate(zip(self.node_ids, self.systems)):
-            first = self.slices[node].start
-            c_entries += [(idx, first + r, v) for r, v in _nonzeros(sys.c)]
-            rows, cols = np.nonzero(sys.a)
-            s_entries += [(first + r, first + c, sys.a[r, c]) for r, c in zip(rows, cols)]
-        for e, (i, j) in enumerate(edges):
-            for node, sign in ((i, 1.0), (j, -1.0)):
-                sys, first = systems[node], self.slices[node].start
-                g_entries += [(e, first + r, sign * v) for r, v in _nonzeros(sys.c)]
-                s_entries += [(first + r, self.n_states + e, -sign * v)
-                              for r, v in _nonzeros(sys.b)]
-        self._C = _coo(c_entries, self.n)
-        self._G = _coo(g_entries, self.p)
-        self._S = _coo(s_entries, self.n_states)
+        # Each distinct system once, zero-padded to the largest order: node k
+        # runs system _sys[k] from state _first[k]. An edge end is a node, an
+        # edge and the sign of that entry of the incidence matrix D.
+        distinct = {id(sys): sys for sys in self.systems}
+        index = {key: u for u, key in enumerate(distinct)}
+        self._sys = np.array([index[id(sys)] for sys in self.systems], dtype=np.intp)
+        self._orders = np.array([sys.order for sys in distinct.values()], dtype=np.intp)
+        m = int(self._orders.max(initial=0))
+        self._a = np.zeros((len(distinct), m, m))
+        self._b = np.zeros((len(distinct), m))
+        self._c = np.zeros((len(distinct), m))
+        for u, sys in enumerate(distinct.values()):
+            self._a[u, :sys.order, :sys.order] = sys.a
+            self._b[u, :sys.order] = sys.b
+            self._c[u, :sys.order] = sys.c
+        self._first = np.array([sl.start for sl in self.slices.values()], dtype=np.intp)
+        self._end_node = np.concatenate((self._heads, self._tails))
+        self._end_edge = np.tile(np.arange(self.p), 2)
+        self._end_sign = np.repeat([1.0, -1.0], self.p)
+
+        states = np.arange(m)
+        c_op = _Triplets((self.n, self.n_states))
+        c_op.add(np.arange(self.n)[:, None], self._first[:, None] + states, self._c[self._sys])
+        self.outputs = c_op.operator()
+        g_op = _Triplets((self.p, self.n_states))
+        g_op.add(self._end_edge[:, None], self._first[self._end_node][:, None] + states,
+                 self._end_sign[:, None] * self._c[self._sys[self._end_node]])
+        self._G = g_op.coo()
+        self._dt = None
+
+    @functools.cached_property
+    def _S(self) -> tuple:
+        """``S = [A | -B D]`` as COO triplets."""
+        n_states, states = self.n_states, np.arange(self._a.shape[-1])
+        first, end_first = self._first[:, None, None], self._first[self._end_node][:, None]
+        s_op = _Triplets((n_states, n_states + self.p))
+        s_op.add(first + states[:, None], first + states, self._a[self._sys])
+        s_op.add(end_first + states, n_states + self._end_edge[:, None],
+                 -self._end_sign[:, None] * self._b[self._sys[self._end_node]])
+        return s_op.coo()
+
+    def _build_step(self, h: float) -> None:
+        """The collapsed RK4 step of size ``h``, scattered from ``_node_steps``.
+
+        With node inputs ``u = -D f``, stage s's coupling arguments are
+        ``v_s = (H x)_s + dw + L_s [f_1; ...; f_{s-1}]`` and the step ends at
+        ``x+ = [P | Q] [x; f_1; ...; f_4]``. A row of H or a column of Q
+        touches only one edge's end nodes, L_s(e, e') is nonzero only where
+        edges e and e' share a node, and P is block-diagonal.
+        """
+        n_states, p = self.n_states, self.p
+        y, x_next = _node_steps(self._a, self._b, self._c, self._orders, h)
+        m = self._a.shape[-1]
+        states, stages = np.arange(m), np.arange(4)
+        first = self._first[:, None, None]
+        end_first = self._first[self._end_node][:, None, None]
+        end_sys, edge = self._sys[self._end_node], self._end_edge[:, None, None]
+        sign = self._end_sign[:, None, None]
+
+        h_op = _Triplets((4 * p, n_states))
+        h_op.add(stages[:, None] * p + edge, end_first + states, sign * y[end_sys, :, :m])
+        pq_op = _Triplets((n_states, n_states + 4 * p))
+        pq_op.add(first + states[:, None], first + states, x_next[self._sys, :, :m])
+        pq_op.add(end_first + states[:, None], n_states + stages * p + edge,
+                  -sign * x_next[end_sys, :, m:])
+        a, b = _same_node_pairs(self._end_node, self.n)
+        beta = y[self._sys[self._end_node[a]], :, m:]
+        pair_sign = (self._end_sign[a] * self._end_sign[b])[:, None]
+        edge_a, edge_b = self._end_edge[a][:, None], self._end_edge[b][:, None]
+        l_ops = []
+        for s in (1, 2, 3):
+            l_op = _Triplets((p, s * p))
+            l_op.add(edge_a, stages[:s] * p + edge_b, -pair_sign * beta[:, s, :s])
+            l_ops.append(l_op.operator())
+
+        self._dt = h
+        self._H = h_op.operator()
+        self._L = l_ops
+        self._PQ = pq_op.operator()
+        self._z = np.empty(n_states + 4 * p)  # [x; f_1; ...; f_4]
+        self._f = [slice(n_states + s * p, n_states + (s + 1) * p) for s in range(4)]
 
     def edge_noise(self, w: np.ndarray) -> np.ndarray:
-        """``D^T w`` for node noise ``w`` in ``node_ids`` order."""
-        return w[self._heads] - w[self._tails]
+        """``D^T w`` for node noise ``w`` in ``node_ids`` order along the last axis."""
+        return w[..., self._heads] - w[..., self._tails]
 
     def phi(self, v: np.ndarray) -> np.ndarray:
+        if len(self._kinds) == 1:
+            _, formula, params = self._kinds[0]
+            return formula(*params, v)
         out = np.empty_like(v)
         for sl, formula, params in self._kinds:
             out[sl] = formula(*params, v[sl])
@@ -315,9 +471,6 @@ class _PhaseContext:
     def edge_inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Coupling arguments ``v = D^T (C x + w)`` given ``dw = D^T w``."""
         return _matvec(self._G, x) + dw
-
-    def outputs(self, x: np.ndarray) -> np.ndarray:
-        return _matvec(self._C, x)
 
     def inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Node inputs ``u = -D phi(v)``."""
@@ -330,6 +483,20 @@ class _PhaseContext:
         return _matvec(self._S, z)
 
     def rk4(self, x: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+        """One RK4 step: five operator products and one ``phi`` per stage."""
+        if dt != self._dt:
+            self._build_step(dt)
+        z, f, p = self._z, self._f, self.p
+        z[:self.n_states] = x
+        v = self._H(x).reshape(4, p)
+        v += dw
+        z[f[0]] = self.phi(v[0])
+        for s in (1, 2, 3):
+            z[f[s]] = self.phi(v[s] + self._L[s - 1](z[f[0].start:f[s].start]))
+        return self._PQ(z)
+
+    def rk4_by_stages(self, x: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+        """The RK4 recurrence that ``rk4`` collapses, one ``deriv`` per stage."""
         k1 = self.deriv(x, dw)
         k2 = self.deriv(x + 0.5 * dt * k1, dw)
         k3 = self.deriv(x + 0.5 * dt * k2, dw)
@@ -338,6 +505,25 @@ class _PhaseContext:
 
     def first_nonfinite_node(self, x: np.ndarray) -> int:
         return next(node for node, sl in self.slices.items() if not np.all(np.isfinite(x[sl])))
+
+    def advance(self, x: np.ndarray, dw: np.ndarray, dt: float,
+                time: float, step_no: int) -> np.ndarray:
+        """``rk4`` from the finite state ``x``, checked; the step ends at ``time``.
+
+        When the new state's squared norm is not finite (a non-finite entry,
+        or one beyond about 1e154), the step is replayed stage by stage from
+        ``x``. The replay decides divergence and names the node: the
+        collapsed step skips the stage states where a huge state first
+        overflows, and a dense product spreads one non-finite entry to every
+        row.
+        """
+        x_next = self.rk4(x, dw, dt)
+        if x_next @ x_next < math.inf:
+            return x_next
+        x_next = self.rk4_by_stages(x, dw, dt)
+        if not np.all(np.isfinite(x_next)):
+            raise SimulationDiverged(time, self.first_nonfinite_node(x_next), step_no)
+        return x_next
 
     def initial_state(self, outputs: Mapping[int, float],
                       states: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -393,9 +579,7 @@ def step(
         x[ctx.slices[node]] = arr
     w = np.array([float(w_sample.get(node, 0.0)) for node in ctx.node_ids])
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = ctx.rk4(x, ctx.edge_noise(w), dt)
-    if not np.all(np.isfinite(x_next)):
-        raise SimulationDiverged(t0 + dt, ctx.first_nonfinite_node(x_next), round(t0 / dt) + 1)
+        x_next = ctx.advance(x, ctx.edge_noise(w), dt, t0 + dt, round(t0 / dt) + 1)
     y = ctx.outputs(x_next)
     next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
     return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
@@ -442,18 +626,16 @@ def run(scenario: Scenario) -> TrajectoryRecord:
         cols = np.array([col_of[node] for node in ctx.node_ids], dtype=np.intp)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for step_i in range(starts[phase_idx], bounds[phase_idx]):
-                dw = ctx.edge_noise(noise[step_i, cols])
-                if step_i % stride == 0:
-                    s = step_i // stride
-                    y_rec[s, cols] = ctx.outputs(x)
-                    u_rec[s, cols] = ctx.inputs(x, dw)
-                    active[s] = phase_idx
-                x = ctx.rk4(x, dw, dt)
-                if not np.all(np.isfinite(x)):
-                    raise SimulationDiverged(
-                        (step_i + 1) * dt, ctx.first_nonfinite_node(x), step_i + 1
-                    )
+            rows = max(1, _NOISE_BLOCK_ENTRIES // max(ctx.n, ctx.p, 1))
+            for block in range(starts[phase_idx], bounds[phase_idx], rows):
+                stop = min(block + rows, bounds[phase_idx])
+                for step_i, dw in enumerate(ctx.edge_noise(noise[block:stop, cols]), block):
+                    if step_i % stride == 0:
+                        s = step_i // stride
+                        y_rec[s, cols] = ctx.outputs(x)
+                        u_rec[s, cols] = ctx.inputs(x, dw)
+                        active[s] = phase_idx
+                    x = ctx.advance(x, dw, dt, (step_i + 1) * dt, step_i + 1)
         prev_ctx = ctx
 
     if total_steps % stride == 0:

@@ -410,6 +410,34 @@ def test_cli_rejects_non_numeric_coefficients(tmp_path, capsys, command, num, me
     assert err.startswith("error: nodes[0].dynamics:") and message in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num", "1", "numerator coefficients must be numbers"),
+    ("num", [True], "numerator coefficients must be numbers"),
+    ("den", [True, 0.7, 0], "denominator coefficients must be numbers"),
+    ("den", [1, "0.7", 0], "denominator coefficients must be numbers"),
+    ("num", [10**400], "numerator coefficients must be a flat list of finite numbers"),
+], ids=["num_text", "num_bool", "den_bool", "den_text", "num_huge_int"])
+def test_cli_rejects_bool_and_text_coefficients(tmp_path, capsys, field, value, message):
+    # JSON true and "1" are not numbers, as in every other numeric field
+    raw = paper_example()
+    raw["nodes"][0]["dynamics"][field] = value
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: nodes[0].dynamics: {message}")
+
+
+@pytest.mark.parametrize("value", [5, None, ["a.csv"]])
+def test_cli_rejects_output_names_that_are_not_strings(tmp_path, capsys, value):
+    raw = paper_example()
+    raw["outputs"] = {"csv": value}
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: outputs.csv: must be a string")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize("command", ["certify", "simulate"])
 @pytest.mark.parametrize("field, value, message", [
     ("nu", float("nan"), "nodes[2].nu: must be finite"),
@@ -444,10 +472,13 @@ def test_cli_rejects_bad_node_fields_at_parse_time(tmp_path, capsys, command, fi
     ("a", True, "couplings[0].a: must be a number"),
     ("alpha_upper", float("inf"), "couplings[0].alpha_upper: must be finite"),
     ("kind", ["sat_sine"], "couplings[0]: unknown coupling kind"),
-    ("table", [[1, 0.4, 2]], "couplings[0]: table must be a list of [x, y] number pairs"),
-    ("table", [], "couplings[0]: table knots must be finite, positive"),
+    ("table", [[1, 0.4, 2]], "couplings[0].table: table must be a list of [x, y] number pairs"),
+    ("table", [], "couplings[0].table: table knots must be finite, positive"),
+    ("table", [[True, 0.4]], "couplings[0].table: table must be a list of [x, y] number pairs"),
+    ("table", [["0.8", 0.4]], "couplings[0].table: table must be a list of [x, y] number pairs"),
+    ("table", [[10**400, 0.4]], "couplings[0].table: table knots must be finite"),
 ], ids=["a_null", "a_list", "a_text", "a_bool", "alpha_inf", "kind_list", "table_triple",
-        "table_empty"])
+        "table_empty", "table_bool", "table_text", "table_huge_int"])
 def test_cli_rejects_bad_coupling_fields_at_parse_time(tmp_path, capsys, field, value,
                                                        message):
     # a typed error naming the field, never a traceback

@@ -203,6 +203,26 @@ def test_divergence_names_node_and_step():
     assert exc.value.time == pytest.approx(0.51)
 
 
+def test_divergence_inside_a_stage_names_the_node():
+    # node 2's first stage derivative 100 * 1e307 overflows, although the
+    # step's end state, about 2.7e307, would not; the stable node 1 has the
+    # lower id and stays finite
+    unstable = realize([1], [1, -100.0])
+    systems = {1: LAG, 2: unstable}
+    states = {1: np.zeros(1), 2: np.array([1e307])}
+    with pytest.raises(SimulationDiverged) as exc:
+        step(states, Graph([1, 2], []), systems, {}, {}, 0.01, t0=0.5)
+    assert (exc.value.node, exc.value.step) == (2, 51)
+
+    scenario = Scenario(systems=systems, initial_graph=Graph([1, 2], []), couplings={},
+                        noise=NO_NOISE, solver=SolverConfig(dt=0.01, t_end=1.0),
+                        initial_states=states)
+    with pytest.raises(SimulationDiverged) as exc:
+        run(scenario)
+    assert (exc.value.node, exc.value.step) == (2, 1)
+    assert exc.value.time == pytest.approx(0.01)
+
+
 def test_feedthrough_nodes_are_rejected():
     static = realize([2], [1])
     scenario_kwargs = dict(
