@@ -160,7 +160,8 @@ def _coefficients(values, which: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise RealizationError(f"{which} coefficients must be numbers") from None
     except OverflowError:  # an integer beyond the float range
-        coeffs = np.array([math.inf])
+        raise RealizationError(
+            f"{which} coefficients must be a flat list of finite numbers") from None
     if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
         raise RealizationError(f"{which} coefficients must be a flat list of finite numbers")
     if coeffs.size == 0:
@@ -386,7 +387,7 @@ def _table_points(points) -> tuple[tuple[float, float], ...]:
     except (TypeError, ValueError):
         raise PlugnetError("table must be a list of [x, y] number pairs") from None
     except OverflowError:  # an integer beyond the float range
-        pts = ((math.inf, math.inf),)
+        raise PlugnetError("table knots must be finite, positive and strictly increasing") from None
     xs = [x for x, _ in pts]
     if not (pts and xs[0] > 0.0 and all(a < b for a, b in zip(xs, xs[1:]))
             and np.all(np.isfinite(pts))):

@@ -33,7 +33,6 @@ from .passivity import (
     IfpIndex,
     LtiSystem,
     SectorCoupling,
-    _table_points,
     estimate_ifp_index,
     linear_gain,
     realize,
@@ -384,11 +383,6 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
         raise ScenarioError(f"{path}: unknown coupling kind {kind!r}")
     numbers = {key: _finite_number(entry[key], f"{path}.{key}")
                for key in ("a", "alpha_lower", "alpha_upper") if key in entry}
-    if kind == "tabulated" and "table" in entry:
-        try:
-            _table_points(entry["table"])
-        except PlugnetError as exc:
-            raise ScenarioError(f"{path}.table: {exc}") from exc
     try:
         if kind == "linear_gain":
             c = linear_gain(numbers["a"])
@@ -412,8 +406,9 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
             )
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing field {exc} for kind {kind!r}") from exc
-    except PlugnetError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    except PlugnetError as exc:  # errors of a tabulated coupling name its table
+        field = ".table" if kind == "tabulated" else ""
+        raise ScenarioError(f"{path}{field}: {exc}") from exc
     return _edge_key(*edge), c
 
 

@@ -19,12 +19,17 @@ edges into the maps of one step:
 * L_2, L_3, L_4: what ``f_1 .. f_{s-1}`` add to ``v_s``;
 * [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``.
 
-A row of H or a column of Q touches one edge's end nodes, L_s(e, e') is
-nonzero only where edges e and e' share a node, and P is block-diagonal.
-A step is five products and one coupling evaluation per stage. A map with
-at most ``DENSE_MAX_ENTRIES`` entries in dense form is evaluated as one
-``ndarray.dot``, a larger one as COO triplets, so the cost of a large
-phase stays linear in the number of states and edges. The couplings are
+A row of H or a column of Q touches one edge's end nodes and P is
+block-diagonal. L_s is kept as two factors: the node inputs ``-D f_r`` of
+the earlier stages, and what each edge reads of them at its two ends; its
+product would hold an entry for every pair of edges that share a node, so
+sum(degree^2) of them at a hub. A step is five products and one coupling
+evaluation per stage. A map with at most ``DENSE_MAX_ENTRIES`` entries in
+dense form (its factors' too) is evaluated as one ``ndarray.dot`` by the
+product, a larger one as COO triplets, one product per factor. So the
+maps hold at most 8m + 12 entries per edge end and m + 1 per state, for
+the largest node order m and whatever the node degrees, and a step costs
+time linear in the number of states and edges. The couplings are
 evaluated by kind with the formulas of ``plugnet.passivity``, all edges of
 one kind in one call. A dense reference in the tests holds this core to a
 relative error of 1e-12 with identical NaN masks, and a second test holds
@@ -39,9 +44,9 @@ overflows, and a dense product spreads one non-finite entry to every row.
 
 Integration is classic RK4 with a fixed step. Noise is piecewise-constant:
 one Gaussian draw per node per step, held across the step's internal
-stages (so ``D^T w`` is formed once per step, in blocks of steps). The draw for (node, step)
-depends only on the seed and the node id, so plugging more nodes in never
-perturbs existing noise streams. Scheduled plug events swap in the
+stages (``run`` forms ``D^T w`` for a block of steps at a time). The draw
+for (node, step) depends only on the seed and the node id, so plugging
+more nodes in never perturbs existing noise streams. Scheduled plug events swap in the
 composed graph mid-run, carrying node states over and initializing newly
 added nodes from their declared initial outputs (minimum-norm state).
 ``topology_phases`` owns the rules on the sequence of topologies and
@@ -263,6 +268,13 @@ def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
     return np.bincount(rows, vals * x[cols], minlength=n_rows).astype(float, copy=False)
 
 
+def _matvecs(ops: Sequence[tuple], x: np.ndarray) -> np.ndarray:
+    """``_matvec`` by each of ``ops`` in turn."""
+    for op in ops:
+        x = _matvec(op, x)
+    return x
+
+
 class _Triplets:
     """A sparse matrix assembled block by block; entries at one (row, col) add up."""
 
@@ -280,14 +292,24 @@ class _Triplets:
         rows, cols, vals = (np.concatenate(a) for a in zip(*self._parts))
         return rows.astype(np.intp), cols.astype(np.intp), vals.astype(float), self.shape[0]
 
-    def operator(self):
-        """``x -> M x``: dense ``dot`` up to ``DENSE_MAX_ENTRIES`` entries, COO beyond."""
+    def dense(self) -> np.ndarray:
         rows, cols, vals, n_rows = self.coo()
         n_cols = self.shape[1]
-        if n_rows * n_cols > DENSE_MAX_ENTRIES:
-            return functools.partial(_matvec, (rows, cols, vals, n_rows))
         dense = np.bincount(rows * n_cols + cols, vals, minlength=n_rows * n_cols)
-        return dense.astype(float, copy=False).reshape(self.shape).dot
+        return dense.astype(float, copy=False).reshape(self.shape)
+
+
+def _operator(*factors: _Triplets):
+    """``x -> F_1 F_2 ... F_k x``.
+
+    One dense ``dot`` by the product when it and every factor have at most
+    ``DENSE_MAX_ENTRIES`` entries in dense form, else one COO product per
+    factor, last factor first.
+    """
+    shapes = [f.shape for f in factors] + [(factors[0].shape[0], factors[-1].shape[1])]
+    if all(rows * cols <= DENSE_MAX_ENTRIES for rows, cols in shapes):
+        return functools.reduce(np.dot, [f.dense() for f in factors]).dot
+    return functools.partial(_matvecs, [f.coo() for f in reversed(factors)])
 
 
 def _node_steps(a: np.ndarray, b: np.ndarray, c: np.ndarray, orders: np.ndarray,
@@ -314,16 +336,6 @@ def _node_steps(a: np.ndarray, b: np.ndarray, c: np.ndarray, orders: np.ndarray,
             start + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
 
 
-def _same_node_pairs(end_node: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (a, b) of edge ends at one node, ``a == b`` included."""
-    order = np.argsort(end_node, kind="stable")
-    deg = np.bincount(end_node, minlength=n)
-    reps = deg[end_node[order]]
-    a = np.repeat(order, reps)
-    within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return a, order[(np.cumsum(deg) - deg)[end_node[a]] + within]
-
-
 def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
     if sys.d != 0.0:
         raise ValueError(
@@ -337,7 +349,7 @@ class _PhaseContext:
 
     ``rk4`` is the collapsed step of the module docstring. Its operators
     H, L_2..L_4 and [P | Q] are built for a step size on first use, each
-    evaluated by ``_Triplets.operator``. ``deriv`` is the stage-wise
+    evaluated by ``_operator``. ``deriv`` is the stage-wise
     derivative ``S [x; phi(G x + dw)]`` with COO operators; S is built on
     first use, since only the divergence replay and the tests call it.
     Edges are held grouped by coupling kind, one slice per kind, so their
@@ -396,7 +408,7 @@ class _PhaseContext:
         states = np.arange(m)
         c_op = _Triplets((self.n, self.n_states))
         c_op.add(np.arange(self.n)[:, None], self._first[:, None] + states, self._c[self._sys])
-        self.outputs = c_op.operator()
+        self.outputs = _operator(c_op)
         g_op = _Triplets((self.p, self.n_states))
         g_op.add(self._end_edge[:, None], self._first[self._end_node][:, None] + states,
                  self._end_sign[:, None] * self._c[self._sys[self._end_node]])
@@ -417,11 +429,14 @@ class _PhaseContext:
     def _build_step(self, h: float) -> None:
         """The collapsed RK4 step of size ``h``, scattered from ``_node_steps``.
 
-        With node inputs ``u = -D f``, stage s's coupling arguments are
-        ``v_s = (H x)_s + dw + L_s [f_1; ...; f_{s-1}]`` and the step ends at
-        ``x+ = [P | Q] [x; f_1; ...; f_4]``. A row of H or a column of Q
-        touches only one edge's end nodes, L_s(e, e') is nonzero only where
-        edges e and e' share a node, and P is block-diagonal.
+        Stage s's coupling arguments are ``v_s = (H x)_s + dw + L_s [f_1;
+        ...; f_{s-1}]`` and the step ends at ``x+ = [P | Q] [x; f_1; ...;
+        f_4]``. A row of H or a column of Q touches only one edge's end
+        nodes and P is block-diagonal. L_s is held as two factors: the node
+        inputs ``u_r = -D f_r`` of the earlier stages, and what an edge reads
+        of them at its two ends. Every factor then has O(1) entries per
+        state and edge end, whatever the node degrees; a dense L_s is their
+        product.
         """
         n_states, p = self.n_states, self.p
         y, x_next = _node_steps(self._a, self._b, self._c, self._orders, h)
@@ -438,20 +453,20 @@ class _PhaseContext:
         pq_op.add(first + states[:, None], first + states, x_next[self._sys, :, :m])
         pq_op.add(end_first + states[:, None], n_states + stages * p + edge,
                   -sign * x_next[end_sys, :, m:])
-        a, b = _same_node_pairs(self._end_node, self.n)
-        beta = y[self._sys[self._end_node[a]], :, m:]
-        pair_sign = (self._end_sign[a] * self._end_sign[b])[:, None]
-        edge_a, edge_b = self._end_edge[a][:, None], self._end_edge[b][:, None]
+        n, node, edge, sign = self.n, self._end_node[:, None], edge[:, 0], sign[:, 0]
         l_ops = []
         for s in (1, 2, 3):
-            l_op = _Triplets((p, s * p))
-            l_op.add(edge_a, stages[:s] * p + edge_b, -pair_sign * beta[:, s, :s])
-            l_ops.append(l_op.operator())
+            earlier = stages[:s]
+            node_inputs = _Triplets((s * n, s * p))
+            node_inputs.add(earlier * n + node, earlier * p + edge, -sign)
+            reads = _Triplets((p, s * n))
+            reads.add(edge, earlier * n + node, sign * y[end_sys, s, m:m + s])
+            l_ops.append(_operator(reads, node_inputs))
 
         self._dt = h
-        self._H = h_op.operator()
+        self._H = _operator(h_op)
         self._L = l_ops
-        self._PQ = pq_op.operator()
+        self._PQ = _operator(pq_op)
         self._z = np.empty(n_states + 4 * p)  # [x; f_1; ...; f_4]
         self._f = [slice(n_states + s * p, n_states + (s + 1) * p) for s in range(4)]
 

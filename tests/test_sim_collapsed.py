@@ -122,3 +122,17 @@ def test_small_phases_go_dense_and_large_ones_coo():
     ctx = sim._PhaseContext(ring, dict.fromkeys(ids, SYSTEMS[3]),
                             dict.fromkeys(ring.edges, linear_gain(0.5)))
     assert all(isinstance(op, functools.partial) for op in _operators(ctx))
+
+
+def test_a_hub_keeps_the_maps_linear_in_states_and_edges():
+    # one node joined to 500 leaves: L_s stays factored through the node
+    # inputs, so no map holds an entry per pair of edges at the hub
+    leaves = range(1, 501)
+    star = Graph.from_pairs([0, *leaves], [(0, i) for i in leaves])
+    systems = {i: SYSTEMS[i % len(SYSTEMS)] for i in star.node_ids}
+    ctx = sim._PhaseContext(star, systems, dict.fromkeys(star.edges, saturated_sine(0.5)))
+    entries = sum(coo[2].size for op in _operators(ctx) for coo in op.args[0])
+    assert entries <= 40 * (ctx.n_states + ctx.p)
+    rng = np.random.default_rng(0)
+    x, dw = rng.standard_normal(ctx.n_states), 0.1 * rng.standard_normal(ctx.p)
+    _assert_close(ctx.rk4(x, dw, 1e-3), _stagewise_rk4(ctx, x, dw, 1e-3))
