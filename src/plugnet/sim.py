@@ -44,9 +44,9 @@ overflows, and a dense product spreads one non-finite entry to every row.
 
 Integration is classic RK4 with a fixed step. Noise is piecewise-constant:
 one Gaussian draw per node per step, held across the step's internal
-stages (``run`` forms ``D^T w`` for a block of steps at a time). The draw
-for (node, step) depends only on the seed and the node id, so plugging
-more nodes in never perturbs existing noise streams. Scheduled plug events swap in the
+stages (so ``D^T w`` is formed once per step). The draw for (node, step)
+depends only on the seed and the node id, so plugging more nodes in never
+perturbs existing noise streams. Scheduled plug events swap in the
 composed graph mid-run, carrying node states over and initializing newly
 added nodes from their declared initial outputs (minimum-norm state).
 ``topology_phases`` owns the rules on the sequence of topologies and
@@ -255,8 +255,6 @@ def noise_stream(noise: NoiseSpec, node_id: int, n_steps: int, dt: float) -> np.
 # and broke even at 120 x 300; whole runs on rings of order-2 nodes were
 # faster dense up to 60 nodes ([P | Q] 120 x 360) and slower at 80 nodes.
 DENSE_MAX_ENTRIES = 30_000
-# ``run`` forms the edge noise ``D^T w`` of this many node or edge samples at once.
-_NOISE_BLOCK_ENTRIES = 16_384
 
 
 def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
@@ -471,8 +469,8 @@ class _PhaseContext:
         self._f = [slice(n_states + s * p, n_states + (s + 1) * p) for s in range(4)]
 
     def edge_noise(self, w: np.ndarray) -> np.ndarray:
-        """``D^T w`` for node noise ``w`` in ``node_ids`` order along the last axis."""
-        return w[..., self._heads] - w[..., self._tails]
+        """``D^T w`` for node noise ``w`` in ``node_ids`` order."""
+        return w[self._heads] - w[self._tails]
 
     def phi(self, v: np.ndarray) -> np.ndarray:
         if len(self._kinds) == 1:
@@ -641,16 +639,14 @@ def run(scenario: Scenario) -> TrajectoryRecord:
         cols = np.array([col_of[node] for node in ctx.node_ids], dtype=np.intp)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = max(1, _NOISE_BLOCK_ENTRIES // max(ctx.n, ctx.p, 1))
-            for block in range(starts[phase_idx], bounds[phase_idx], rows):
-                stop = min(block + rows, bounds[phase_idx])
-                for step_i, dw in enumerate(ctx.edge_noise(noise[block:stop, cols]), block):
-                    if step_i % stride == 0:
-                        s = step_i // stride
-                        y_rec[s, cols] = ctx.outputs(x)
-                        u_rec[s, cols] = ctx.inputs(x, dw)
-                        active[s] = phase_idx
-                    x = ctx.advance(x, dw, dt, (step_i + 1) * dt, step_i + 1)
+            for step_i in range(starts[phase_idx], bounds[phase_idx]):
+                dw = ctx.edge_noise(noise[step_i, cols])
+                if step_i % stride == 0:
+                    s = step_i // stride
+                    y_rec[s, cols] = ctx.outputs(x)
+                    u_rec[s, cols] = ctx.inputs(x, dw)
+                    active[s] = phase_idx
+                x = ctx.advance(x, dw, dt, (step_i + 1) * dt, step_i + 1)
         prev_ctx = ctx
 
     if total_steps % stride == 0:
