@@ -29,6 +29,7 @@ from .errors import (
     RealizationError,
     ScenarioError,
     SimulationDiverged,
+    TableError,
 )
 from .graph import (
     Graph,

@@ -33,6 +33,10 @@ class RealizationError(PlugnetError):
     """Transfer function cannot be realized (improper, zero denominator)."""
 
 
+class TableError(PlugnetError):
+    """A tabulated coupling's table is malformed (not number pairs, bad knots)."""
+
+
 class EstimatorError(PlugnetError):
     """Passivity-index sweep is undefined for the given dynamics."""
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EstimatorError, PlugnetError, RealizationError
+from .errors import EstimatorError, PlugnetError, RealizationError, TableError
 
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
@@ -385,13 +385,13 @@ def _table_points(points) -> tuple[tuple[float, float], ...]:
             raise TypeError
         pts = tuple((float(x), float(y)) for x, y in pairs)
     except (TypeError, ValueError):
-        raise PlugnetError("table must be a list of [x, y] number pairs") from None
+        raise TableError("table must be a list of [x, y] number pairs") from None
     except OverflowError:  # an integer beyond the float range
-        raise PlugnetError("table knots must be finite, positive and strictly increasing") from None
+        raise TableError("table knots must be finite, positive and strictly increasing") from None
     xs = [x for x, _ in pts]
     if not (pts and xs[0] > 0.0 and all(a < b for a, b in zip(xs, xs[1:]))
             and np.all(np.isfinite(pts))):
-        raise PlugnetError("table knots must be finite, positive and strictly increasing")
+        raise TableError("table knots must be finite, positive and strictly increasing")
     return pts
 
 

@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import PlugnetError, ScenarioError
+from .errors import PlugnetError, ScenarioError, TableError
 from .graph import Graph, PlugPlan
 from .passivity import (
     COUPLING_FORMULAS,
@@ -406,9 +406,10 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
             )
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing field {exc} for kind {kind!r}") from exc
-    except PlugnetError as exc:  # errors of a tabulated coupling name its table
-        field = ".table" if kind == "tabulated" else ""
-        raise ScenarioError(f"{path}{field}: {exc}") from exc
+    except TableError as exc:
+        raise ScenarioError(f"{path}.table: {exc}") from exc
+    except PlugnetError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     return _edge_key(*edge), c
 
 

@@ -492,6 +492,16 @@ def test_cli_rejects_bad_coupling_fields_at_parse_time(tmp_path, capsys, field, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_cli_names_the_coupling_not_its_table_for_bad_declared_bounds(tmp_path, capsys):
+    raw = paper_example()
+    raw["couplings"][0] = {"edge": [1, 2], "kind": "tabulated", "table": [[1, 0.4]],
+                           "alpha_lower": 0.9, "alpha_upper": 0.5}
+    path = tmp_path / "bad.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: couplings[0]: sector bounds must satisfy")
+
+
 @pytest.mark.parametrize("block, field, value, message", [
     ("solver", "dt", "0.001", "solver.dt: must be a number"),
     ("noise", "seed", 2.7, "noise.seed: must be an integer"),
