@@ -311,10 +311,10 @@ class EdgeMargin:
 class BoundaryCheck:
     """Weight construction and interface margin for one boundary edge.
 
-    For a single-node plug only ``gamma`` is set. For a network plug,
-    ``gamma_p``/``gamma_q`` are the per-side minima (None when that side's
-    attachment node has no intra-network edges and its term is dropped) and
-    ``gamma = min`` of the available ones.
+    Both plug certifiers build it alike: ``gamma`` is the min of the per-side
+    minima, dropping a side whose attachment node has no intra-network edges
+    (always the new node of a single-node plug). Only a network plug records
+    them, as ``gamma_p`` (base side) and ``gamma_q`` (added side), None if dropped.
     """
 
     edge: tuple[int, int]
@@ -513,6 +513,38 @@ def certify_fixed_network(
     )
 
 
+def _plug_report(
+    plan: PlugPlan, added: Graph, nus: Mapping[int, float], alphas: Mapping, tol: float
+) -> CertificateReport:
+    """``certify_network_plug``'s construction on ``plan.base`` and the ``added`` side."""
+    base = plan.base
+    margins = {**intra_edge_margins(base, nus, alphas), **intra_edge_margins(added, nus, alphas)}
+    boundary: list[BoundaryCheck] = []
+    for i, j in plan.boundary:
+        b, a = (j, i) if plan.is_single_node else (i, j)  # base-side end, added-side end
+        gamma_b, gamma_a = (
+            compute_gamma_single(v, side, nus, alphas) if side.degree(v) > 0 else None
+            for v, side in ((b, base), (a, added))
+        )
+        candidates = [g for g in (gamma_b, gamma_a) if g is not None]
+        if not candidates:
+            raise DegenerateInput(
+                f"boundary edge ({i}, {j}): neither attachment node has "
+                "intra-network edges"
+            )
+        gamma = min(candidates)
+        margin = gamma * (
+            1.0 / _alpha_for(alphas, i, j) + float(nus[i]) + float(nus[j])
+        ) - base.degree(b) * abs(float(nus[b])) - added.degree(a) * abs(float(nus[a]))
+        sides = {} if plan.is_single_node else {"gamma_p": gamma_b, "gamma_q": gamma_a}
+        boundary.append(BoundaryCheck(edge=(i, j), gamma=gamma, margin=margin, **sides))
+    s_weights = (1.0,) * (base.p + added.p) + tuple(  # disc test needs positive weights
+        bc.gamma if bc.gamma > 0.0 else 1.0 for bc in boundary
+    )
+    kind = "single_node" if plan.is_single_node else "network"
+    return _finish_report(kind, margins, boundary, compose(plan), nus, alphas, s_weights, tol)
+
+
 def certify_single_node_plug(
     plan: PlugPlan,
     nus: Mapping[int, float],
@@ -521,34 +553,19 @@ def certify_single_node_plug(
 ) -> CertificateReport:
     """Certificate for one node joining a network through a single edge.
 
-    Checks the edge condition on every existing edge, builds gamma at the
-    attachment node, evaluates the boundary condition
-    ``gamma (1/alpha + nu_new + nu_c) - r_c |nu_c|`` (degrees taken in the
-    pre-plug network), then cross-checks the composed problem with weights
-    (1, ..., 1, gamma) against the disc test and the eigenvalue oracle.
+    The network-plug construction with the added side ``Graph((new,))``:
+    gamma comes from the attachment node c alone, and the boundary
+    condition reads ``gamma (1/alpha + nu_new + nu_c) - r_c |nu_c|``.
     """
     if not plan.is_single_node:
         raise GraphError("expected a single-node plug plan")
-    base = plan.base
-    if base.p == 0:
+    if plan.base.p == 0:
         raise DegenerateInput(
             "base network has no edges: gamma has no edge conditions to draw on"
         )
-    if not is_connected(base):
+    if not is_connected(plan.base):
         raise DegenerateInput("base network must be connected")
-    new, c = plan.boundary[0]
-    margins = intra_edge_margins(base, nus, alphas)
-    gamma = compute_gamma_single(c, base, nus, alphas)
-    boundary_margin = gamma * (
-        1.0 / _alpha_for(alphas, new, c) + float(nus[new]) + float(nus[c])
-    ) - base.degree(c) * abs(float(nus[c]))
-    composed = compose(plan)
-    s_last = gamma if gamma > 0.0 else 1.0  # disc test needs positive weights
-    s_weights = (1.0,) * base.p + (s_last,)
-    boundary = [BoundaryCheck(edge=(new, c), gamma=gamma, margin=boundary_margin)]
-    return _finish_report(
-        "single_node", margins, boundary, composed, nus, alphas, s_weights, tol
-    )
+    return _plug_report(plan, Graph((plan.added,)), nus, alphas, tol)
 
 
 def certify_network_plug(
@@ -574,41 +591,6 @@ def certify_network_plug(
             f"boundary edges {violation[0]} and {violation[1]} attach to "
             "shared or adjacent nodes"
         )
-    base, added = plan.base, plan.added
-    if not is_connected(base) or not is_connected(added):
+    if not is_connected(plan.base) or not is_connected(plan.added):
         raise DegenerateInput("both subnetworks must be connected")
-
-    margins = intra_edge_margins(base, nus, alphas)
-    margins.update(intra_edge_margins(added, nus, alphas))
-
-    boundary: list[BoundaryCheck] = []
-    for p, q in plan.boundary:
-        gamma_p = (
-            compute_gamma_single(p, base, nus, alphas) if base.degree(p) > 0 else None
-        )
-        gamma_q = (
-            compute_gamma_single(q, added, nus, alphas) if added.degree(q) > 0 else None
-        )
-        candidates = [g for g in (gamma_p, gamma_q) if g is not None]
-        if not candidates:
-            raise DegenerateInput(
-                f"boundary edge ({p}, {q}): neither attachment node has "
-                "intra-network edges"
-            )
-        gamma_pq = min(candidates)
-        margin = gamma_pq * (
-            1.0 / _alpha_for(alphas, p, q) + float(nus[p]) + float(nus[q])
-        ) - base.degree(p) * abs(float(nus[p])) - added.degree(q) * abs(float(nus[q]))
-        boundary.append(
-            BoundaryCheck(
-                edge=(p, q), gamma=gamma_pq, margin=margin, gamma_p=gamma_p, gamma_q=gamma_q
-            )
-        )
-
-    composed = compose(plan)
-    s_weights = (1.0,) * (base.p + added.p) + tuple(
-        bc.gamma if bc.gamma > 0.0 else 1.0 for bc in boundary
-    )
-    return _finish_report(
-        "network", margins, boundary, composed, nus, alphas, s_weights, tol
-    )
+    return _plug_report(plan, plan.added, nus, alphas, tol)

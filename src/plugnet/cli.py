@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +62,31 @@ def write_trajectory_csv(traj: TrajectoryRecord, path: Path) -> None:
 
 
 def read_trajectory_csv(path: Path) -> TrajectoryRecord:
-    """Rebuild a trajectory record (without graph phases) from the CSV."""
+    """Rebuild a trajectory record (without graph phases) from the CSV.
+
+    A header other than ``t, y<id>..., u<id>..., w<id>...`` with the same
+    ids in each group, a cell that is not a number, a row whose length
+    differs from the header's, or no samples at all raise PlugnetError.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n = (len(header) - 1) // 3
-    ids = tuple(int(name[1:]) for name in header[1 : 1 + n])
+        n = (len(header) - 1) // 3
+        ids = [name[1:] for name in header[1 : 1 + n]]
+        expected = ["t"] + [group + i for group in "yuw" for i in ids]
+        if header != expected or not all(i.isascii() and i.isdigit() for i in ids):
+            raise PlugnetError(f"{path}: header is not t, y<id>..., u<id>..., w<id>...")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no data warns; it is rejected below
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise PlugnetError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
+        raise PlugnetError(f"{path}: no samples")
+    if data.shape[1] != len(header):
+        raise PlugnetError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
     return TrajectoryRecord(
-        node_ids=ids,
+        node_ids=tuple(map(int, ids)),
         times=data[:, 0],
         outputs=data[:, 1 : 1 + n],
         inputs=data[:, 1 + n : 1 + 2 * n],
@@ -189,6 +207,9 @@ def cmd_report(args) -> int:
     doc = parse_scenario(args.scenario)
     traj = read_trajectory_csv(Path(args.traj))
     graph = doc.final_graph()
+    unrecorded = sorted(set(graph.node_ids) - set(traj.node_ids))
+    if unrecorded:
+        raise PlugnetError(f"{args.traj}: final-graph node(s) {unrecorded} not recorded")
     horizons = default_horizons(float(traj.times[-1]), args.horizons)
     estimate = estimate_io_gain(traj, graph, horizons)
 

@@ -48,23 +48,18 @@ def _edge_differences(traj: TrajectoryRecord, graph: Graph,
                       signals: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """``D^T s`` over ``graph``'s edges for each recorded signal ``s``.
 
-    The graph may cover a subset of the recorded nodes (e.g. one
-    subnetwork); its nodes must all be recorded. At a sample where an edge
-    has an unrecorded (NaN) output end, such as a node that joins later,
-    the edge adds zero to every signal's differences. A record without NaN
-    outputs takes the plain product.
+    Gathered per edge, head minus tail as ``incidence`` orients it, into a
+    C-ordered array, whose row sums round as over the product ``s @ D``. The
+    graph may cover a subset of the recorded nodes. An edge adds zero at a
+    sample where an output end is unrecorded (NaN), as before a node joins.
     """
-    cols = [traj.column(node) for node in graph.node_ids]
-    d = incidence(graph).astype(float)
-    unrecorded = np.isnan(traj.outputs[:, cols])
-    if not unrecorded.any():
-        return [s[:, cols] @ d for s in signals]
-    idle = (unrecorded @ np.abs(d)) > 0.0  # sample x edge: an end is unrecorded
-    diffs = []
-    for s in signals:
-        diff = np.where(unrecorded, 0.0, s[:, cols]) @ d
+    cols = np.array([traj.column(node) for node in graph.node_ids], dtype=np.intp)
+    ends = incidence(graph).T  # edge by node: +1 at the head, -1 at the tail
+    heads, tails = (cols[np.nonzero(ends == sign)[1]] for sign in (1, -1))
+    idle = np.isnan(traj.outputs[:, heads]) | np.isnan(traj.outputs[:, tails])
+    diffs = [np.subtract(s[:, heads], s[:, tails], order="C") for s in signals]
+    for diff in diffs:
         diff[idle] = 0.0
-        diffs.append(diff)
     return diffs
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import PlugnetError, ScenarioError, TableError
 from .graph import Graph, PlugPlan
 from .passivity import (
-    COUPLING_FORMULAS,
     IfpIndex,
     LtiSystem,
     SectorCoupling,
@@ -375,35 +374,29 @@ def _parse_graphs(raw: Any, nodes: dict[int, NodeSpec]) -> dict[str, Graph]:
     return graphs
 
 
+# Each kind's factory; a table takes its bounds, as its exact sector may be invalid.
+_COUPLING_FACTORIES = {
+    "linear_gain": lambda entry, numbers: linear_gain(numbers["a"]),
+    "sat_sine": lambda entry, numbers: saturated_sine(numbers["a"]),
+    "sat_sine_smooth": lambda entry, numbers: saturated_sine_smooth(numbers["a"]),
+    "tabulated": lambda entry, numbers: tabulated(
+        entry["table"], numbers.get("alpha_lower"), numbers.get("alpha_upper")),
+}
+
+
 def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoupling]:
     _check_keys(entry, _COUPLING_KEYS, {"edge", "kind"}, path)
     edge = _edge_pair(entry["edge"], f"{path}.edge")
     kind = entry["kind"]
-    if not isinstance(kind, str) or kind not in COUPLING_FORMULAS:
+    if not isinstance(kind, str) or kind not in _COUPLING_FACTORIES:
         raise ScenarioError(f"{path}: unknown coupling kind {kind!r}")
     numbers = {key: _finite_number(entry[key], f"{path}.{key}")
                for key in ("a", "alpha_lower", "alpha_upper") if key in entry}
+    bounds = {key: numbers[key] for key in ("alpha_lower", "alpha_upper") if key in numbers}
     try:
-        if kind == "linear_gain":
-            c = linear_gain(numbers["a"])
-        elif kind == "sat_sine":
-            c = saturated_sine(numbers["a"])
-        elif kind == "sat_sine_smooth":
-            c = saturated_sine_smooth(numbers["a"])
-        else:
-            c = tabulated(
-                entry["table"],
-                alpha_lower=numbers.get("alpha_lower"),
-                alpha_upper=numbers.get("alpha_upper"),
-            )
-        if kind != "tabulated" and ("alpha_lower" in numbers or "alpha_upper" in numbers):
-            c = SectorCoupling(
-                kind=c.kind,
-                gain=c.gain,
-                alpha_lower=numbers.get("alpha_lower", c.alpha_lower),
-                alpha_upper=numbers.get("alpha_upper", c.alpha_upper),
-                table=c.table,
-            )
+        c = _COUPLING_FACTORIES[kind](entry, numbers)
+        if bounds:
+            c = replace(c, **bounds)
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing field {exc} for kind {kind!r}") from exc
     except TableError as exc:

@@ -287,6 +287,75 @@ def test_network_plug_with_single_node_side_matches_single_node_certificate():
     assert net.verdict == single.verdict
 
 
+def _single_node_plug_as_written_alone(plan, nus, alphas,
+                                      tol=certificates.DEFAULT_STRICTNESS_TOL):
+    # the single-node construction as it stood before it shared the
+    # network plug's, kept as the oracle for the shared one
+    if not plan.is_single_node:
+        raise GraphError("expected a single-node plug plan")
+    base = plan.base
+    if base.p == 0:
+        raise DegenerateInput(
+            "base network has no edges: gamma has no edge conditions to draw on"
+        )
+    if not certificates.is_connected(base):
+        raise DegenerateInput("base network must be connected")
+    new, c = plan.boundary[0]
+    margins = intra_edge_margins(base, nus, alphas)
+    gamma = compute_gamma_single(c, base, nus, alphas)
+    boundary_margin = gamma * (
+        1.0 / certificates._alpha_for(alphas, new, c) + float(nus[new]) + float(nus[c])
+    ) - base.degree(c) * abs(float(nus[c]))
+    composed = compose(plan)
+    s_last = gamma if gamma > 0.0 else 1.0  # disc test needs positive weights
+    s_weights = (1.0,) * base.p + (s_last,)
+    boundary = [certificates.BoundaryCheck(edge=(new, c), gamma=gamma, margin=boundary_margin)]
+    return certificates._finish_report(
+        "single_node", margins, boundary, composed, nus, alphas, s_weights, tol
+    )
+
+
+def _random_single_node_plug(rng):
+    # connected, disconnected and edgeless bases; indices of both signs, a
+    # sixth of them zero, so that gamma is undefined, negative or positive
+    n = int(rng.integers(1, 7))
+    shape = rng.choice(3, p=[0.6, 0.3, 0.1])
+    if shape == 0:
+        base = _random_connected_graph(rng, max_nodes=6, max_edges=9)
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < (0.4 if shape == 1 else 0.0)
+        base = Graph.from_pairs(range(n), [e for e, k in zip(pairs, keep) if k])
+    new = base.n
+    c = int(rng.choice(base.node_ids))
+    nus = {i: 0.0 if rng.random() < 1 / 6 else float(rng.uniform(-0.6, 0.4))
+           for i in base.node_ids + (new,)}
+    alphas = {e: float(rng.uniform(0.1, 2.0)) for e in base.edges + ((new, c),)}
+    return PlugPlan(base=base, added=new, boundary=((c, new),)), nus, alphas
+
+
+def _outcome(certify, plan, nus, alphas):
+    try:
+        report = certify(plan, nus, alphas)
+    except Exception as exc:  # the error's type and message must match too
+        return type(exc), str(exc)
+    return json.dumps(report.to_dict()), report.render_table()
+
+
+def test_single_node_plug_matches_the_construction_written_alone():
+    rng = np.random.default_rng(15)
+    raised = nonpositive_gamma = 0
+    for _ in range(1000):
+        plan, nus, alphas = _random_single_node_plug(rng)
+        expected = _outcome(_single_node_plug_as_written_alone, plan, nus, alphas)
+        assert _outcome(certify_single_node_plug, plan, nus, alphas) == expected
+        if isinstance(expected[0], type):
+            raised += 1
+        else:
+            nonpositive_gamma += json.loads(expected[0])["boundary"][0]["gamma"] <= 0.0
+    assert raised > 100 and nonpositive_gamma > 20  # both kinds of plan occur
+
+
 def test_scaling_covariance():
     # multiplying theta and sigma by c > 0 scales margins and kappa by c
     g = Graph.from_pairs([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -109,14 +109,17 @@ def test_disagreement_subgraph_selects_columns():
 
 
 def test_disagreement_without_nan_is_the_plain_product():
-    # a record with every output recorded keeps the incidence product bit for bit
+    # a record with every output recorded keeps the incidence product bit
+    # for bit; on the wide ring the row sums see the differences' memory order
     rng = np.random.default_rng(2)
     t = np.linspace(0, 1, 41)
-    outputs = rng.standard_normal((41, 4))
-    g = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
-    d = incidence(g).astype(float)
-    got = disagreement(_record(t, outputs, ids=(1, 2, 3, 4)), g)
-    assert np.array_equal(got, np.linalg.norm(outputs @ d, axis=1))
+    square = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
+    ring = Graph.from_pairs(range(1, 41), [(i, i % 40 + 1) for i in range(1, 41)])
+    for g in (square, ring):
+        outputs = rng.standard_normal((41, g.n))
+        d = incidence(g).astype(float)
+        got = disagreement(_record(t, outputs, ids=g.node_ids), g)
+        assert np.array_equal(got, np.linalg.norm(outputs @ d, axis=1))
 
 
 def test_unrecorded_end_adds_zero():

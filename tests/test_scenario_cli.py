@@ -634,6 +634,52 @@ def test_cli_report_rejects_fewer_than_two_horizons(tmp_path, capsys, golden_tra
     assert err.startswith("error:") and "--horizons" in err
 
 
+def _header_only(lines):
+    return lines[:1]
+
+
+def _node_7_renamed_9(lines):
+    header = lines[0].replace("y7", "y9").replace("u7", "u9").replace("w7", "w9")
+    return [header] + lines[1:]
+
+
+def _letter_in_a_cell(lines):
+    row = lines[2].split(",")
+    row[3] = "a"
+    return lines[:2] + [",".join(row)] + lines[3:]
+
+
+def _groups_name_different_ids(lines):
+    return [lines[0].replace("u3", "u9")] + lines[1:]
+
+
+def _rows_shorter_than_the_header(lines):
+    return [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_header_only, "no samples"),
+    (_node_7_renamed_9, "final-graph node(s) [7] not recorded"),
+    (_letter_in_a_cell, "could not convert string 'a'"),
+    (_groups_name_different_ids, "header is not t, y<id>..., u<id>..., w<id>..."),
+    (_rows_shorter_than_the_header, "rows have 21 cells, the header 22"),
+])
+def test_cli_report_rejects_a_bad_trajectory_csv(tmp_path, capsys, golden_traj, mutate,
+                                                 message):
+    scenario_path = tmp_path / "paper_example.json"
+    write_scenario(paper_example(), scenario_path)
+    csv_path = tmp_path / "traj.csv"
+    write_trajectory_csv(golden_traj, csv_path)
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join(mutate(lines)) + "\n")
+    code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: ") and message in err
+    assert not (tmp_path / "traj_report.json").exists()
+
+
 def test_golden_estimate_matches_direct_api(golden_doc, golden_traj):
     est = estimate_io_gain(golden_traj, golden_doc.final_graph())
     assert est.satisfied
