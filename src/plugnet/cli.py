@@ -2,9 +2,10 @@
 
 Exit codes: 0 success/certified, 2 certificate condition failure,
 3 degenerate input or interconnection-rule violation, 1 anything else.
-Output files land in --out-dir, the PLUGNET_OUT_DIR environment variable,
-or the current directory, in that order of precedence; a scenario's
-optional "outputs" block supplies per-file defaults.
+An output file's path is its own flag, else its entry in the scenario's
+optional "outputs" block, else a default name in --out-dir, the
+PLUGNET_OUT_DIR environment variable or the current directory, in that
+order. JSON outputs are strict: a NaN or an infinity is an error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .certificates import (
 )
 from .errors import AssumptionViolation, DegenerateInput, PlugnetError
 from .graph import PlugPlan
-from .metrics import analytic_gain_bound, default_horizons, disagreement, estimate_io_gain
+from .metrics import (analytic_gain_bound, default_horizons, disagreement, estimate_io_gain,
+                      record_span)
 from .scenario import ScenarioDocument, parse_scenario, paper_example, write_scenario
 from .sim import TrajectoryRecord, run
 
@@ -38,32 +40,43 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_DEGENERATE = 3
 
 
-def _out_dir(args) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    env = os.environ.get("PLUGNET_OUT_DIR")
-    return Path(env) if env else Path.cwd()
+def _output_path(args, flag: str | None, declared: str | None, name: str) -> Path:
+    """An output file's path, by the precedence of the module docstring;
+    the output directory is created if it does not exist."""
+    out_dir = Path(args.out_dir or os.environ.get("PLUGNET_OUT_DIR") or Path.cwd())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return Path(flag or declared or out_dir / name)
 
 
-def write_trajectory_csv(traj: TrajectoryRecord, path: Path) -> None:
-    """Fixed column order: t, then y/u/w per node in ascending node id."""
-    ids = traj.node_ids
-    header = (
-        ["t"]
-        + [f"y{i}" for i in ids]
-        + [f"u{i}" for i in ids]
-        + [f"w{i}" for i in ids]
-    )
+def _write_json(payload, path: Path) -> None:
+    """``payload`` as indented JSON; a NaN or an infinity in it raises
+    PlugnetError naming the file, and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise PlugnetError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n")
+
+
+def _write_csv(header: list[str], table: np.ndarray, path: Path) -> None:
+    """``header``, then the rows of ``table``, each cell as its ``repr``."""
     # rows become Python floats one at a time: the whole table as floats
     # would outweigh the text
-    table = np.column_stack((traj.times, traj.outputs, traj.inputs, traj.noise))
     lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path: Path) -> TrajectoryRecord:
-    """Rebuild a trajectory record (without graph phases) from the CSV.
+def write_trajectory_csv(traj: TrajectoryRecord, path: Path) -> None:
+    """Fixed column order: t, then y/u/w per node in ascending node id."""
+    header = ["t"] + [f"{group}{i}" for group in "yuw" for i in traj.node_ids]
+    table = np.column_stack((traj.times, traj.outputs, traj.inputs, traj.noise))
+    _write_csv(header, table, path)
 
+
+def read_trajectory_csv(path: Path) -> TrajectoryRecord:
+    """Rebuild from the CSV the record that ``run`` returned, field for field.
+
+    The topology phases are not in the file; they are the scenario's.
     A header other than ``t, y<id>..., u<id>..., w<id>...`` with the same
     ids in each group, a cell that is not a number, a row whose length
     differs from the header's, or no samples at all raise PlugnetError.
@@ -85,14 +98,8 @@ def read_trajectory_csv(path: Path) -> TrajectoryRecord:
         raise PlugnetError(f"{path}: no samples")
     if data.shape[1] != len(header):
         raise PlugnetError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
-    return TrajectoryRecord(
-        node_ids=tuple(map(int, ids)),
-        times=data[:, 0],
-        outputs=data[:, 1 : 1 + n],
-        inputs=data[:, 1 + n : 1 + 2 * n],
-        noise=data[:, 1 + 2 * n : 1 + 3 * n],
-        active_graph=np.zeros(data.shape[0], dtype=int),
-    )
+    outputs, inputs, noise = np.split(data[:, 1:], 3, axis=1)
+    return TrajectoryRecord(tuple(map(int, ids)), data[:, 0], outputs, inputs, noise)
 
 
 def _sweep_table(doc: ScenarioDocument) -> list[dict]:
@@ -165,7 +172,7 @@ def cmd_certify(args) -> int:
             "reports": [r.to_dict() for r in reports],
             "passivity_indices": sweep_rows,
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, args.json)
     return EXIT_OK if all_ok else EXIT_NOT_CERTIFIED
 
 
@@ -174,11 +181,9 @@ def cmd_simulate(args) -> int:
     scenario = doc.build_scenario(seed=args.seed)
     traj = run(scenario)
 
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    csv_path = Path(args.out_csv or doc.outputs.get("csv") or out_dir / f"{stem}_traj.csv")
-    meta_path = Path(args.out_meta or doc.outputs.get("meta") or out_dir / f"{stem}_meta.json")
+    csv_path = _output_path(args, args.out_csv, doc.outputs.get("csv"), f"{stem}_traj.csv")
+    meta_path = _output_path(args, args.out_meta, doc.outputs.get("meta"), f"{stem}_meta.json")
 
     write_trajectory_csv(traj, csv_path)
     meta = {
@@ -193,10 +198,10 @@ def cmd_simulate(args) -> int:
         "event_times": [ev.time for ev in scenario.plug_events],
         "phases": [
             {"nodes": list(g.node_ids), "edges": [list(e) for e in g.edges]}
-            for g in traj.graphs
+            for g in scenario.phases
         ],
     }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    _write_json(meta, meta_path)
     print(f"wrote {csv_path} ({len(traj.times)} samples) and {meta_path}")
     return EXIT_OK
 
@@ -210,7 +215,10 @@ def cmd_report(args) -> int:
     unrecorded = sorted(set(graph.node_ids) - set(traj.node_ids))
     if unrecorded:
         raise PlugnetError(f"{args.traj}: final-graph node(s) {unrecorded} not recorded")
-    horizons = default_horizons(float(traj.times[-1]), args.horizons)
+    try:
+        horizons = default_horizons(record_span(traj), args.horizons)
+    except PlugnetError as exc:
+        raise PlugnetError(f"{args.traj}: {exc}") from None
     estimate = estimate_io_gain(traj, graph, horizons)
 
     bound = None
@@ -234,29 +242,22 @@ def cmd_report(args) -> int:
     if bound is not None:
         print(f"analytic gain bound (informational): {bound:.6g}")
 
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.traj).stem
-    json_path = Path(args.out_json or doc.outputs.get("report") or out_dir / f"{stem}_report.json")
-    dis_path = Path(
-        args.out_csv or doc.outputs.get("disagreement") or out_dir / f"{stem}_disagreement.csv"
-    )
+    json_path = _output_path(args, args.out_json, doc.outputs.get("report"),
+                             f"{stem}_report.json")
+    dis_path = _output_path(args, args.out_csv, doc.outputs.get("disagreement"),
+                            f"{stem}_disagreement.csv")
     payload = estimate.to_dict()
     payload["analytic_rho_bound"] = bound
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    dis = disagreement(traj, graph)
-    rows = np.column_stack((traj.times, dis)).tolist()
-    lines = ["t,disagreement"] + [",".join(map(repr, row)) for row in rows]
-    dis_path.write_text("\n".join(lines) + "\n")
+    _write_json(payload, json_path)
+    _write_csv(["t", "disagreement"], np.column_stack((traj.times, disagreement(traj, graph))),
+               dis_path)
     print(f"wrote {json_path} and {dis_path}")
     return EXIT_OK if estimate.satisfied else EXIT_NOT_CERTIFIED
 
 
 def cmd_example(args) -> int:
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = Path(args.out or out_dir / "paper_example.json")
+    path = _output_path(args, args.out, None, "paper_example.json")
     write_scenario(paper_example(), path)
     print(f"wrote {path}")
     return EXIT_OK

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PlugnetError
 from .graph import Graph, incidence
 from .sim import TrajectoryRecord
 
@@ -98,6 +99,16 @@ class ConsensusEstimate:
         }
 
 
+def record_span(traj: TrajectoryRecord) -> float:
+    """The last sample time of a record with at least two samples spanning a
+    positive time; a record without them raises PlugnetError."""
+    times = traj.times
+    if not (len(times) >= 2 and times[-1] > times[0]):
+        raise PlugnetError(f"a trajectory needs at least two samples spanning a positive "
+                           f"time, got {len(times)} sample(s)")
+    return float(times[-1])
+
+
 def default_horizons(t_end: float, count: int = 50) -> np.ndarray:
     lo = min(0.1, t_end / 10.0)
     return np.logspace(np.log10(lo), np.log10(t_end), count)
@@ -132,10 +143,12 @@ def estimate_io_gain(
 
     Norms come from the trapezoid rule on the recorded sampling grid; the
     fit is ``fit_gain_offset`` on the per-horizon norm pairs. An edge adds
-    nothing at a sample where one of its ends is not recorded yet.
+    nothing at a sample where one of its ends is not recorded yet. The
+    record must pass ``record_span``.
     """
+    t_end = record_span(traj)
     if horizons is None:
-        horizons = default_horizons(float(traj.times[-1]))
+        horizons = default_horizons(t_end)
     horizons = np.asarray(horizons, dtype=float)
     if horizons.size < 2:
         raise ValueError("need at least two horizons")

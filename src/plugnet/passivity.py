@@ -293,6 +293,34 @@ def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
     return even[::-1], odd[::-1]
 
 
+def _with_derivatives(polys: Sequence[np.ndarray]) -> np.ndarray:
+    """``polys`` and then their derivatives as rows, zero-padded in front to
+    one length; each entry is the product ``_derivative`` forms."""
+    width = max(map(len, polys))
+    rows = np.zeros((2 * len(polys), width))
+    for k, p in enumerate(polys):
+        rows[k, width - len(p):] = p
+    rows[len(polys):, 1:] = rows[:len(polys), :-1] * np.arange(width - 1, 0, -1)
+    return rows
+
+
+def _re_h_and_slope(rows: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``E/F`` and ``E'F - EF'`` at ``xs``, from the values of the factors
+    ``(Ne, No, De, Do, a, b)`` of ``estimate_ifp_index`` and of their
+    derivatives (``rows``, from ``_with_derivatives``), not from E's and F's
+    own coefficients, which cancel where |D(jw)| is small. Each row is
+    evaluated as ``_polyval`` evaluates it: at a finite x a leading zero
+    leaves the bits as they are."""
+    values = np.zeros((len(rows), len(xs)))
+    for coeff in rows.T[:, :, None]:
+        values = values * xs + coeff
+    # the values of [(Ne, No), (De, Do)] and (a, b), then their derivatives
+    (parts, weights), (d_parts, d_weights) = ((v[:2], v[2]) for v in values.reshape(2, 3, 2, -1))
+    e, f = (parts * weights).sum(axis=1)
+    de, df = (d_parts * weights + parts * d_weights).sum(axis=1)
+    return e / f, de * f - e * df
+
+
 def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     """Passivity index ``inf_w Re H(jw)`` of a SISO LTI system, in closed form.
 
@@ -310,6 +338,12 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     into a complex pair still counts; a spurious candidate only adds a
     value Re H takes. The poles are the ones ``realize`` solved for, so
     the only root solves here are those of E'F - EF' and of its reverse.
+
+    Near a resonance F's coefficients cancel, so a root solved from them
+    can miss the minimiser by 1e-8, which a sharp minimum turns into an
+    overestimate of the index. So every candidate also takes one Newton
+    step on E'F - EF' evaluated from the factors' values, and the polished
+    point is tried as well.
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -337,11 +371,14 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
         # polynomial's roots.
         roots = np.concatenate([_roots(g), 1.0 / _roots(g[::-1])]).real
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
-        # E and F from the factors' values, not from their own coefficients,
-        # which cancel where |D(jw)| is small. The limit d comes last, so a
-        # value at a finite frequency wins a tie.
-        n_e, n_o, d_e, d_o, a_x, b_x = (_polyval(p, xs) for p in (ne, no, de, do, a, b))
-        values = np.append((n_e * a_x + n_o * b_x) / (d_e * a_x + d_o * b_x), sys.d)
+        rows = _with_derivatives((ne, no, de, do, a, b))
+        values, slopes = _re_h_and_slope(rows, xs)
+        polished = xs - slopes / _polyval(_derivative(g), xs)
+        polished = polished[(polished >= 0.0) & (polished < np.inf)]
+        # The limit d comes last, so a value at a finite frequency wins a
+        # tie, and a polished point wins only with a smaller value.
+        xs = np.concatenate((xs, polished))
+        values = np.concatenate((values, _re_h_and_slope(rows, polished)[0], [sys.d]))
     i = int(np.nanargmin(values))
     if i == xs.size:
         return IfpIndex(nu=sys.d)

@@ -203,7 +203,9 @@ class TrajectoryRecord:
     """Sampled trajectories: outputs, reconstructed inputs and noise per node.
 
     Columns follow ``node_ids``. Entries are NaN while a node is not yet
-    part of the active graph. ``active_graph[s]`` indexes ``graphs``.
+    part of the active graph. The topology phases are the scenario's
+    (``Scenario.phases`` and ``phase_start_steps``); the record does not
+    repeat them.
     """
 
     node_ids: tuple[int, ...]
@@ -211,8 +213,6 @@ class TrajectoryRecord:
     outputs: np.ndarray
     inputs: np.ndarray
     noise: np.ndarray
-    active_graph: np.ndarray
-    graphs: tuple[Graph, ...] = ()
 
     def __post_init__(self):
         m = len(self.times)
@@ -221,13 +221,16 @@ class TrajectoryRecord:
             arr = getattr(self, name)
             if arr.shape != (m, n):
                 raise ValueError(f"{name} must have shape ({m}, {n}), got {arr.shape}")
-        for arr in (self.times, self.outputs, self.inputs, self.noise, self.active_graph):
+        for arr in (self.times, self.outputs, self.inputs, self.noise):
             arr.flags.writeable = False
+        # a repeated id keeps its first column
+        columns = {node: k for k, node in reversed(tuple(enumerate(self.node_ids)))}
+        object.__setattr__(self, "_columns", columns)
 
     def column(self, node: int) -> int:
         try:
-            return self.node_ids.index(node)
-        except ValueError:
+            return self._columns[node]
+        except KeyError:
             raise ValueError(f"node {node} not recorded") from None
 
 
@@ -343,11 +346,11 @@ def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
 
 
 class _PhaseContext:
-    """Step operators and coupling groups for one topology phase.
+    """Step operators and coupling groups for one topology phase, step ``dt``.
 
     ``rk4`` is the collapsed step of the module docstring. Its operators
-    H, L_2..L_4 and [P | Q] are built for a step size on first use, each
-    evaluated by ``_operator``. ``deriv`` is the stage-wise
+    H, L_2..L_4 and [P | Q] are built at construction, each evaluated by
+    ``_operator``. ``deriv`` is the stage-wise
     derivative ``S [x; phi(G x + dw)]`` with COO operators; S is built on
     first use, since only the divergence replay and the tests call it.
     Edges are held grouped by coupling kind, one slice per kind, so their
@@ -355,7 +358,8 @@ class _PhaseContext:
     """
 
     def __init__(self, graph: Graph, systems: Mapping[int, LtiSystem],
-                 couplings: Mapping[tuple[int, int], SectorCoupling]):
+                 couplings: Mapping[tuple[int, int], SectorCoupling], dt: float):
+        self.dt = dt
         self.node_ids = graph.node_ids
         self.systems = [systems[i] for i in self.node_ids]
         self.slices: dict[int, slice] = {}
@@ -411,7 +415,7 @@ class _PhaseContext:
         g_op.add(self._end_edge[:, None], self._first[self._end_node][:, None] + states,
                  self._end_sign[:, None] * self._c[self._sys[self._end_node]])
         self._G = g_op.coo()
-        self._dt = None
+        self._build_step()
 
     @functools.cached_property
     def _S(self) -> tuple:
@@ -424,8 +428,8 @@ class _PhaseContext:
                  -self._end_sign[:, None] * self._b[self._sys[self._end_node]])
         return s_op.coo()
 
-    def _build_step(self, h: float) -> None:
-        """The collapsed RK4 step of size ``h``, scattered from ``_node_steps``.
+    def _build_step(self) -> None:
+        """The collapsed RK4 step of size ``dt``, scattered from ``_node_steps``.
 
         Stage s's coupling arguments are ``v_s = (H x)_s + dw + L_s [f_1;
         ...; f_{s-1}]`` and the step ends at ``x+ = [P | Q] [x; f_1; ...;
@@ -437,7 +441,7 @@ class _PhaseContext:
         product.
         """
         n_states, p = self.n_states, self.p
-        y, x_next = _node_steps(self._a, self._b, self._c, self._orders, h)
+        y, x_next = _node_steps(self._a, self._b, self._c, self._orders, self.dt)
         m = self._a.shape[-1]
         states, stages = np.arange(m), np.arange(4)
         first = self._first[:, None, None]
@@ -461,7 +465,6 @@ class _PhaseContext:
             reads.add(edge, earlier * n + node, sign * y[end_sys, s, m:m + s])
             l_ops.append(_operator(reads, node_inputs))
 
-        self._dt = h
         self._H = _operator(h_op)
         self._L = l_ops
         self._PQ = _operator(pq_op)
@@ -495,10 +498,8 @@ class _PhaseContext:
         z = np.concatenate((x, self.phi(self.edge_inputs(x, dw))))
         return _matvec(self._S, z)
 
-    def rk4(self, x: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+    def rk4(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """One RK4 step: five operator products and one ``phi`` per stage."""
-        if dt != self._dt:
-            self._build_step(dt)
         z, f, p = self._z, self._f, self.p
         z[:self.n_states] = x
         v = self._H(x).reshape(4, p)
@@ -508,8 +509,9 @@ class _PhaseContext:
             z[f[s]] = self.phi(v[s] + self._L[s - 1](z[f[0].start:f[s].start]))
         return self._PQ(z)
 
-    def rk4_by_stages(self, x: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+    def rk4_by_stages(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """The RK4 recurrence that ``rk4`` collapses, one ``deriv`` per stage."""
+        dt = self.dt
         k1 = self.deriv(x, dw)
         k2 = self.deriv(x + 0.5 * dt * k1, dw)
         k3 = self.deriv(x + 0.5 * dt * k2, dw)
@@ -519,8 +521,7 @@ class _PhaseContext:
     def first_nonfinite_node(self, x: np.ndarray) -> int:
         return next(node for node, sl in self.slices.items() if not np.all(np.isfinite(x[sl])))
 
-    def advance(self, x: np.ndarray, dw: np.ndarray, dt: float,
-                time: float, step_no: int) -> np.ndarray:
+    def advance(self, x: np.ndarray, dw: np.ndarray, time: float, step_no: int) -> np.ndarray:
         """``rk4`` from the finite state ``x``, checked; the step ends at ``time``.
 
         When the new state's squared norm is not finite (a non-finite entry,
@@ -530,10 +531,10 @@ class _PhaseContext:
         overflows, and a dense product spreads one non-finite entry to every
         row.
         """
-        x_next = self.rk4(x, dw, dt)
+        x_next = self.rk4(x, dw)
         if x_next @ x_next < math.inf:
             return x_next
-        x_next = self.rk4_by_stages(x, dw, dt)
+        x_next = self.rk4_by_stages(x, dw)
         if not np.all(np.isfinite(x_next)):
             raise SimulationDiverged(time, self.first_nonfinite_node(x_next), step_no)
         return x_next
@@ -583,7 +584,7 @@ def step(
     over the phase machinery; ``run`` builds the context once per phase
     instead.
     """
-    ctx = _PhaseContext(graph, systems, couplings)
+    ctx = _PhaseContext(graph, systems, couplings, dt)
     x = np.zeros(ctx.n_states)
     for node, sys in zip(ctx.node_ids, ctx.systems):
         arr = np.asarray(state[node], dtype=float)
@@ -592,7 +593,7 @@ def step(
         x[ctx.slices[node]] = arr
     w = np.array([float(w_sample.get(node, 0.0)) for node in ctx.node_ids])
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = ctx.advance(x, ctx.edge_noise(w), dt, t0 + dt, round(t0 / dt) + 1)
+        x_next = ctx.advance(x, ctx.edge_noise(w), t0 + dt, round(t0 / dt) + 1)
     y = ctx.outputs(x_next)
     next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
     return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
@@ -621,16 +622,14 @@ def run(scenario: Scenario) -> TrajectoryRecord:
     y_rec = np.full((n_samples, len(all_ids)), np.nan)
     u_rec = np.full((n_samples, len(all_ids)), np.nan)
     w_rec = noise[np.minimum(np.arange(n_samples) * stride, total_steps - 1)]
-    active = np.zeros(n_samples, dtype=int)
 
     starts = scenario.phase_start_steps()
     bounds = starts[1:] + [total_steps]
-    phases = scenario.phases
 
     x = None
     prev_ctx: _PhaseContext | None = None
-    for phase_idx, graph in enumerate(phases):
-        ctx = _PhaseContext(graph, scenario.systems, scenario.couplings)
+    for phase_idx, graph in enumerate(scenario.phases):
+        ctx = _PhaseContext(graph, scenario.systems, scenario.couplings, dt)
         x_new = ctx.initial_state(scenario.initial_outputs, scenario.initial_states)
         if prev_ctx is not None:
             for node, sl in prev_ctx.slices.items():
@@ -645,8 +644,7 @@ def run(scenario: Scenario) -> TrajectoryRecord:
                     s = step_i // stride
                     y_rec[s, cols] = ctx.outputs(x)
                     u_rec[s, cols] = ctx.inputs(x, dw)
-                    active[s] = phase_idx
-                x = ctx.advance(x, dw, dt, (step_i + 1) * dt, step_i + 1)
+                x = ctx.advance(x, dw, (step_i + 1) * dt, step_i + 1)
         prev_ctx = ctx
 
     if total_steps % stride == 0:
@@ -655,14 +653,6 @@ def run(scenario: Scenario) -> TrajectoryRecord:
         s = total_steps // stride
         y_rec[s, cols] = ctx.outputs(x)
         u_rec[s, cols] = ctx.inputs(x, ctx.edge_noise(noise[total_steps - 1, cols]))
-        active[s] = len(phases) - 1
 
-    return TrajectoryRecord(
-        node_ids=all_ids,
-        times=times,
-        outputs=y_rec,
-        inputs=u_rec,
-        noise=w_rec,
-        active_graph=active,
-        graphs=phases,
-    )
+    return TrajectoryRecord(node_ids=all_ids, times=times, outputs=y_rec, inputs=u_rec,
+                            noise=w_rec)

@@ -26,6 +26,13 @@ def fig2_scenario(boundary, noise_scale=0.0):
     }
 
 
+def first_plugged_sample(scenario):
+    """Index of the first sample of the second topology phase, from the
+    scenario's own step counts: the first multiple of the sample stride at
+    or after the plug step."""
+    return -(-scenario.phase_start_steps()[1] // scenario.solver.sample_stride)
+
+
 def late_node_scenario():
     """The bundled example cut to g1; node 8 (node 5's dynamics) joins at t = 2."""
     from plugnet.scenario import paper_example

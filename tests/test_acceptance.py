@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fig2_scenario
+from helpers import fig2_scenario, first_plugged_sample
 
 from plugnet.certificates import (
     CertificateProblem,
@@ -137,7 +137,8 @@ def test_criterion_4_simulation_oracle_and_order():
 def test_criterion_5_qualitative_example_reproduction():
     t0 = time.perf_counter()
     doc = parse_scenario_dict(paper_example())
-    traj = run(doc.build_scenario())
+    scenario = doc.build_scenario()
+    traj = run(scenario)
 
     g1, g2 = doc.graphs["g1"], doc.graphs["g2"]
     full = doc.final_graph()
@@ -146,7 +147,7 @@ def test_criterion_5_qualitative_example_reproduction():
     df = disagreement(traj, full)
 
     i14 = int(np.argmin(np.abs(traj.times - 14.0)))
-    i_plug = int(np.argmax(traj.active_graph > 0))  # first composed-phase sample
+    i_plug = first_plugged_sample(scenario)
     ratio_g1 = d1[i14] / d1[0]
     ratio_g2 = d2[i14] / d2[0]
     ratio_full = df[-1] / df[i_plug]

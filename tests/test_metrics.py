@@ -3,12 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from plugnet.errors import PlugnetError
 from plugnet.graph import Graph, incidence
 from plugnet.metrics import (
     analytic_gain_bound,
     disagreement,
     estimate_io_gain,
     fit_gain_offset,
+    record_span,
     truncated_norm,
 )
 from plugnet.sim import TrajectoryRecord
@@ -24,7 +26,6 @@ def _record(times, outputs, noise=None, ids=(1, 2)):
         outputs=outputs,
         inputs=np.zeros_like(outputs),
         noise=np.asarray(noise, dtype=float),
-        active_graph=np.zeros(len(times), dtype=int),
     )
 
 
@@ -207,6 +208,17 @@ def test_estimate_scaling_moves_offset_not_gain():
     scaled = estimate_io_gain(_record(t, c * outputs, noise=c * noise), g)
     assert scaled.rho_hat == pytest.approx(base.rho_hat)
     assert scaled.sigma_hat == pytest.approx(c * base.sigma_hat)
+
+
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.0], [2.0, 1.0]],
+                         ids=["one_sample", "zero_span", "backwards"])
+def test_estimate_requires_two_samples_spanning_a_positive_time(times):
+    traj = _record(times, np.ones((len(times), 2)))
+    with pytest.raises(PlugnetError, match="at least two samples spanning a positive time"):
+        record_span(traj)
+    with pytest.raises(PlugnetError, match="at least two samples spanning a positive time"):
+        estimate_io_gain(traj, Graph([1, 2], [(1, 2)]), horizons=np.array([0.5, 1.0]))
+    assert record_span(_record([0.0, 0.5], np.ones((2, 2)))) == 0.5
 
 
 def test_estimate_requires_two_horizons():

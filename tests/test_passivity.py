@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plugnet.errors import EstimatorError, PlugnetError, RealizationError
 from plugnet.passivity import (
@@ -426,8 +426,16 @@ def _check_against_the_grid(sys, idx):
         assert float(_re_h(sys, idx.omega)) == pytest.approx(idx.nu, abs=1e-11 * scale)
 
 
+# Two resonances at 1 rad/s, as in "double_resonance" below: the root of
+# E'F - EF' solved from the coefficients misses the minimiser by about 1e-8,
+# and without the Newton polish nu came out too high by 2.2e-9 and 1.6e-9.
+_LIGHT_DOUBLE_RESONANCE = (1.0, 0.0434375, 2.00046875, 0.0434375, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_stable_systems())
+@example(realize([1.0, -1.5, 1.0, -1.5, 1.0], _LIGHT_DOUBLE_RESONANCE))
+@example(realize([-1.0, 1.0, -1.0, 1.0], _LIGHT_DOUBLE_RESONANCE))
 def test_closed_form_index_is_the_infimum_of_a_dense_sweep(sys):
     try:
         idx = estimate_ifp_index(sys)
@@ -531,11 +539,24 @@ def _ref_estimate_ifp_index(sys):
     e = np.polyadd(np.polymul(ne, a), np.polymul(no, b))
     f = np.polyadd(np.polymul(de, a), np.polymul(do, b))
     g = np.polysub(np.polymul(np.polyder(e), f), np.polymul(e, np.polyder(f)))
+
+    def re_h_and_slope(x):
+        factors = (ne, no, de, do, a, b)
+        n_e, n_o, d_e, d_o, a_x, b_x = (np.polyval(p, x) for p in factors)
+        dn_e, dn_o, dd_e, dd_o, da_x, db_x = (np.polyval(np.polyder(p), x) for p in factors)
+        e, f = n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x
+        de_x = (dn_e * a_x + n_e * da_x) + (dn_o * b_x + n_o * db_x)
+        df_x = (dd_e * a_x + d_e * da_x) + (dd_o * b_x + d_o * db_x)
+        return e / f, de_x * f - e * df_x
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
-        n_e, n_o, d_e, d_o, a_x, b_x = (np.polyval(p, xs) for p in (ne, no, de, do, a, b))
-        values = np.append((n_e * a_x + n_o * b_x) / (d_e * a_x + d_o * b_x), sys.d)
+        values, slopes = re_h_and_slope(xs)  # one Newton step from every candidate
+        polished = xs - slopes / np.polyval(np.polyder(g), xs)
+        polished = polished[(polished >= 0.0) & (polished < np.inf)]
+        xs = np.concatenate((xs, polished))
+        values = np.concatenate((values, re_h_and_slope(polished)[0], [sys.d]))
     i = int(np.nanargmin(values))
     if i == xs.size:
         return IfpIndex(nu=sys.d)

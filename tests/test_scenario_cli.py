@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import fig2_scenario as _fig2_scenario
-from helpers import late_node_scenario
+from helpers import first_plugged_sample, late_node_scenario
 
 import plugnet.scenario
 from plugnet.cli import main, read_trajectory_csv, write_trajectory_csv
@@ -16,7 +16,7 @@ from plugnet.graph import Graph, PlugPlan
 from plugnet.metrics import estimate_io_gain
 from plugnet.passivity import estimate_ifp_index
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
-from plugnet.sim import PlugEvent, TrajectoryRecord
+from plugnet.sim import PlugEvent, TrajectoryRecord, run
 
 
 # --- parsing -----------------------------------------------------------------
@@ -179,15 +179,31 @@ def test_shared_improper_transfer_function_names_first_occurrence():
 # --- trajectory CSV round trip -------------------------------------------------
 
 
-def test_trajectory_csv_round_trip(tmp_path, golden_traj):
+def _assert_csv_gives_back(tmp_path, traj):
+    """Every field of the record read back, bit for bit: nothing the CSV
+    cannot hold is faked on the way back."""
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(golden_traj, path)
+    write_trajectory_csv(traj, path)
     back = read_trajectory_csv(path)
-    assert back.node_ids == golden_traj.node_ids
-    assert np.array_equal(back.times, golden_traj.times)
-    assert np.array_equal(back.outputs, golden_traj.outputs)
-    assert np.array_equal(back.inputs, golden_traj.inputs)
-    assert np.array_equal(back.noise, golden_traj.noise)
+    for field in dataclasses.fields(TrajectoryRecord):
+        got, want = getattr(back, field.name), getattr(traj, field.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            assert np.array_equal(np.isnan(got), np.isnan(want)), field.name
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
+def test_trajectory_csv_round_trip(tmp_path, golden_traj):
+    _assert_csv_gives_back(tmp_path, golden_traj)
+
+
+def test_trajectory_csv_round_trip_with_a_late_node(tmp_path):
+    # the late node's outputs and inputs are NaN before it joins
+    traj = run(parse_scenario_dict(late_node_scenario()).build_scenario())
+    assert np.isnan(traj.outputs[0, traj.column(8)])
+    _assert_csv_gives_back(tmp_path, traj)
 
 
 def test_trajectory_csv_rows_match_per_value_repr(tmp_path):
@@ -195,8 +211,7 @@ def test_trajectory_csv_rows_match_per_value_repr(tmp_path):
     # per float, NaN, signed zero, infinities and extreme magnitudes included
     values = np.array([[0.0, -0.0, np.nan, 1e-300], [np.inf, -np.inf, 1 / 3, -2.5e17]])
     traj = TrajectoryRecord(node_ids=(1,), times=np.array([0.0, 0.1]), outputs=values[:, :1],
-                            inputs=values[:, 1:2], noise=values[:, 2:3],
-                            active_graph=np.zeros(2, dtype=int))
+                            inputs=values[:, 1:2], noise=values[:, 2:3])
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     rows = [",".join(repr(float(v)) for v in (t, *y, *u, *w))
@@ -305,6 +320,34 @@ def test_cli_certify_writes_null_when_the_infimum_is_the_limit(tmp_path, capsys)
     out = capsys.readouterr().out
     assert "0.0000          inf" in out
     assert "certificates use the declared nu where one is given" in out
+
+
+def test_cli_writes_no_json_that_holds_a_non_finite_value(tmp_path, capsys):
+    # an infinite tolerance is accepted, but JSON has no infinity
+    path = tmp_path / "example.json"
+    write_scenario(paper_example(), path)
+    json_path = tmp_path / "certify.json"
+    assert main(["certify", str(path), "--tol", "inf", "--json", str(json_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {json_path}: ") and "Traceback" not in err
+    assert not json_path.exists()
+
+
+def test_cli_report_writes_no_json_from_an_infinite_sample(tmp_path, capsys, golden_traj):
+    scenario_path = tmp_path / "paper_example.json"
+    write_scenario(paper_example(), scenario_path)
+    csv_path = tmp_path / "traj.csv"
+    write_trajectory_csv(golden_traj, csv_path)
+    lines = csv_path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[2] = "inf"
+    csv_path.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]) + "\n")
+    code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'traj_report.json'}: ")
+    assert not (tmp_path / "traj_report.json").exists()
+    assert not (tmp_path / "traj_disagreement.csv").exists()
 
 
 @pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan"])
@@ -638,6 +681,10 @@ def _header_only(lines):
     return lines[:1]
 
 
+def _first_sample_only(lines):
+    return lines[:2]
+
+
 def _node_7_renamed_9(lines):
     header = lines[0].replace("y7", "y9").replace("u7", "u9").replace("w7", "w9")
     return [header] + lines[1:]
@@ -659,6 +706,9 @@ def _rows_shorter_than_the_header(lines):
 
 @pytest.mark.parametrize("mutate, message", [
     (_header_only, "no samples"),
+    # one sample at t = 0 has no horizon to measure: the report used to
+    # write 49 horizons with "T": NaN and exit 0
+    (_first_sample_only, "a trajectory needs at least two samples spanning a positive time"),
     (_node_7_renamed_9, "final-graph node(s) [7] not recorded"),
     (_letter_in_a_cell, "could not convert string 'a'"),
     (_groups_name_different_ids, "header is not t, y<id>..., u<id>..., w<id>..."),
@@ -693,7 +743,7 @@ def test_golden_post_consensus_disagreement(golden_doc, golden_traj):
     from plugnet.metrics import disagreement
 
     df = disagreement(golden_traj, golden_doc.final_graph())
-    i_plug = int(np.argmax(golden_traj.active_graph > 0))
+    i_plug = first_plugged_sample(golden_doc.build_scenario())
     ratio = df[-1] / df[i_plug]
     assert ratio < 0.05
     assert ratio == pytest.approx(0.01496686658893887, rel=1e-6)
@@ -861,6 +911,21 @@ def test_cli_rejects_empty_coefficient_lists(tmp_path, capsys, num, den, message
     assert main(["certify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: nodes[0].dynamics:") and message in err
+
+
+def test_cli_report_needs_two_samples_from_a_stride_beyond_the_run(tmp_path, capsys):
+    raw = paper_example()
+    raw["solver"]["sample_stride"] = 30001  # the run has 30000 steps: one sample
+    scenario_path = tmp_path / "paper_example.json"
+    write_scenario(raw, scenario_path)
+    assert main(["simulate", str(scenario_path), "--out-dir", str(tmp_path)]) == 0
+    csv_path = tmp_path / "paper_example_traj.csv"
+    code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: a trajectory needs at least two samples")
+    assert not (tmp_path / "paper_example_traj_report.json").exists()
 
 
 def _reject_constant(name):

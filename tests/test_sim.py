@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import first_plugged_sample
+
 from plugnet.errors import SimulationDiverged
 from plugnet.graph import Graph, PlugPlan
 from plugnet.metrics import disagreement
@@ -14,6 +16,7 @@ from plugnet.sim import (
     PlugEvent,
     Scenario,
     SolverConfig,
+    TrajectoryRecord,
     noise_stream,
     run,
     step,
@@ -146,18 +149,25 @@ def test_plug_event_adds_node_and_carries_states():
     )
     traj = run(scenario)
     col3 = traj.column(3)
-    before = traj.times < 1.0
-    assert np.all(np.isnan(traj.outputs[before, col3]))
-    first_active = int(np.argmax(~before))
+    first_active = first_plugged_sample(scenario)
+    assert first_active == 100
+    assert np.all(np.isnan(traj.outputs[:first_active, col3]))
     assert traj.outputs[first_active, col3] == pytest.approx(2.0)
-    assert traj.active_graph[first_active] == 1
-    assert traj.active_graph[0] == 0
     # existing nodes keep their states across the boundary: no jump larger
     # than one step's worth of motion
     col1 = traj.column(1)
     jump = abs(traj.outputs[first_active, col1] - traj.outputs[first_active - 1, col1])
     assert jump < 0.05
-    assert len(traj.graphs) == 2 and traj.graphs[1].p == 2
+    assert len(scenario.phases) == 2 and scenario.phases[1].p == 2
+
+
+def test_column_is_each_node_position():
+    zeros = np.zeros((1, 4))
+    traj = TrajectoryRecord(node_ids=(30, 1, 7, 1), times=np.zeros(1), outputs=zeros,
+                            inputs=zeros, noise=zeros)
+    assert [traj.column(node) for node in (30, 1, 7)] == [0, 1, 2]  # a repeated id: its first
+    with pytest.raises(ValueError, match=r"^node 5 not recorded$"):
+        traj.column(5)
 
 
 def test_divergence_raises_with_time():

@@ -42,7 +42,8 @@ SYSTEMS = tuple(realize(num, den) for num, den in (
 TABLES = ([(0.8, 0.5)], [(0.5, 0.2), (2.0, 0.9), (4.0, 1.6)])
 
 
-def _stagewise_rk4(ctx, x, dw, dt):
+def _stagewise_rk4(ctx, x, dw):
+    dt = ctx.dt
     k1 = ctx.deriv(x, dw)
     k2 = ctx.deriv(x + 0.5 * dt * k1, dw)
     k3 = ctx.deriv(x + 0.5 * dt * k2, dw)
@@ -106,7 +107,6 @@ def test_collapsed_step_matches_stagewise_recurrence(dense_max_entries, scenario
 
 
 def _operators(ctx):
-    ctx.rk4(np.zeros(ctx.n_states), np.zeros(ctx.p), 1e-3)
     return [ctx._H, *ctx._L, ctx._PQ, ctx.outputs]
 
 
@@ -115,12 +115,12 @@ def test_small_phases_go_dense_and_large_ones_coo():
     doc = parse_scenario_dict(paper_example())
     scenario = doc.build_scenario()
     for graph in scenario.phases:
-        ctx = sim._PhaseContext(graph, scenario.systems, scenario.couplings)
+        ctx = sim._PhaseContext(graph, scenario.systems, scenario.couplings, scenario.solver.dt)
         assert not any(isinstance(op, functools.partial) for op in _operators(ctx))
     ids = list(range(200))
     ring = Graph.from_pairs(ids, [(i, (i + 1) % 200) for i in ids])
     ctx = sim._PhaseContext(ring, dict.fromkeys(ids, SYSTEMS[3]),
-                            dict.fromkeys(ring.edges, linear_gain(0.5)))
+                            dict.fromkeys(ring.edges, linear_gain(0.5)), 1e-3)
     assert all(isinstance(op, functools.partial) for op in _operators(ctx))
 
 
@@ -130,9 +130,9 @@ def test_a_hub_keeps_the_maps_linear_in_states_and_edges():
     leaves = range(1, 501)
     star = Graph.from_pairs([0, *leaves], [(0, i) for i in leaves])
     systems = {i: SYSTEMS[i % len(SYSTEMS)] for i in star.node_ids}
-    ctx = sim._PhaseContext(star, systems, dict.fromkeys(star.edges, saturated_sine(0.5)))
+    ctx = sim._PhaseContext(star, systems, dict.fromkeys(star.edges, saturated_sine(0.5)), 1e-3)
     entries = sum(coo[2].size for op in _operators(ctx) for coo in op.args[0])
     assert entries <= 40 * (ctx.n_states + ctx.p)
     rng = np.random.default_rng(0)
     x, dw = rng.standard_normal(ctx.n_states), 0.1 * rng.standard_normal(ctx.p)
-    _assert_close(ctx.rk4(x, dw, 1e-3), _stagewise_rk4(ctx, x, dw, 1e-3))
+    _assert_close(ctx.rk4(x, dw), _stagewise_rk4(ctx, x, dw))
