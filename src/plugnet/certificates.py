@@ -514,10 +514,10 @@ def certify_fixed_network(
 
 
 def _plug_report(
-    plan: PlugPlan, added: Graph, nus: Mapping[int, float], alphas: Mapping, tol: float
+    plan: PlugPlan, nus: Mapping[int, float], alphas: Mapping, tol: float
 ) -> CertificateReport:
-    """``certify_network_plug``'s construction on ``plan.base`` and the ``added`` side."""
-    base = plan.base
+    """``certify_network_plug``'s construction on ``plan.base`` and ``plan.added_graph``."""
+    base, added = plan.base, plan.added_graph
     margins = {**intra_edge_margins(base, nus, alphas), **intra_edge_margins(added, nus, alphas)}
     boundary: list[BoundaryCheck] = []
     for i, j in plan.boundary:
@@ -553,7 +553,7 @@ def certify_single_node_plug(
 ) -> CertificateReport:
     """Certificate for one node joining a network through a single edge.
 
-    The network-plug construction with the added side ``Graph((new,))``:
+    The network-plug construction with the one-node ``plan.added_graph``:
     gamma comes from the attachment node c alone, and the boundary
     condition reads ``gamma (1/alpha + nu_new + nu_c) - r_c |nu_c|``.
     """
@@ -565,7 +565,7 @@ def certify_single_node_plug(
         )
     if not is_connected(plan.base):
         raise DegenerateInput("base network must be connected")
-    return _plug_report(plan, Graph((plan.added,)), nus, alphas, tol)
+    return _plug_report(plan, nus, alphas, tol)
 
 
 def certify_network_plug(
@@ -593,4 +593,4 @@ def certify_network_plug(
         )
     if not is_connected(plan.base) or not is_connected(plan.added):
         raise DegenerateInput("both subnetworks must be connected")
-    return _plug_report(plan, plan.added, nus, alphas, tol)
+    return _plug_report(plan, nus, alphas, tol)

@@ -223,14 +223,10 @@ def cmd_report(args) -> int:
 
     bound = None
     try:
-        nus, alphas = doc.certificate_inputs()
-        if doc.plug_entries:
-            report = _certify_plug(doc.plug_entries[-1].plan, nus, alphas)
-        else:
-            report = certify_fixed_network(graph, nus, alphas)
-        if report.oracle_min_eigenvalue > 0.0:
-            alpha_lower_min = min(c.alpha_lower for c in doc.couplings.values())
-            bound = analytic_gain_bound(report.oracle_min_eigenvalue, alpha_lower_min)
+        kappa = certify_fixed_network(graph, *doc.certificate_inputs()).oracle_min_eigenvalue
+        if kappa > 0.0:
+            bound = analytic_gain_bound(
+                kappa, min(doc.couplings[min(e), max(e)].alpha_lower for e in graph.edges))
     except PlugnetError:
         bound = None
 

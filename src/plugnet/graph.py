@@ -11,6 +11,7 @@ at construction, so every query on it is a lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
@@ -127,12 +128,11 @@ def is_connected(g: Graph) -> bool:
 class PlugPlan:
     """Description of a plug operation: a node or a whole graph joins ``base``.
 
-    Boundary pairs may be written in either order; they are normalized at
-    construction to the orientation the certificate constructions use:
-
-    * single added node: ``(added_node, base_node)`` -- the new node is the
-      positive end of the new edge;
-    * added graph: ``(base_node, added_node)`` -- the base side is positive.
+    A single node is a one-node added side, ``added_graph``, and every
+    boundary rule reads both kinds alike. Boundary pairs may be written in
+    either order; they are normalized to ``(base_node, added_node)``, except
+    that a single node joins through exactly one edge as its positive end,
+    ``(added_node, base_node)``, the orientation its certificate uses.
     """
 
     base: Graph
@@ -140,54 +140,39 @@ class PlugPlan:
     boundary: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        boundary = tuple((int(a), int(b)) for a, b in self.boundary)
-        if not boundary:
+        if not self.boundary:
             raise GraphError("plug plan needs at least one boundary edge")
-        base_nodes = set(self.base.node_ids)
-
-        if isinstance(self.added, Graph):
-            added_nodes = set(self.added.node_ids)
-            if base_nodes & added_nodes:
-                raise GraphError(
-                    f"node labels shared between parts: {sorted(base_nodes & added_nodes)}"
-                )
-            normalized = []
-            for a, b in boundary:
-                if a in base_nodes and b in added_nodes:
-                    normalized.append((a, b))
-                elif b in base_nodes and a in added_nodes:
-                    normalized.append((b, a))
-                else:
-                    raise GraphError(
-                        f"boundary edge ({a}, {b}) must join the base to the added graph"
-                    )
-            if len({frozenset(e) for e in normalized}) != len(normalized):
-                raise GraphError("duplicate boundary edge")
-            object.__setattr__(self, "boundary", tuple(normalized))
-        else:
-            new = int(self.added)
-            object.__setattr__(self, "added", new)
-            if new in base_nodes:
-                raise GraphError(f"added node {new} already present in base")
+        if self.is_single_node:
+            object.__setattr__(self, "added", int(self.added))
+        base, added = set(self.base.node_ids), set(self.added_graph.node_ids)
+        if base & added:
+            raise GraphError(f"node labels shared between parts: {sorted(base & added)}")
+        boundary = []
+        for a, b in self.boundary:
+            a, b = int(a), int(b)
+            if b in base and a in added:
+                a, b = b, a
+            elif not (a in base and b in added):
+                raise GraphError(f"boundary edge ({a}, {b}) must join the base to the added side")
+            boundary.append((a, b))
+        if len(set(boundary)) != len(boundary):  # pairs are base-first by now
+            raise GraphError("duplicate boundary edge")
+        if self.is_single_node:
             if len(boundary) != 1:
                 raise GraphError(
-                    "single-node plug connects through exactly one edge "
-                    f"(got {len(boundary)})"
+                    f"single-node plug connects through exactly one edge (got {len(boundary)})"
                 )
-            a, b = boundary[0]
-            if a == new and b in base_nodes:
-                pair = (new, b)
-            elif b == new and a in base_nodes:
-                pair = (new, a)
-            else:
-                raise GraphError(
-                    f"boundary edge ({a}, {b}) must join node {new} to the base"
-                )
-            object.__setattr__(self, "boundary", (pair,))
+            boundary = [boundary[0][::-1]]
+        object.__setattr__(self, "boundary", tuple(boundary))
 
     @property
     def is_single_node(self) -> bool:
         return not isinstance(self.added, Graph)
+
+    @cached_property
+    def added_graph(self) -> Graph:
+        """The added side: ``added``, or the one-node graph of a single node."""
+        return Graph((self.added,)) if self.is_single_node else self.added
 
 
 def assumption_1_violation(plan: PlugPlan) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -222,12 +207,8 @@ def compose(plan: PlugPlan) -> Graph:
     """Augmented graph: base edges first, added edges next, boundary edges last.
 
     Node labels are preserved and the base's edge orientation and column
-    order survive as the leading block of the incidence matrix.
+    order survive as the leading block of the incidence matrix. A single
+    node is its plan's one-node ``added_graph``.
     """
-    if isinstance(plan.added, Graph):
-        nodes = plan.base.node_ids + plan.added.node_ids
-        edges = plan.base.edges + plan.added.edges + plan.boundary
-    else:
-        nodes = plan.base.node_ids + (plan.added,)
-        edges = plan.base.edges + plan.boundary
-    return Graph(nodes, edges)
+    return Graph(plan.base.node_ids + plan.added_graph.node_ids,
+                 plan.base.edges + plan.added_graph.edges + plan.boundary)
