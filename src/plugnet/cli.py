@@ -79,7 +79,9 @@ def read_trajectory_csv(path: Path) -> TrajectoryRecord:
     The topology phases are not in the file; they are the scenario's.
     A header other than ``t, y<id>..., u<id>..., w<id>...`` with the same
     ids in each group, a cell that is not a number, a row whose length
-    differs from the header's, or no samples at all raise PlugnetError.
+    differs from the header's, no samples at all, a ``t`` or ``w`` cell that
+    is not finite, or an infinite ``y`` or ``u`` cell raise PlugnetError;
+    ``nan`` in ``y`` and ``u`` marks a node that has not joined yet.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -99,6 +101,10 @@ def read_trajectory_csv(path: Path) -> TrajectoryRecord:
     if data.shape[1] != len(header):
         raise PlugnetError(f"{path}: rows have {data.shape[1]} cells, the header {len(header)}")
     outputs, inputs, noise = np.split(data[:, 1:], 3, axis=1)
+    if not (np.isfinite(data[:, 0]).all() and np.isfinite(noise).all()):
+        raise PlugnetError(f"{path}: a t or w cell is not finite")
+    if np.isinf(data[:, 1 : 1 + 2 * n]).any():
+        raise PlugnetError(f"{path}: a y or u cell is infinite")
     return TrajectoryRecord(tuple(map(int, ids)), data[:, 0], outputs, inputs, noise)
 
 
@@ -137,8 +143,8 @@ def _certify_plug(plan: PlugPlan, nus, alphas, **options) -> CertificateReport:
 
 
 def cmd_certify(args) -> int:
-    if not args.tol >= 0.0:
-        raise PlugnetError(f"--tol must be nonnegative (got {args.tol})")
+    if not 0.0 <= args.tol < np.inf:
+        raise PlugnetError(f"--tol must be nonnegative and finite (got {args.tol})")
     doc = parse_scenario(args.scenario)
     nus, alphas = doc.certificate_inputs()
     reports = []
@@ -217,11 +223,11 @@ def cmd_report(args) -> int:
         raise PlugnetError(f"{args.traj}: final-graph node(s) {unrecorded} not recorded")
     try:
         horizons = default_horizons(record_span(traj), args.horizons)
+        estimate = estimate_io_gain(traj, graph, horizons)
     except PlugnetError as exc:
         raise PlugnetError(f"{args.traj}: {exc}") from None
-    estimate = estimate_io_gain(traj, graph, horizons)
 
-    bound = None
+    bound = None  # kappa and the lower sector bound are the final network's
     try:
         kappa = certify_fixed_network(graph, *doc.certificate_inputs()).oracle_min_eigenvalue
         if kappa > 0.0:

@@ -101,11 +101,14 @@ class ConsensusEstimate:
 
 def record_span(traj: TrajectoryRecord) -> float:
     """The last sample time of a record with at least two samples spanning a
-    positive time; a record without them raises PlugnetError."""
+    positive time, at strictly increasing times; any other record raises
+    PlugnetError."""
     times = traj.times
     if not (len(times) >= 2 and times[-1] > times[0]):
         raise PlugnetError(f"a trajectory needs at least two samples spanning a positive "
                            f"time, got {len(times)} sample(s)")
+    if not np.all(np.diff(times) > 0.0):
+        raise PlugnetError("sample times must increase strictly")
     return float(times[-1])
 
 
@@ -144,7 +147,8 @@ def estimate_io_gain(
     Norms come from the trapezoid rule on the recorded sampling grid; the
     fit is ``fit_gain_offset`` on the per-horizon norm pairs. An edge adds
     nothing at a sample where one of its ends is not recorded yet. The
-    record must pass ``record_span``.
+    record must pass ``record_span``, and an edge norm that overflows the
+    float range raises PlugnetError.
     """
     t_end = record_span(traj)
     if horizons is None:
@@ -154,10 +158,13 @@ def estimate_io_gain(
         raise ValueError("need at least two horizons")
 
     dy, dw = _edge_differences(traj, graph, (traj.outputs, traj.noise))
-    y_cum = _squared_cumulative(traj.times, dy)
-    w_cum = _squared_cumulative(traj.times, dw)
-    y_t = np.sqrt(np.interp(horizons, traj.times, y_cum))
-    w_t = np.sqrt(np.interp(horizons, traj.times, w_cum))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        y_cum = _squared_cumulative(traj.times, dy)
+        w_cum = _squared_cumulative(traj.times, dw)
+        y_t = np.sqrt(np.interp(horizons, traj.times, y_cum))
+        w_t = np.sqrt(np.interp(horizons, traj.times, w_cum))
+    if not (np.isfinite(y_t).all() and np.isfinite(w_t).all()):
+        raise PlugnetError("an edge norm overflows the float range")
 
     rho, sigma = fit_gain_offset(w_t, y_t)
     satisfied = bool(np.isfinite(rho) and np.isfinite(sigma))

@@ -341,9 +341,9 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
 
     Near a resonance F's coefficients cancel, so a root solved from them
     can miss the minimiser by 1e-8, which a sharp minimum turns into an
-    overestimate of the index. So every candidate also takes one Newton
-    step on E'F - EF' evaluated from the factors' values, and the polished
-    point is tried as well.
+    overestimate of the index. So every candidate also takes two Newton
+    steps on E'F - EF' evaluated from the factors' values, and the point
+    after each step is tried as well.
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -372,13 +372,19 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
         roots = np.concatenate([_roots(g), 1.0 / _roots(g[::-1])]).real
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
         rows = _with_derivatives((ne, no, de, do, a, b))
+        dg = _derivative(g)
         values, slopes = _re_h_and_slope(rows, xs)
-        polished = xs - slopes / _polyval(_derivative(g), xs)
-        polished = polished[(polished >= 0.0) & (polished < np.inf)]
+        points, minima = [xs], [values]
+        for _ in range(2):  # each step starts from the points the last one reached
+            xs = xs - slopes / _polyval(dg, xs)
+            xs = xs[(xs >= 0.0) & (xs < np.inf)]
+            values, slopes = _re_h_and_slope(rows, xs)
+            points.append(xs)
+            minima.append(values)
         # The limit d comes last, so a value at a finite frequency wins a
         # tie, and a polished point wins only with a smaller value.
-        xs = np.concatenate((xs, polished))
-        values = np.concatenate((values, _re_h_and_slope(rows, polished)[0], [sys.d]))
+        xs = np.concatenate(points)
+        values = np.concatenate(minima + [[sys.d]])
     i = int(np.nanargmin(values))
     if i == xs.size:
         return IfpIndex(nu=sys.d)

@@ -197,6 +197,28 @@ def test_single_node_plan_requires_exactly_one_edge():
         PlugPlan(base=G1_FIG2, added=9, boundary=((9, 1), (9, 3)))
 
 
+@pytest.mark.parametrize("added, boundary, message", [
+    (Graph([3, 7], [(3, 7)]), ((1, 7),), r"node labels shared between parts: \[3\]"),
+    (3, ((3, 1),), r"node labels shared between parts: \[3\]"),
+    (G2_FIG2, ((1, 99),), r"boundary edge \(1, 99\) must join the base to the added side"),
+    (9, ((1, 2),), r"boundary edge \(1, 2\) must join the base to the added side"),
+    (G2_FIG2, ((1, 4), (4, 1)), "duplicate boundary edge"),
+    (9, ((9, 1), (3, 9)), r"single-node plug connects through exactly one edge \(got 2\)"),
+], ids=["shared_network", "shared_node", "not_joining_network", "not_joining_node",
+        "duplicate_network", "two_edges_node"])
+def test_invalid_plans_of_both_kinds_get_the_same_messages(added, boundary, message):
+    with pytest.raises(GraphError, match=message):
+        PlugPlan(base=G1_FIG2, added=added, boundary=boundary)
+
+
+def test_single_node_is_a_one_node_added_side():
+    single = PlugPlan(base=G1_FIG2, added=9, boundary=((1, 9),))
+    assert single.added_graph == Graph((9,))
+    assert compose(single) == Graph((1, 2, 3, 9), G1_FIG2.edges + ((9, 1),))
+    network = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((1, 4),))
+    assert network.added_graph is G2_FIG2
+
+
 def test_plan_normalizes_boundary_orientation():
     plan = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((4, 1), (3, 6)))
     assert plan.boundary == ((1, 4), (3, 6))  # base side positive

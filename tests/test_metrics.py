@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,26 @@ def test_estimate_requires_two_samples_spanning_a_positive_time(times):
     with pytest.raises(PlugnetError, match="at least two samples spanning a positive time"):
         estimate_io_gain(traj, Graph([1, 2], [(1, 2)]), horizons=np.array([0.5, 1.0]))
     assert record_span(_record([0.0, 0.5], np.ones((2, 2)))) == 0.5
+
+
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0]],
+                         ids=["swapped", "repeated"])
+def test_record_span_requires_strictly_increasing_times(times):
+    with pytest.raises(PlugnetError, match="sample times must increase strictly"):
+        record_span(_record(times, np.ones((len(times), 2))))
+
+
+@pytest.mark.parametrize("signal", ["outputs", "noise"])
+def test_estimate_rejects_an_edge_norm_that_overflows(signal):
+    # a finite 1e300 squares to inf: an error, not a fit over non-finite norms
+    t = np.linspace(0.0, 1.0, 11)
+    values = {"outputs": np.zeros((11, 2)), "noise": np.zeros((11, 2))}
+    values[signal][5, 0] = 1e300
+    traj = _record(t, values["outputs"], noise=values["noise"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        with pytest.raises(PlugnetError, match="an edge norm overflows the float range"):
+            estimate_io_gain(traj, Graph([1, 2], [(1, 2)]), horizons=np.array([0.5, 1.0]))
 
 
 def test_estimate_requires_two_horizons():

@@ -462,6 +462,25 @@ def test_closed_form_index_on_cases_that_need_its_guards(num, den):
     _check_against_the_grid(sys, estimate_ifp_index(sys))
 
 
+# A pole pair damped by 6e-8 at 0.162 rad/s, as _transfer_functions below
+# draws it: after one Newton step nu came out 398 (1.1e-6 relative) above
+# the refined minimum. Near so sharp a resonance the float64 value of Re H
+# at the minimiser errs by about 2e-11 relative (against 50-digit
+# arithmetic), beyond the dense-sweep check's 1e-11, so here nu is held to
+# the one-sided check: no overestimate.
+_NEAR_UNDAMPED = (
+    [0.0, 0.0, -20.042138664451084, -0.3692978744208424, -0.5275410493878782, -0.0],
+    [0.004806200161228792, 0.004805725256696151, 0.0001265069452858698,
+     0.00012649434964977105],
+)
+
+
+def test_index_of_a_near_undamped_resonance_is_no_overestimate():
+    sys = realize(*_NEAR_UNDAMPED)
+    idx = estimate_ifp_index(sys)
+    assert idx.nu <= _refined_minimum(sys, _re_h(sys, _GRID)) + 1e-12 * abs(idx.nu)
+
+
 # --- the lean polynomial arithmetic against numpy's polynomial functions ---------
 #
 # The reference below is realize/estimate_ifp_index as they were written with
@@ -552,11 +571,14 @@ def _ref_estimate_ifp_index(sys):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
-        values, slopes = re_h_and_slope(xs)  # one Newton step from every candidate
+        values, slopes = re_h_and_slope(xs)  # two Newton steps from every candidate
         polished = xs - slopes / np.polyval(np.polyder(g), xs)
         polished = polished[(polished >= 0.0) & (polished < np.inf)]
-        xs = np.concatenate((xs, polished))
-        values = np.concatenate((values, re_h_and_slope(polished)[0], [sys.d]))
+        polished_values, polished_slopes = re_h_and_slope(polished)
+        again = polished - polished_slopes / np.polyval(np.polyder(g), polished)
+        again = again[(again >= 0.0) & (again < np.inf)]
+        xs = np.concatenate((xs, polished, again))
+        values = np.concatenate((values, polished_values, re_h_and_slope(again)[0], [sys.d]))
     i = int(np.nanargmin(values))
     if i == xs.size:
         return IfpIndex(nu=sys.d)
@@ -621,6 +643,7 @@ def _transfer_functions(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_transfer_functions())
+@example(_NEAR_UNDAMPED)
 def test_realize_and_index_are_bit_identical_to_numpy_polynomials(tf):
     num, den = tf
     got, got_error = _outcome(realize, num, den)

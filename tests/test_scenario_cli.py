@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from helpers import fig2_scenario as _fig2_scenario
 from helpers import first_plugged_sample, late_node_scenario
 
 import plugnet.scenario
-from plugnet.cli import main, read_trajectory_csv, write_trajectory_csv
-from plugnet.errors import ScenarioError
-from plugnet.graph import Graph, PlugPlan
+from plugnet.cli import _write_json, main, read_trajectory_csv, write_trajectory_csv
+from plugnet.errors import PlugnetError, ScenarioError
+from plugnet.graph import Graph, PlugPlan, incidence
 from plugnet.metrics import estimate_io_gain
 from plugnet.passivity import estimate_ifp_index
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
@@ -322,15 +323,13 @@ def test_cli_certify_writes_null_when_the_infimum_is_the_limit(tmp_path, capsys)
     assert "certificates use the declared nu where one is given" in out
 
 
-def test_cli_writes_no_json_that_holds_a_non_finite_value(tmp_path, capsys):
-    # an infinite tolerance is accepted, but JSON has no infinity
-    path = tmp_path / "example.json"
-    write_scenario(paper_example(), path)
+def test_cli_writes_no_json_that_holds_a_non_finite_value(tmp_path):
+    # JSON has no infinity and no NaN: the writer names the file and writes nothing
     json_path = tmp_path / "certify.json"
-    assert main(["certify", str(path), "--tol", "inf", "--json", str(json_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {json_path}: ") and "Traceback" not in err
-    assert not json_path.exists()
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(PlugnetError, match=f"^{re.escape(str(json_path))}: "):
+            _write_json({"strictness_tol": value}, json_path)
+        assert not json_path.exists()
 
 
 def test_cli_report_writes_no_json_from_an_infinite_sample(tmp_path, capsys, golden_traj):
@@ -345,12 +344,12 @@ def test_cli_report_writes_no_json_from_an_infinite_sample(tmp_path, capsys, gol
     code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
                  "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'traj_report.json'}: ")
+    assert capsys.readouterr().err.startswith(f"error: {csv_path}: a y or u cell is infinite")
     assert not (tmp_path / "traj_report.json").exists()
     assert not (tmp_path / "traj_disagreement.csv").exists()
 
 
-@pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan", "inf"])
 def test_cli_certify_rejects_a_tolerance_below_zero(tmp_path, capsys, tol):
     path = tmp_path / "example.json"
     write_scenario(paper_example(), path)
@@ -664,6 +663,61 @@ def test_cli_report_on_golden_run(tmp_path, golden_doc, golden_traj):
     assert header == "t,disagreement"
 
 
+def _report_bound(tmp_path, raw, traj):
+    """``report``'s analytic bound for the scenario ``raw`` on the record ``traj``."""
+    scenario_path, csv_path = tmp_path / "scenario.json", tmp_path / "traj.csv"
+    write_scenario(raw, scenario_path)
+    write_trajectory_csv(traj, csv_path)
+    assert main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)]) == 0
+    return _strict_json(tmp_path / "traj_report.json")["analytic_rho_bound"]
+
+
+def test_cli_report_bounds_the_final_network_when_the_plug_has_no_gamma(
+        tmp_path, capsys, golden_traj):
+    # a zero index at attachment node 1 leaves the plug's gamma undefined, so
+    # certify exits 3; the bound is the final network's all the same
+    raw = paper_example()
+    assert raw["nodes"][0]["id"] == 1 and raw["plug_events"][0]["boundary"][0] == [1, 5]
+    raw["nodes"][0]["nu"] = 0.0
+    write_scenario(raw, tmp_path / "zero.json")
+    assert main(["certify", str(tmp_path / "zero.json")]) == 3
+    assert "gamma is undefined at node 1" in capsys.readouterr().err
+    doc = parse_scenario_dict(raw)
+    graph = doc.final_graph()
+    nus, _ = doc.certificate_inputs()
+    couplings = [doc.couplings[min(e), max(e)] for e in graph.edges]
+    d = incidence(graph)
+    theta = np.diag([nus[i] for i in graph.node_ids])
+    m = d.T @ theta @ d + np.diag([1.0 / c.alpha_upper for c in couplings])
+    kappa = np.linalg.eigvalsh(m)[0]
+    alpha_lower = min(c.alpha_lower for c in couplings)
+    assert _report_bound(tmp_path, raw, golden_traj) == pytest.approx(
+        1.0 / (kappa * alpha_lower) + 1.0, rel=1e-12)
+
+
+def test_cli_report_bound_ignores_couplings_of_a_graph_never_active(tmp_path, golden_traj):
+    raw = paper_example()
+    bound = _report_bound(tmp_path, raw, golden_traj)
+    # nodes 8 and 9 form a declared graph that no phase uses; its coupling's
+    # lower sector bound is the smallest in the file
+    raw["nodes"] += [dict(raw["nodes"][4], id=8), dict(raw["nodes"][4], id=9)]
+    raw["graphs"]["idle"] = {"nodes": [8, 9], "edges": [[8, 9]]}
+    raw["couplings"].append({"edge": [8, 9], "kind": "linear_gain", "a": 1e-3})
+    assert _report_bound(tmp_path, raw, golden_traj) == bound
+
+
+def test_cli_certify_json_only_prints_nothing_and_writes_the_same_json(tmp_path, capsys):
+    path = tmp_path / "example.json"
+    write_scenario(paper_example(), path)
+    plain, quiet = tmp_path / "plain.json", tmp_path / "quiet.json"
+    assert main(["certify", str(path), "--json", str(plain)]) == 0
+    assert "result: certified" in capsys.readouterr().out
+    assert main(["certify", str(path), "--json", str(quiet), "--json-only"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert quiet.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize("count", [1, 0, -3])
 def test_cli_report_rejects_fewer_than_two_horizons(tmp_path, capsys, golden_traj, count):
     scenario_path = tmp_path / "paper_example.json"
@@ -704,6 +758,20 @@ def _rows_shorter_than_the_header(lines):
     return [lines[0]] + [line.rsplit(",", 1)[0] for line in lines[1:]]
 
 
+def _cell(column, value):
+    """Row 5's cell in ``column`` set to ``value``."""
+    def mutate(lines):
+        row = lines[5].split(",")
+        row[lines[0].split(",").index(column)] = value
+        return lines[:5] + [",".join(row)] + lines[6:]
+    mutate.__name__ = f"_{column}_{value}"
+    return mutate
+
+
+def _two_rows_swapped(lines):
+    return lines[:5] + [lines[6], lines[5]] + lines[7:]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_header_only, "no samples"),
     # one sample at t = 0 has no horizon to measure: the report used to
@@ -713,8 +781,17 @@ def _rows_shorter_than_the_header(lines):
     (_letter_in_a_cell, "could not convert string 'a'"),
     (_groups_name_different_ids, "header is not t, y<id>..., u<id>..., w<id>..."),
     (_rows_shorter_than_the_header, "rows have 21 cells, the header 22"),
+    # each of these used to end in a traceback from the fit, a report JSON
+    # error or a fit over times that run backwards
+    (_cell("t", "nan"), "a t or w cell is not finite"),
+    (_cell("w3", "nan"), "a t or w cell is not finite"),
+    (_cell("w3", "1e300"), "an edge norm overflows the float range"),
+    (_cell("y3", "-inf"), "a y or u cell is infinite"),
+    (_cell("y3", "1e300"), "an edge norm overflows the float range"),
+    (_cell("u3", "inf"), "a y or u cell is infinite"),
+    (_two_rows_swapped, "sample times must increase strictly"),
 ])
-def test_cli_report_rejects_a_bad_trajectory_csv(tmp_path, capsys, golden_traj, mutate,
+def test_cli_report_rejects_a_bad_trajectory_csv(tmp_path, capfd, golden_traj, mutate,
                                                  message):
     scenario_path = tmp_path / "paper_example.json"
     write_scenario(paper_example(), scenario_path)
@@ -725,8 +802,8 @@ def test_cli_report_rejects_a_bad_trajectory_csv(tmp_path, capsys, golden_traj, 
     code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
                  "--out-dir", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {csv_path}: ") and message in err
+    out, err = capfd.readouterr()  # fd-level: LAPACK writes its messages there
+    assert out == "" and err.startswith(f"error: {csv_path}: ") and message in err
     assert not (tmp_path / "traj_report.json").exists()
 
 
@@ -928,10 +1005,6 @@ def test_cli_report_needs_two_samples_from_a_stride_beyond_the_run(tmp_path, cap
     assert not (tmp_path / "paper_example_traj_report.json").exists()
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def test_cli_report_on_a_node_that_joins_late(tmp_path, capsys):
     # node 8's outputs are unrecorded (NaN) before t = 2; its edge adds
     # nothing to the disagreement until then
@@ -941,8 +1014,7 @@ def test_cli_report_on_a_node_that_joins_late(tmp_path, capsys):
     assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
     assert main(["report", "--traj", str(tmp_path / "late_traj.csv"), "--scenario", str(path),
                  "--out-dir", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "late_traj_report.json").read_text(),
-                         parse_constant=_reject_constant)
+    payload = _strict_json(tmp_path / "late_traj_report.json")
     assert payload["satisfied"] and np.isfinite(payload["rho_hat"])
     assert "nan" not in (tmp_path / "late_traj_disagreement.csv").read_text()
 

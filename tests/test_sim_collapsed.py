@@ -1,8 +1,8 @@
 """The collapsed RK4 step against the stage-wise recurrence it replaces.
 
 ``_PhaseContext.rk4`` evaluates a step as five precomputed linear maps and
-one coupling evaluation per stage. The reference below is the textbook
-recurrence through ``deriv``, one stage at a time. Both run the same
+one coupling evaluation per stage. The reference is ``rk4_by_stages``,
+the textbook recurrence through ``deriv``, one stage at a time. Both run the same
 scenario through ``run``; the sums are ordered differently, so the recorded
 arrays agree to a relative error of 1e-12 (the largest difference over the
 largest magnitude of each array), with identical NaN masks. Each case runs
@@ -40,15 +40,6 @@ SYSTEMS = tuple(realize(num, den) for num, den in (
     ([2.0], [1.0, 3.0, 3.0, 1.0]),
 ))
 TABLES = ([(0.8, 0.5)], [(0.5, 0.2), (2.0, 0.9), (4.0, 1.6)])
-
-
-def _stagewise_rk4(ctx, x, dw):
-    dt = ctx.dt
-    k1 = ctx.deriv(x, dw)
-    k2 = ctx.deriv(x + 0.5 * dt * k1, dw)
-    k3 = ctx.deriv(x + 0.5 * dt * k2, dw)
-    k4 = ctx.deriv(x + dt * k3, dw)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _couplings():
@@ -99,7 +90,7 @@ def test_collapsed_step_matches_stagewise_recurrence(dense_max_entries, scenario
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "DENSE_MAX_ENTRIES", dense_max_entries)
         traj = run(scenario)
-        mp.setattr(sim._PhaseContext, "rk4", _stagewise_rk4)
+        mp.setattr(sim._PhaseContext, "rk4", sim._PhaseContext.rk4_by_stages)
         ref = run(scenario)
     _assert_close(traj.outputs, ref.outputs)
     _assert_close(traj.inputs, ref.inputs)
@@ -135,4 +126,4 @@ def test_a_hub_keeps_the_maps_linear_in_states_and_edges():
     assert entries <= 40 * (ctx.n_states + ctx.p)
     rng = np.random.default_rng(0)
     x, dw = rng.standard_normal(ctx.n_states), 0.1 * rng.standard_normal(ctx.p)
-    _assert_close(ctx.rk4(x, dw), _stagewise_rk4(ctx, x, dw))
+    _assert_close(ctx.rk4(x, dw), ctx.rk4_by_stages(x, dw))
