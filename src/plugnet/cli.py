@@ -22,13 +22,11 @@ import numpy as np
 from . import __version__
 from .certificates import (
     VERDICT_CERTIFIED,
-    CertificateReport,
     certify_fixed_network,
     certify_network_plug,
     certify_single_node_plug,
 )
 from .errors import AssumptionViolation, DegenerateInput, PlugnetError
-from .graph import PlugPlan
 from .metrics import (analytic_gain_bound, default_horizons, disagreement, estimate_io_gain,
                       record_span)
 from .scenario import ScenarioDocument, parse_scenario, paper_example, write_scenario
@@ -136,12 +134,6 @@ def _print_sweep_table(rows: list[dict]) -> None:
     print("(certificates use the declared nu where one is given, the sweep nu otherwise)")
 
 
-def _certify_plug(plan: PlugPlan, nus, alphas, **options) -> CertificateReport:
-    """The certificate of one plug: the single-node or the network construction."""
-    certify = certify_single_node_plug if plan.is_single_node else certify_network_plug
-    return certify(plan, nus, alphas, **options)
-
-
 def cmd_certify(args) -> int:
     if not 0.0 <= args.tol < np.inf:
         raise PlugnetError(f"--tol must be nonnegative and finite (got {args.tol})")
@@ -150,7 +142,9 @@ def cmd_certify(args) -> int:
     reports = []
     if doc.plug_entries:
         for entry in doc.plug_entries:
-            reports.append(_certify_plug(entry.plan, nus, alphas, tol=args.tol))
+            plan = entry.plan
+            certify = certify_single_node_plug if plan.is_single_node else certify_network_plug
+            reports.append(certify(plan, nus, alphas, tol=args.tol))
     else:
         for name in doc.initial_names:
             reports.append(certify_fixed_network(doc.graphs[name], nus, alphas, tol=args.tol))
