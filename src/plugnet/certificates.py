@@ -64,9 +64,8 @@ boundary margin instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -98,22 +97,39 @@ class CertificateProblem:
     s_weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
-        object.__setattr__(self, "s_weights", tuple(float(v) for v in self.s_weights))
-        if len(self.theta) != self.graph.n:
-            raise GraphError(
-                f"theta has {len(self.theta)} entries for {self.graph.n} nodes"
-            )
-        if len(self.sigma) != self.graph.p or len(self.s_weights) != self.graph.p:
+        for name in _PROBLEM_DATA:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        self._validate(*map(np.array, (self.theta, self.sigma, self.s_weights)))
+
+    @classmethod
+    def _from_arrays(
+        cls, graph: Graph, theta: np.ndarray, sigma: np.ndarray, s_weights: np.ndarray
+    ) -> "CertificateProblem":
+        """The problem over float arrays, validated as the constructor validates."""
+        prob = object.__new__(cls)
+        object.__setattr__(prob, "graph", graph)
+        for name, values in zip(_PROBLEM_DATA, (theta, sigma, s_weights)):
+            object.__setattr__(prob, name, tuple(values.tolist()))
+        prob._validate(theta, sigma, s_weights)
+        return prob
+
+    def _validate(self, theta: np.ndarray, sigma: np.ndarray, s_weights: np.ndarray) -> None:
+        """Check the data and keep it as ``_arrays``, the form array code reads."""
+        if len(theta) != self.graph.n:
+            raise GraphError(f"theta has {len(theta)} entries for {self.graph.n} nodes")
+        if len(sigma) != self.graph.p or len(s_weights) != self.graph.p:
             raise GraphError(
                 f"sigma/s_weights must have one entry per edge ({self.graph.p})"
             )
-        for name in ("theta", "sigma", "s_weights"):
-            if not all(map(math.isfinite, getattr(self, name))):
+        for name, values in zip(_PROBLEM_DATA, (theta, sigma, s_weights)):
+            if not np.isfinite(values).all():
                 raise DegenerateInput(f"{name} must be finite")
-        if any(s <= 0.0 for s in self.s_weights):
+        if (s_weights <= 0.0).any():
             raise GraphError("s_weights must be strictly positive")
+        self.__dict__["_arrays"] = (theta, sigma, s_weights)
+
+
+_PROBLEM_DATA = ("theta", "sigma", "s_weights")
 
 
 @dataclass(frozen=True)
@@ -141,8 +157,11 @@ class GershgorinResult:
         only strictly positive exact margins make ``M S`` strictly
         diagonally dominant.
         """
-        bound = max(self.tol, 0.0) + self.rounding
-        return all(m > bound for m in self.margins)
+        return _proves_pd(np.array(self.margins), self.tol, self.rounding)
+
+
+def _proves_pd(margins: np.ndarray, tol: float, rounding: float) -> bool:
+    return bool((margins > max(tol, 0.0) + rounding).all())
 
 
 def gershgorin_pd_check(
@@ -162,29 +181,33 @@ def gershgorin_pd_check(
     (``s_k |theta_i| + |theta_i| (t_i + s_k) <= 3 |theta_i| t_i``), plus
     as many smallest subnormals for underflow.
     """
-    g = prob.graph
-    theta = dict(zip(g.node_ids, prob.theta))
-    total = dict.fromkeys(g.node_ids, 0.0)
-    for (i, j), s_k in zip(g.edges, prob.s_weights):
-        total[i] += s_k
-        total[j] += s_k
-    margins = tuple(
-        s_k * (theta[i] + theta[j] + sigma_k)
-        - abs(theta[i]) * (total[i] - s_k)
-        - abs(theta[j]) * (total[j] - s_k)
-        for (i, j), s_k, sigma_k in zip(g.edges, prob.s_weights, prob.sigma)
-    )
-    # theta and total both follow node_ids
-    largest_terms = max(map(abs, map(mul, prob.s_weights, prob.sigma)), default=0.0)
-    largest_terms += 6.0 * max(map(mul, map(abs, prob.theta), total.values()), default=0.0)
-    rounding = (2 * g.max_degree + 4) * (_EPS * largest_terms + _TINY)
+    margins, rounding = _disc_margins(prob.graph, *prob._arrays)
     return GershgorinResult(
-        margins=margins,
-        ok_strict=all(m >= tol for m in margins),
-        ok_nonstrict=all(m >= -tol for m in margins),
+        margins=tuple(margins.tolist()),
+        ok_strict=bool((margins >= tol).all()),
+        ok_nonstrict=bool((margins >= -tol).all()),
         tol=tol,
         rounding=rounding,
     )
+
+
+def _disc_margins(
+    g: Graph, theta: np.ndarray, sigma: np.ndarray, s_weights: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Disc margins and their rounding bound, one pass over the edge ends.
+
+    Each node's total weight accumulates in edge order, each margin in the
+    order the formula reads, so the values are the ones a loop over the
+    edges computes, bit for bit.
+    """
+    total = np.bincount(g.ends.ravel(), np.repeat(s_weights, 2), g.n)
+    at_ends = theta[g.ends]
+    off = np.abs(at_ends) * (total[g.ends] - s_weights[:, None])
+    margins = s_weights * (at_ends[:, 0] + at_ends[:, 1] + sigma) - off[:, 0] - off[:, 1]
+    largest_terms = float(np.abs(s_weights * sigma).max(initial=0.0))
+    largest_terms += 6.0 * float((np.abs(theta) * total).max(initial=0.0))
+    rounding = (2 * g.max_degree + 4) * (_EPS * largest_terms + _TINY)
+    return margins, rounding
 
 
 _END_SIGN = np.array([1.0, -1.0])  # incidence entry at an edge's positive, negative end
@@ -203,12 +226,13 @@ def certificate_matrix(prob: CertificateProblem) -> np.ndarray:
     p = g.p
     if p == 0:
         return np.zeros((0, 0))  # bincount of no pairs would come back integer
+    theta, sigma, _ = prob._arrays
     # Position of the node at end 2k (positive) and 2k + 1 (negative) of edge k.
-    ends = np.array([g.index(v) for edge in g.edges for v in edge], dtype=np.intp)
+    ends = g.ends.ravel()
     order = ends.argsort(kind="stable")  # ends grouped by node
     edge = order >> 1
     sign = _END_SIGN[order & 1]
-    weight = sign * np.array(prob.theta)[ends[order]]
+    weight = sign * theta[ends[order]]
     # Each end pairs with every end at its node, itself included: the end at
     # sorted position a owns size[a] consecutive pairs, and pair t of them
     # (counted over all pairs) has its partner at sorted position offset[a] + t.
@@ -218,7 +242,7 @@ def certificate_matrix(prob: CertificateProblem) -> np.ndarray:
     partner = offset.repeat(size) + np.arange(size.sum())
     flat = (edge * p).repeat(size) + edge[partner]
     m = np.bincount(flat, weight.repeat(size) * sign[partner], p * p).reshape(p, p)
-    m.ravel()[:: p + 1] += prob.sigma  # ravel of the fresh array is a view
+    m.ravel()[:: p + 1] += sigma  # ravel of the fresh array is a view
     return m
 
 
@@ -263,16 +287,54 @@ def _alpha_for(alphas: Mapping, i: int, j: int) -> float:
     raise KeyError(f"no upper sector bound for edge ({i}, {j})")
 
 
+def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np.ndarray]:
+    """theta (nu per node) and sigma (1/alpha per edge) of ``graph``, as arrays.
+
+    One mapping probe per node and per edge, a second for an edge that
+    ``alphas`` keys as (j, i). A missing index or bound, or a zero bound,
+    raises DegenerateInput naming its node or edge.
+    """
+    try:
+        theta = np.array([nus[v] for v in graph.node_ids], dtype=float)
+    except KeyError:
+        missing = next(v for v in graph.node_ids if v not in nus)
+        raise DegenerateInput(f"no passivity index for node {missing}") from None
+    found = list(map(alphas.get, graph.edges))
+    alpha = np.array(found, dtype=float)  # a bound not found reads nan
+    for k in np.flatnonzero(np.isnan(alpha)).tolist():
+        if found[k] is None:
+            i, j = graph.edges[k]
+            bound = alphas.get((j, i))
+            if bound is None:
+                raise DegenerateInput(f"no upper sector bound for edge ({i}, {j})")
+            alpha[k] = bound
+    if not alpha.all():
+        i, j = graph.edges[int(np.flatnonzero(alpha == 0.0)[0])]
+        raise DegenerateInput(f"upper sector bound of edge ({i}, {j}) is zero")
+    return theta, 1.0 / alpha
+
+
+def _edge_margins(
+    ends: np.ndarray, theta: np.ndarray, sigma: np.ndarray, degrees: np.ndarray
+) -> np.ndarray:
+    """``check_edge_condition`` of every edge in one pass, bit for bit.
+
+    Edge k joins the nodes at positions ``ends[k]``, whose degrees are read
+    from ``degrees``; its terms are summed in the order the scalar formula
+    sums them.
+    """
+    at_ends = theta[ends]
+    slack = (degrees[ends] - 1) * np.abs(at_ends)
+    return sigma + at_ends[:, 0] + at_ends[:, 1] - slack[:, 0] - slack[:, 1]
+
+
 def intra_edge_margins(
     graph: Graph, nus: Mapping[int, float], alphas: Mapping
 ) -> dict[tuple[int, int], float]:
     """Interface-condition margin for every edge of a fixed graph."""
-    return {
-        (i, j): check_edge_condition(
-            nus[i], nus[j], graph.degree(i), graph.degree(j), _alpha_for(alphas, i, j)
-        )
-        for i, j in graph.edges
-    }
+    theta, sigma = _gather(graph, nus, alphas)
+    margins = _edge_margins(graph.ends, theta, sigma, graph.degrees)
+    return dict(zip(graph.edges, margins.tolist()))
 
 
 def compute_gamma_single(
@@ -332,11 +394,12 @@ class CertificateReport:
     that proves it when one does, else from a Cholesky factorisation of M (see
     ``_finish_report``). ``oracle_min_eigenvalue`` (kappa) is computed from
     ``problem`` on first access and then kept; a ``not_pd`` report already
-    holds it, from the eigensolve its verdict needed.
+    holds it, from the eigensolve its verdict needed. ``edge_margins`` is
+    built on first read too, from ``composed_edges``, whose leading edges
+    are the intra-network ones, and their margins.
     """
 
     plan_kind: str
-    edge_margins: tuple[EdgeMargin, ...]
     boundary: tuple[BoundaryCheck, ...]
     composed_edges: tuple[tuple[int, int], ...]
     s_weights: tuple[float, ...]
@@ -345,7 +408,12 @@ class CertificateReport:
     gershgorin_ok_strict: bool
     verdict: str
     strictness_tol: float
+    intra_margins: tuple[float, ...] = field(repr=False)
     problem: CertificateProblem = field(compare=False, repr=False)
+
+    @cached_property
+    def edge_margins(self) -> tuple[EdgeMargin, ...]:
+        return tuple(map(EdgeMargin, self.composed_edges, self.intra_margins))
 
     @cached_property
     def oracle_min_eigenvalue(self) -> float:
@@ -406,23 +474,6 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _composed_problem(
-    composed: Graph,
-    nus: Mapping[int, float],
-    alphas: Mapping,
-    s_weights: tuple[float, ...],
-) -> CertificateProblem:
-    theta = tuple(float(nus[i]) for i in composed.node_ids)
-    sigma = tuple(1.0 / _alpha_for(alphas, i, j) for i, j in composed.edges)
-    return CertificateProblem(composed, theta, sigma, s_weights)
-
-
-def _verdict(condition_margins: list[float], positive_definite: bool, tol: float) -> str:
-    if all(m > tol for m in condition_margins) and positive_definite:
-        return VERDICT_CERTIFIED
-    return VERDICT_ORACLE_PD if positive_definite else VERDICT_NOT_PD
-
-
 def _disc_proves_pd(
     prob: CertificateProblem, gersh: GershgorinResult, n_boundary: int, tol: float
 ) -> bool:
@@ -435,40 +486,43 @@ def _disc_proves_pd(
     between s_k and the root of its own row margin (positive, since that
     root is nonnegative). All other weights stay as reported.
     """
-    if gersh.proves_pd or not n_boundary:
-        return gersh.proves_pd
+    proved = gersh.proves_pd
+    if proved or not n_boundary:
+        return proved
     g = prob.graph
-    theta = dict(zip(g.node_ids, prob.theta))
-    weights = list(prob.s_weights)
+    theta, sigma, weights = prob._arrays
+    weights = weights.copy()
     for k in range(g.p - n_boundary, g.p):
         margin = gersh.margins[k]
         if margin > 0.0:
-            i, j = g.edges[k]
-            weights[k] -= margin / (2.0 * (theta[i] + theta[j] + prob.sigma[k]))
-    return gershgorin_pd_check(replace(prob, s_weights=tuple(weights)), tol).proves_pd
+            i, j = g.ends[k]
+            weights[k] -= margin / (2.0 * (theta[i] + theta[j] + sigma[k]))
+    return _proves_pd(*_disc_margins(g, theta, sigma, weights), tol)
 
 
 def _finish_report(
     plan_kind: str,
-    margins: dict[tuple[int, int], float],
+    margins: np.ndarray,
     boundary: list[BoundaryCheck],
     composed: Graph,
-    nus: Mapping[int, float],
-    alphas: Mapping,
-    s_weights: tuple[float, ...],
+    theta: np.ndarray,
+    sigma: np.ndarray,
+    s_weights: np.ndarray,
     tol: float,
 ) -> CertificateReport:
     """Verdict and report for the composed problem.
 
-    Positive definiteness comes from the first of these that settles it:
-    the reported disc test when it proves; for a plug, the disc test with
-    the proof weights (see the module docstring) when it proves; a Cholesky
-    factorisation of M; the eigenvalue oracle. Only the last computes
-    kappa, and keeps it in the report; otherwise kappa is computed on the
-    first read of ``oracle_min_eigenvalue``. The report holds the reported
-    weights and margins whichever step decided.
+    ``margins`` are the interface margins of the intra-network edges, which
+    lead ``composed.edges``; ``theta``, ``sigma`` and ``s_weights`` are the
+    problem's data. Positive definiteness comes from the first of these
+    that settles it: the reported disc test when it proves; for a plug, the
+    disc test with the proof weights (see the module docstring) when it
+    proves; a Cholesky factorisation of M; the eigenvalue oracle. Only the
+    last computes kappa, and keeps it in the report; otherwise kappa is
+    computed on the first read of ``oracle_min_eigenvalue``. The report
+    holds the reported weights and margins whichever step decided.
     """
-    prob = _composed_problem(composed, nus, alphas, s_weights)
+    prob = CertificateProblem._from_arrays(composed, theta, sigma, s_weights)
     gersh = gershgorin_pd_check(prob, tol)
     kappa = None
     positive_definite = _disc_proves_pd(
@@ -477,18 +531,22 @@ def _finish_report(
     if not positive_definite:
         kappa = pd_oracle(prob)
         positive_definite = kappa > 0.0
-    condition_margins = list(margins.values()) + [bc.margin for bc in boundary]
+    conditions_hold = bool((margins > tol).all()) and all(bc.margin > tol for bc in boundary)
+    if not positive_definite:
+        verdict = VERDICT_NOT_PD
+    else:
+        verdict = VERDICT_CERTIFIED if conditions_hold else VERDICT_ORACLE_PD
     report = CertificateReport(
         plan_kind=plan_kind,
-        edge_margins=tuple(EdgeMargin(e, m) for e, m in margins.items()),
         boundary=tuple(boundary),
         composed_edges=composed.edges,
-        s_weights=s_weights,
+        s_weights=prob.s_weights,
         gershgorin_margins=gersh.margins,
         gershgorin_ok=gersh.ok_nonstrict,
         gershgorin_ok_strict=gersh.ok_strict,
-        verdict=_verdict(condition_margins, positive_definite, tol),
+        verdict=verdict,
         strictness_tol=tol,
+        intra_margins=tuple(margins.tolist()),
         problem=prob,
     )
     if kappa is not None:
@@ -507,25 +565,37 @@ def certify_fixed_network(
         raise DegenerateInput("network has no edges to certify")
     if not is_connected(graph):
         raise DegenerateInput("network must be connected")
-    margins = intra_edge_margins(graph, nus, alphas)
+    theta, sigma = _gather(graph, nus, alphas)
+    margins = _edge_margins(graph.ends, theta, sigma, graph.degrees)
     return _finish_report(
-        "fixed_network", margins, [], graph, nus, alphas, (1.0,) * graph.p, tol
+        "fixed_network", margins, [], graph, theta, sigma, np.ones(graph.p), tol
     )
 
 
 def _plug_report(
     plan: PlugPlan, nus: Mapping[int, float], alphas: Mapping, tol: float
 ) -> CertificateReport:
-    """``certify_network_plug``'s construction on ``plan.base`` and ``plan.added_graph``."""
+    """``certify_network_plug``'s construction on ``plan.base`` and ``plan.added_graph``.
+
+    One pass gives the margins of both sides' edges: a node's degree within
+    its side is its composed degree less its boundary edges. Only the
+    boundary edges are visited one at a time.
+    """
     base, added = plan.base, plan.added_graph
-    margins = {**intra_edge_margins(base, nus, alphas), **intra_edge_margins(added, nus, alphas)}
+    composed = compose(plan)
+    theta, sigma = _gather(composed, nus, alphas)
+    intra = base.p + added.p  # the composed graph's leading edges
+    crossing = composed.ends[intra:]
+    degrees = composed.degrees - np.bincount(crossing.ravel(), minlength=composed.n)
+    margins = _edge_margins(composed.ends[:intra], theta, sigma[:intra], degrees)
+    attached = [v for edge in plan.boundary for v in edge]
+    nu = dict(zip(attached, theta[crossing].ravel().tolist()))
+    r = dict(zip(attached, degrees[crossing].ravel().tolist()))
     boundary: list[BoundaryCheck] = []
-    for i, j in plan.boundary:
+    for (i, j), sigma_k in zip(plan.boundary, sigma[intra:].tolist()):
         b, a = (j, i) if plan.is_single_node else (i, j)  # base-side end, added-side end
-        gamma_b, gamma_a = (
-            compute_gamma_single(v, side, nus, alphas) if side.degree(v) > 0 else None
-            for v, side in ((b, base), (a, added))
-        )
+        gamma_b = compute_gamma_single(b, base, nus, alphas) if r[b] else None
+        gamma_a = compute_gamma_single(a, added, nus, alphas) if r[a] else None
         candidates = [g for g in (gamma_b, gamma_a) if g is not None]
         if not candidates:
             raise DegenerateInput(
@@ -533,16 +603,14 @@ def _plug_report(
                 "intra-network edges"
             )
         gamma = min(candidates)
-        margin = gamma * (
-            1.0 / _alpha_for(alphas, i, j) + float(nus[i]) + float(nus[j])
-        ) - base.degree(b) * abs(float(nus[b])) - added.degree(a) * abs(float(nus[a]))
+        margin = gamma * (sigma_k + nu[i] + nu[j]) - r[b] * abs(nu[b]) - r[a] * abs(nu[a])
         sides = {} if plan.is_single_node else {"gamma_p": gamma_b, "gamma_q": gamma_a}
         boundary.append(BoundaryCheck(edge=(i, j), gamma=gamma, margin=margin, **sides))
-    s_weights = (1.0,) * (base.p + added.p) + tuple(  # disc test needs positive weights
-        bc.gamma if bc.gamma > 0.0 else 1.0 for bc in boundary
-    )
+    s_weights = np.concatenate((  # disc test needs positive weights
+        np.ones(intra), [bc.gamma if bc.gamma > 0.0 else 1.0 for bc in boundary]
+    ))
     kind = "single_node" if plan.is_single_node else "network"
-    return _finish_report(kind, margins, boundary, compose(plan), nus, alphas, s_weights, tol)
+    return _finish_report(kind, margins, boundary, composed, theta, sigma, s_weights, tol)
 
 
 def certify_single_node_plug(

@@ -5,11 +5,14 @@ node of the pair is the positive end, the second the negative end. The
 orientation is arbitrary but stable, so incidence matrices and edge-indexed
 quantities are reproducible. Graphs are immutable values; composing a plug
 plan returns a new graph. A graph builds its node index and adjacency once,
-at construction, so every query on it is a lookup.
+at construction, so every query on it is a lookup. Its edge-end positions,
+its degrees and its connectivity are computed on first use and then kept;
+the graph a plug plan composes is built once per plan, from its parts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -27,7 +30,8 @@ class Graph:
     ``j`` the negative end of edge ``k``. No self-loops, no duplicate
     undirected edges. ``index``, ``neighbors``, ``degree`` and ``has_edge``
     are lookups into a node-position map and a node-to-neighbours map that
-    construction builds while it validates the edges.
+    construction builds while it validates the edges. ``ends`` and
+    ``degrees`` are the same facts as read-only arrays, for array code.
     """
 
     node_ids: tuple[int, ...]
@@ -55,6 +59,35 @@ class Graph:
         object.__setattr__(
             self, "_adjacency", {i: frozenset(nbrs) for i, nbrs in adjacency.items()}
         )
+
+    @classmethod
+    def _joined(cls, base: "Graph", added: "Graph", boundary) -> "Graph":
+        """``compose``'s graph, merged from two graphs and their boundary.
+
+        Checks nothing: ``PlugPlan`` has proved the labels disjoint and each
+        boundary edge unique and across the sides, so no self-loop or
+        duplicate edge can arise. Connected when both parts are.
+        """
+        g = object.__new__(cls)
+        offset = base.n
+        position = dict(base._position)
+        position.update((v, k + offset) for v, k in added._position.items())
+        adjacency = {**base._adjacency, **added._adjacency}
+        for i, j in boundary:
+            adjacency[i] = adjacency[i] | {j}
+            adjacency[j] = adjacency[j] | {i}
+        crossing = np.array([(position[i], position[j]) for i, j in boundary], dtype=np.intp)
+        for name, value in (
+            ("node_ids", base.node_ids + added.node_ids),
+            ("edges", base.edges + added.edges + boundary),
+            ("_position", position),
+            ("_adjacency", adjacency),
+            ("ends", _read_only(np.concatenate((base.ends, added.ends + offset, crossing)))),
+        ):
+            object.__setattr__(g, name, value)
+        if base._connected and added._connected:
+            g.__dict__["_connected"] = True  # the cached_property's slot
+        return g
 
     @classmethod
     def from_pairs(cls, node_ids: Iterable[int], pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -85,10 +118,35 @@ class Graph:
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """``ends[k] = (index(i), index(j))`` for edge k = (i, j): a (p, 2) intp array."""
+        flat = map(self._position.__getitem__, itertools.chain.from_iterable(self.edges))
+        return _read_only(np.fromiter(flat, np.intp, 2 * self.p).reshape(self.p, 2))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Node degrees in ``node_ids`` order, an intp array."""
+        return _read_only(np.bincount(self.ends.ravel(), minlength=self.n))
+
     @property
     def max_degree(self) -> int:
         """Largest node degree, 0 without edges."""
-        return max(map(len, self._adjacency.values()), default=0)
+        return int(self.degrees.max(initial=0))
+
+    @cached_property
+    def _connected(self) -> bool:
+        if self.n <= 1:
+            return True
+        start = self.node_ids[0]
+        visited = {start}
+        stack = [start]
+        while stack:
+            current = stack.pop()
+            for nxt in self.neighbors(current) - visited:
+                visited.add(nxt)
+                stack.append(nxt)
+        return len(visited) == self.n
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self._adjacency.get(i, ())
@@ -109,19 +167,17 @@ def incidence(g: Graph) -> np.ndarray:
     return d
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def is_connected(g: Graph) -> bool:
-    """True iff every node is reachable from every other (empty graph: True)."""
-    if g.n <= 1:
-        return True
-    start = g.node_ids[0]
-    visited = {start}
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        for nxt in g.neighbors(current) - visited:
-            visited.add(nxt)
-            stack.append(nxt)
-    return len(visited) == g.n
+    """True iff every node is reachable from every other (empty graph: True).
+
+    Searched once per graph and then kept.
+    """
+    return g._connected
 
 
 @dataclass(frozen=True)
@@ -144,9 +200,10 @@ class PlugPlan:
             raise GraphError("plug plan needs at least one boundary edge")
         if self.is_single_node:
             object.__setattr__(self, "added", int(self.added))
-        base, added = set(self.base.node_ids), set(self.added_graph.node_ids)
-        if base & added:
-            raise GraphError(f"node labels shared between parts: {sorted(base & added)}")
+        base, added = self.base._position, self.added_graph._position
+        shared = [v for v in added if v in base]
+        if shared:
+            raise GraphError(f"node labels shared between parts: {sorted(shared)}")
         boundary = []
         for a, b in self.boundary:
             a, b = int(a), int(b)
@@ -173,6 +230,10 @@ class PlugPlan:
     def added_graph(self) -> Graph:
         """The added side: ``added``, or the one-node graph of a single node."""
         return Graph((self.added,)) if self.is_single_node else self.added
+
+    @cached_property
+    def _composed(self) -> Graph:
+        return Graph._joined(self.base, self.added_graph, self.boundary)
 
 
 def assumption_1_violation(plan: PlugPlan) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -208,7 +269,7 @@ def compose(plan: PlugPlan) -> Graph:
 
     Node labels are preserved and the base's edge orientation and column
     order survive as the leading block of the incidence matrix. A single
-    node is its plan's one-node ``added_graph``.
+    node is its plan's one-node ``added_graph``. Built once per plan, so
+    every caller composing one plan gets the same graph.
     """
-    return Graph(plan.base.node_ids + plan.added_graph.node_ids,
-                 plan.base.edges + plan.added_graph.edges + plan.boundary)
+    return plan._composed

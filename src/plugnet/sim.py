@@ -373,10 +373,8 @@ class _PhaseContext:
 
         edge_couplings = [_coupling_for(couplings, i, j) for i, j in graph.edges]
         order = sorted(range(graph.p), key=lambda k: edge_couplings[k].kind)
-        edges = [graph.edges[k] for k in order]
-        self.p = len(edges)
-        self._heads = np.array([graph.index(i) for i, _ in edges], dtype=np.intp)
-        self._tails = np.array([graph.index(j) for _, j in edges], dtype=np.intp)
+        self.p = graph.p
+        self._heads, self._tails = graph.ends[order].T.copy()
 
         self._kinds = []
         start = 0

@@ -310,8 +310,11 @@ def _single_node_plug_as_written_alone(plan, nus, alphas,
     s_last = gamma if gamma > 0.0 else 1.0  # disc test needs positive weights
     s_weights = (1.0,) * base.p + (s_last,)
     boundary = [certificates.BoundaryCheck(edge=(new, c), gamma=gamma, margin=boundary_margin)]
+    theta = [float(nus[i]) for i in composed.node_ids]
+    sigma = [1.0 / certificates._alpha_for(alphas, i, j) for i, j in composed.edges]
     return certificates._finish_report(
-        "single_node", margins, boundary, composed, nus, alphas, s_weights, tol
+        "single_node", np.array(list(margins.values())), boundary, composed,
+        np.array(theta), np.array(sigma), np.array(s_weights), tol
     )
 
 
