@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plugnet import certificates
 from plugnet.certificates import (
@@ -25,7 +26,7 @@ from plugnet.certificates import (
     pd_oracle,
 )
 from plugnet.errors import AssumptionViolation, DegenerateInput, GraphError
-from plugnet.graph import Graph, PlugPlan, compose, incidence
+from plugnet.graph import Graph, PlugPlan, assumption_1_violation, compose, incidence
 
 # seven-node example data
 G1 = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -841,3 +842,205 @@ def test_disc_rounding_bound_holds_in_exact_arithmetic(prob, tol):
     assert all(abs(Fraction(m) - e) <= bound for m, e in zip(res.margins, exact))
     if res.proves_pd:
         assert min(exact) > max(tol, 0.0)
+
+
+# --- the array verdict against the scalar formulas --------------------------------
+
+
+def _scalar_disc(graph, theta, sigma, s_weights):
+    """Disc margins and rounding bound, one edge at a time."""
+    theta = dict(zip(graph.node_ids, theta))
+    total = dict.fromkeys(graph.node_ids, 0.0)
+    for (i, j), s_k in zip(graph.edges, s_weights):
+        total[i] += s_k
+        total[j] += s_k
+    margins = [
+        s_k * (theta[i] + theta[j] + sigma_k)
+        - abs(theta[i]) * (total[i] - s_k)
+        - abs(theta[j]) * (total[j] - s_k)
+        for (i, j), s_k, sigma_k in zip(graph.edges, s_weights, sigma)
+    ]
+    largest = max((abs(s_k * sigma_k) for s_k, sigma_k in zip(s_weights, sigma)), default=0.0)
+    largest += 6.0 * max(abs(theta[v]) * total[v] for v in graph.node_ids)
+    degree = max(len(graph.neighbors(v)) for v in graph.node_ids)
+    return margins, (2 * degree + 4) * (np.finfo(float).eps * largest + math.ulp(0.0))
+
+
+def _scalar_verdict(certify, subject, nus, alphas, tol):
+    """Everything a verdict computes, by the scalar formulas, edge by edge."""
+    if certify is certify_fixed_network:
+        sides, plan_boundary, composed = [subject], (), subject
+    else:
+        sides, plan_boundary = [subject.base, subject.added_graph], subject.boundary
+        composed = Graph(subject.base.node_ids + subject.added_graph.node_ids,
+                         subject.base.edges + subject.added_graph.edges + subject.boundary)
+    margins = [
+        check_edge_condition(nus[i], nus[j], side.degree(i), side.degree(j),
+                             certificates._alpha_for(alphas, i, j))
+        for side in sides for i, j in side.edges
+    ]
+    boundary = []
+    for i, j in plan_boundary:
+        b, a = (j, i) if subject.is_single_node else (i, j)
+        base, added = sides
+        gammas = [compute_gamma_single(v, side, nus, alphas) if side.degree(v) else None
+                  for v, side in ((b, base), (a, added))]
+        if gammas == [None, None]:
+            raise DegenerateInput(f"boundary edge ({i}, {j}): neither attachment node has "
+                                  "intra-network edges")
+        gamma = min(g for g in gammas if g is not None)
+        margin = gamma * (1.0 / certificates._alpha_for(alphas, i, j) + nus[i] + nus[j]) \
+            - base.degree(b) * abs(nus[b]) - added.degree(a) * abs(nus[a])
+        boundary.append((gamma, margin))
+    s_weights = [1.0] * len(margins) + [g if g > 0.0 else 1.0 for g, _ in boundary]
+    theta = [float(nus[v]) for v in composed.node_ids]
+    sigma = [1.0 / certificates._alpha_for(alphas, i, j) for i, j in composed.edges]
+    disc, rounding = _scalar_disc(composed, theta, sigma, s_weights)
+    proved = all(m > max(tol, 0.0) + rounding for m in disc)
+    if not proved and boundary:
+        at = dict(zip(composed.node_ids, theta))
+        weights = list(s_weights)
+        for k in range(composed.p - len(boundary), composed.p):
+            if disc[k] > 0.0:
+                i, j = composed.edges[k]
+                weights[k] -= disc[k] / (2.0 * (at[i] + at[j] + sigma[k]))
+        retry, retry_rounding = _scalar_disc(composed, theta, sigma, weights)
+        proved = all(m > max(tol, 0.0) + retry_rounding for m in retry)
+    prob = CertificateProblem(composed, theta, sigma, s_weights)
+    positive_definite = proved or certificates._cholesky_succeeds(certificate_matrix(prob)) \
+        or pd_oracle(prob) > 0.0
+    conditions = all(m > tol for m in margins + [m for _, m in boundary])
+    if not positive_definite:
+        verdict = VERDICT_NOT_PD
+    else:
+        verdict = VERDICT_CERTIFIED if conditions else VERDICT_ORACLE_PD
+    return margins, boundary, disc, rounding, proved, verdict
+
+
+def _hub_graph(draw, labels):
+    """A connected graph on ``labels`` whose first label is often a hub.
+
+    A spanning tree, the hub's edges to a drawn share of the other nodes and
+    a few more edges; each edge randomly oriented, the edge order shuffled.
+    """
+    n = len(labels)
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    pairs |= {(0, k) for k in range(1, n) if draw(st.floats(0, 1)) < share}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    edges = [(labels[j], labels[i]) if draw(st.booleans()) else (labels[i], labels[j])
+             for i, j in sorted(pairs)]
+    return Graph(labels, draw(st.permutations(edges)))
+
+
+# Indices and sector bounds that mostly certify, with gamma near the
+# degrees (so that a node's total weight rounds as it accumulates) or far
+# above them, or of any size and sign.
+_INDICES = {"near": st.floats(-0.7, 0.1), "far": st.floats(-0.7, 0.1),
+            "wide": st.floats(-2.0, 2.0) | _signed(st.floats(1e-3, 1e3))}
+_BOUNDS = {"near": st.floats(-2.0, -0.5).map(lambda e: 10.0 ** e),
+           "far": st.floats(-12.0, -0.5).map(lambda e: 10.0 ** e),
+           "wide": st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e)}
+
+
+@st.composite
+def _verdict_cases(draw):
+    """Fixed networks and plugs of both kinds on hub graphs; indices of
+    either sign, one in ten zero, and sector bounds from 1e-12 up, keyed
+    either way."""
+    regime = draw(st.sampled_from(sorted(_INDICES)))
+    kind = draw(st.sampled_from(["fixed", "single_node", "network"]))
+    n = draw(st.integers(2, 24))
+    if kind == "fixed":
+        subject, certify = _hub_graph(draw, list(range(n))), certify_fixed_network
+    elif kind == "single_node":
+        base = _hub_graph(draw, list(range(n)))
+        c = draw(st.sampled_from([0, draw(st.sampled_from(base.node_ids))]))
+        subject = PlugPlan(base, n, ((n, c),))
+        certify = certify_single_node_plug
+    else:
+        split = draw(st.integers(1, n - 1))
+        base = _hub_graph(draw, list(range(split)))
+        added = _hub_graph(draw, list(range(split, n)))
+        k = draw(st.integers(1, min(2, split, n - split)))
+        ps = draw(st.lists(st.sampled_from(base.node_ids), min_size=k, max_size=k, unique=True))
+        qs = draw(st.lists(st.sampled_from(added.node_ids), min_size=k, max_size=k, unique=True))
+        subject = PlugPlan(base, added, tuple(zip(ps, qs)))
+        assume(assumption_1_violation(subject) is None)
+        certify = certify_network_plug
+    graph = subject if kind == "fixed" else compose(subject)
+    nus = {v: draw(_SIGNED_ZEROS if draw(st.integers(0, 9)) == 0 else _INDICES[regime])
+           for v in graph.node_ids}
+    alphas = {(j, i) if draw(st.booleans()) else (i, j): draw(_BOUNDS[regime])
+              for i, j in graph.edges}
+    # disc weights of every size, under which a hub's total rounds as it grows
+    weights = draw(st.lists(_MAGNITUDE, min_size=graph.p, max_size=graph.p))
+    return certify, subject, nus, alphas, draw(st.sampled_from([1e-12, 0.0, -1e-3])), weights
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_verdict_cases())
+def test_array_verdict_is_bit_identical_to_the_scalar_formulas(case):
+    certify, subject, nus, alphas, tol, weights = case
+    graph = subject if certify is certify_fixed_network else compose(subject)
+    theta = [float(nus[v]) for v in graph.node_ids]
+    sigma = [1.0 / certificates._alpha_for(alphas, i, j) for i, j in graph.edges]
+    weighted = gershgorin_pd_check(CertificateProblem(graph, theta, sigma, weights), tol)
+    disc, rounding = _scalar_disc(graph, theta, sigma, weights)
+    assert _bits(weighted.margins) == _bits(disc)
+    assert _bits([weighted.rounding]) == _bits([rounding])
+    claims = []
+    real = certificates._disc_proves_pd
+
+    def recording(*args):
+        claims.append(real(*args))
+        return claims[-1]
+
+    try:
+        want = _scalar_verdict(certify, subject, nus, alphas, tol)
+    except DegenerateInput as exc:  # gamma is undefined at a zero index
+        with pytest.raises(DegenerateInput, match=re.escape(str(exc))):
+            certify(subject, nus, alphas, tol)
+        return
+    margins, boundary, disc, rounding, proved, verdict = want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "_disc_proves_pd", recording)
+        report = certify(subject, nus, alphas, tol)
+    assert _bits([em.margin for em in report.edge_margins]) == _bits(margins)
+    assert _bits([(bc.gamma, bc.margin) for bc in report.boundary]) == _bits(boundary)
+    assert _bits(report.gershgorin_margins) == _bits(disc)
+    assert _bits([gershgorin_pd_check(report.problem, tol).rounding]) == _bits([rounding])
+    assert claims == [proved]
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("certify, subject", _CERTIFIED_CASES,
+                         ids=["network", "single_node", "fixed"])
+def test_a_node_without_an_index_is_a_typed_error(certify, subject):
+    nus = {**NUS, 8: -0.45}
+    missing = 2 if certify is certify_fixed_network else 6
+    del nus[missing]
+    with pytest.raises(DegenerateInput, match=f"no passivity index for node {missing}"):
+        certify(subject, nus, {**ALPHAS, (5, 8): 0.37})
+
+
+@pytest.mark.parametrize("certify, subject", _CERTIFIED_CASES,
+                         ids=["network", "single_node", "fixed"])
+def test_an_edge_without_a_sector_bound_is_a_typed_error(certify, subject):
+    alphas = {**ALPHAS, (8, 5): 0.37}  # keyed against the edge's orientation
+    missing = (6, 7) if certify is certify_single_node_plug else (2, 3)
+    del alphas[missing]
+    with pytest.raises(DegenerateInput, match=re.escape(f"no upper sector bound for edge {missing}")):
+        certify(subject, {**NUS, 8: -0.45}, alphas)
+
+
+def test_a_zero_sector_bound_is_a_typed_error():
+    with pytest.raises(DegenerateInput, match=re.escape("upper sector bound of edge (2, 3) is zero")):
+        certify_fixed_network(G1, NUS, {**ALPHAS, (2, 3): 0.0})

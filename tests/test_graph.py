@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plugnet.errors import GraphError
 from plugnet.graph import (
@@ -82,6 +82,11 @@ def test_lookups_match_scans_over_node_ids_and_edges(g):
         assert g.index(node) == list(g.node_ids).index(node)
         assert g.neighbors(node) == frozenset(scanned)
         assert g.degree(node) == len(scanned)
+        assert g.degrees[list(g.node_ids).index(node)] == len(scanned)
+    assert g.ends.dtype == np.intp and g.ends.shape == (g.p, 2)
+    assert g.ends.tolist() == [[list(g.node_ids).index(v) for v in e] for e in g.edges]
+    assert g.degrees.dtype == np.intp and g.degrees.shape == (g.n,)
+    assert g.max_degree == max((len(g.neighbors(v)) for v in g.node_ids), default=0)
     for i in g.node_ids:
         for j in g.node_ids:
             assert g.has_edge(i, j) == g.has_edge(j, i) == (frozenset((i, j)) in keys)
@@ -280,3 +285,65 @@ def test_incidence_gram_matrix_is_laplacian():
             laplacian[i, j] -= 1
             laplacian[j, i] -= 1
         assert np.array_equal(d @ d.T, laplacian)
+
+
+# --- composition against a graph built from scratch ------------------------------
+
+
+@st.composite
+def _plug_chains(draw):
+    """A base graph and plugs of both kinds, each on the last composition.
+
+    Bases and added sides may be disconnected; a network plug's boundary
+    reaches some of its added side's components or all of them, so that
+    a disconnected side may or may not end up connected.
+    """
+    def graph_on(labels):
+        pairs = list(itertools.combinations(labels, 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return Graph(labels, [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen])
+
+    base = graph_on(list(range(draw(st.integers(1, 6)))))
+    plans, grown, label = [], base, 100
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            boundary = ((draw(st.sampled_from(grown.node_ids)), label),)
+            plan = PlugPlan(base=grown, added=label, boundary=boundary)
+            label += 1
+        else:
+            added = graph_on(list(range(label, label + draw(st.integers(1, 5)))))
+            label += added.n
+            reached = draw(st.lists(st.sampled_from(added.node_ids), min_size=1, unique=True))
+            boundary = tuple((draw(st.sampled_from(grown.node_ids)), q) for q in reached)
+            plan = PlugPlan(base=grown, added=added, boundary=boundary)
+        plans.append(plan)
+        grown = compose(plan)
+    return plans
+
+
+@settings(max_examples=300)
+@given(_plug_chains())
+def test_compose_equals_the_graph_built_from_scratch(plans):
+    for plan in plans:
+        composed = compose(plan)
+        assert compose(plan) is composed  # built once per plan
+        fresh = Graph(plan.base.node_ids + plan.added_graph.node_ids,
+                      plan.base.edges + plan.added_graph.edges + plan.boundary)
+        assert composed == fresh
+        assert composed._position == fresh._position
+        assert composed._adjacency == fresh._adjacency
+        assert composed.ends.dtype == fresh.ends.dtype == np.intp
+        assert np.array_equal(composed.ends, fresh.ends)
+        assert np.array_equal(composed.degrees, fresh.degrees)
+        assert composed.max_degree == fresh.max_degree
+        assert is_connected(composed) is is_connected(fresh)
+        assert not composed.ends.flags.writeable and not composed.degrees.flags.writeable
+
+
+def test_a_disconnected_added_side_joined_at_each_component_composes_connected():
+    added = Graph([4, 5, 6, 7], [(4, 5), (6, 7)])
+    plan = PlugPlan(base=PATH3, added=added, boundary=((1, 4), (3, 7)))
+    assert not is_connected(added)
+    assert is_connected(compose(plan))
+    plan = PlugPlan(base=PATH3, added=added, boundary=((1, 4),))
+    assert not is_connected(compose(plan))
