@@ -343,7 +343,9 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     can miss the minimiser by 1e-8, which a sharp minimum turns into an
     overestimate of the index. So every candidate also takes two Newton
     steps on E'F - EF' evaluated from the factors' values, and the point
-    after each step is tried as well.
+    after each step is tried as well. There the factors' own values cancel
+    too, so the index is the value at the winning point with each factor
+    evaluated by the compensated Horner scheme (``_compensated_horner``).
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -385,10 +387,44 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
         # tie, and a polished point wins only with a smaller value.
         xs = np.concatenate(points)
         values = np.concatenate(minima + [[sys.d]])
-    i = int(np.nanargmin(values))
-    if i == xs.size:
-        return IfpIndex(nu=sys.d)
-    return IfpIndex(nu=float(values[i]), omega=math.sqrt(xs[i]))
+        i = int(np.nanargmin(values))
+        if i == xs.size:
+            return IfpIndex(nu=sys.d)
+        x = float(xs[i])
+        n_e, n_o, d_e, d_o, a_x, b_x = (_compensated_horner(row, x) for row in rows[:6].tolist())
+        nu = np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x)
+    return IfpIndex(nu=float(nu), omega=math.sqrt(x))
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """``a * b`` rounded and its exact rounding error (Dekker)."""
+    product = a * b
+    t = _SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLITTER * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _compensated_horner(coeffs: list[float], x: float) -> float:
+    """The polynomial ``coeffs`` (descending) at x, as accurate as Horner's
+    rule in twice the working precision and then rounded (Graillat,
+    Langlois & Louvet, "Compensated Horner scheme", 2005): each step's
+    product and sum errors are found exactly and summed by a second Horner
+    recurrence, which corrects the result."""
+    s, c = coeffs[0], 0.0
+    for coeff in coeffs[1:]:
+        product, product_error = _two_product(s, x)
+        s = product + coeff
+        z = s - product
+        sum_error = (product - (s - z)) + (coeff - z)
+        c = c * x + (product_error + sum_error)
+    return s + c
 
 
 @dataclass(frozen=True)
