@@ -53,6 +53,14 @@ too, the eigenvalue oracle decides, so that a ``not_pd`` verdict and its
 kappa come from one eigensolve. Otherwise the smallest eigenvalue kappa of
 M is computed on first access of ``CertificateReport.oracle_min_eigenvalue``.
 
+A verdict gathers nu and 1/alpha once, one mapping probe per node and per
+edge. Every interface margin of both sides is then one array pass over
+the composed graph's edge ends (``Graph.ends``), and the disc totals,
+margins and rounding bound are one pass per weight set; only the boundary
+edges (gamma and their margins) are visited one at a time. Each pass sums
+in the order of the scalar formula it replaces, so every value is the
+formula's, bit for bit.
+
 The proof does not ask for the reported margins to be exactly >= 0 and
 reuse Taussky's theorem on irreducibly diagonally dominant matrices: the
 zero row is zero only in exact arithmetic and reads a few 1e-16 below zero
