@@ -391,39 +391,35 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
         if i == xs.size:
             return IfpIndex(nu=sys.d)
         x = float(xs[i])
-        n_e, n_o, d_e, d_o, a_x, b_x = (_compensated_horner(row, x) for row in rows[:6].tolist())
+        n_e, n_o, d_e, d_o, a_x, b_x = (_compensated_horner(p.tolist(), x)
+                                        for p in (ne, no, de, do, a, b))
         nu = np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x)
     return IfpIndex(nu=float(nu), omega=math.sqrt(x))
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
-
-
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """``a * b`` rounded and its exact rounding error (Dekker)."""
-    product = a * b
-    t = _SPLITTER * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _SPLITTER * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+_SPLITTER = 134217729.0  # 2**27 + 1
 
 
 def _compensated_horner(coeffs: list[float], x: float) -> float:
     """The polynomial ``coeffs`` (descending) at x, as accurate as Horner's
     rule in twice the working precision and then rounded (Graillat,
     Langlois & Louvet, "Compensated Horner scheme", 2005): each step's
-    product and sum errors are found exactly and summed by a second Horner
-    recurrence, which corrects the result."""
+    product error (Dekker's TwoProduct, on halves of 26 significant bits)
+    and sum error (Knuth's TwoSum) are found exactly and summed by a second
+    Horner recurrence, which corrects the result."""
+    t = _SPLITTER * x
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
     s, c = coeffs[0], 0.0
     for coeff in coeffs[1:]:
-        product, product_error = _two_product(s, x)
+        product = s * x
+        t = _SPLITTER * s
+        s_hi = t - (t - s)
+        s_lo = s - s_hi
+        product_error = ((s_hi * x_hi - product) + s_hi * x_lo + s_lo * x_hi) + s_lo * x_lo
         s = product + coeff
         z = s - product
-        sum_error = (product - (s - z)) + (coeff - z)
-        c = c * x + (product_error + sum_error)
+        c = c * x + (product_error + ((product - (s - z)) + (coeff - z)))
     return s + c
 
 
