@@ -89,6 +89,8 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_ORACLE_PD = "gershgorin_failed_oracle_pd"
 VERDICT_NOT_PD = "not_pd"
 
+_PROBLEM_DATA = ("theta", "sigma", "s_weights")  # CertificateProblem's weight fields
+
 
 @dataclass(frozen=True)
 class CertificateProblem:
@@ -135,9 +137,6 @@ class CertificateProblem:
         if (s_weights <= 0.0).any():
             raise GraphError("s_weights must be strictly positive")
         self.__dict__["_arrays"] = (theta, sigma, s_weights)
-
-
-_PROBLEM_DATA = ("theta", "sigma", "s_weights")
 
 
 @dataclass(frozen=True)

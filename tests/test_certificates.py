@@ -1037,10 +1037,12 @@ def test_an_edge_without_a_sector_bound_is_a_typed_error(certify, subject):
     alphas = {**ALPHAS, (8, 5): 0.37}  # keyed against the edge's orientation
     missing = (6, 7) if certify is certify_single_node_plug else (2, 3)
     del alphas[missing]
-    with pytest.raises(DegenerateInput, match=re.escape(f"no upper sector bound for edge {missing}")):
+    message = f"no upper sector bound for edge {missing}"
+    with pytest.raises(DegenerateInput, match=re.escape(message)):
         certify(subject, {**NUS, 8: -0.45}, alphas)
 
 
 def test_a_zero_sector_bound_is_a_typed_error():
-    with pytest.raises(DegenerateInput, match=re.escape("upper sector bound of edge (2, 3) is zero")):
+    message = "upper sector bound of edge (2, 3) is zero"
+    with pytest.raises(DegenerateInput, match=re.escape(message)):
         certify_fixed_network(G1, NUS, {**ALPHAS, (2, 3): 0.0})
