@@ -107,36 +107,21 @@ class CertificateProblem:
     s_weights: tuple[float, ...]
 
     def __post_init__(self):
-        for name in _PROBLEM_DATA:
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        self._validate(*map(np.array, (self.theta, self.sigma, self.s_weights)))
-
-    @classmethod
-    def _from_arrays(
-        cls, graph: Graph, theta: np.ndarray, sigma: np.ndarray, s_weights: np.ndarray
-    ) -> "CertificateProblem":
-        """The problem over float arrays, validated as the constructor validates."""
-        prob = object.__new__(cls)
-        object.__setattr__(prob, "graph", graph)
-        for name, values in zip(_PROBLEM_DATA, (theta, sigma, s_weights)):
-            object.__setattr__(prob, name, tuple(values.tolist()))
-        prob._validate(theta, sigma, s_weights)
-        return prob
-
-    def _validate(self, theta: np.ndarray, sigma: np.ndarray, s_weights: np.ndarray) -> None:
-        """Check the data and keep it as ``_arrays``, the form array code reads."""
-        if len(theta) != self.graph.n:
-            raise GraphError(f"theta has {len(theta)} entries for {self.graph.n} nodes")
-        if len(sigma) != self.graph.p or len(s_weights) != self.graph.p:
+        arrays = [np.array(getattr(self, name), dtype=float) for name in _PROBLEM_DATA]
+        theta, sigma, s_weights = arrays
+        if theta.shape != (self.graph.n,):
+            raise GraphError(f"theta has {theta.size} entries for {self.graph.n} nodes")
+        if sigma.shape != (self.graph.p,) or s_weights.shape != (self.graph.p,):
             raise GraphError(
                 f"sigma/s_weights must have one entry per edge ({self.graph.p})"
             )
-        for name, values in zip(_PROBLEM_DATA, (theta, sigma, s_weights)):
+        for name, values in zip(_PROBLEM_DATA, arrays):
+            object.__setattr__(self, name, tuple(values.tolist()))
             if not np.isfinite(values).all():
                 raise DegenerateInput(f"{name} must be finite")
         if (s_weights <= 0.0).any():
             raise GraphError("s_weights must be strictly positive")
-        self.__dict__["_arrays"] = (theta, sigma, s_weights)
+        self.__dict__["_arrays"] = (theta, sigma, s_weights)  # the form array code reads
 
 
 @dataclass(frozen=True)
@@ -288,18 +273,19 @@ def check_edge_condition(
 
 
 def _alpha_for(alphas: Mapping, i: int, j: int) -> float:
+    """The upper sector bound of edge (i, j), keyed either way round in ``alphas``."""
     for key in ((i, j), (j, i)):
         if key in alphas:
             return float(alphas[key])
-    raise KeyError(f"no upper sector bound for edge ({i}, {j})")
+    raise DegenerateInput(f"no upper sector bound for edge ({i}, {j})")
 
 
 def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """theta (nu per node) and sigma (1/alpha per edge) of ``graph``, as arrays.
 
-    One mapping probe per node and per edge, a second for an edge that
-    ``alphas`` keys as (j, i). A missing index or bound, or a zero bound,
-    raises DegenerateInput naming its node or edge.
+    One mapping probe per node and per edge; an edge that ``alphas`` keys
+    as (j, i) is looked up again by ``_alpha_for``. A missing index or
+    bound, or a zero bound, raises DegenerateInput naming its node or edge.
     """
     try:
         theta = np.array([nus[v] for v in graph.node_ids], dtype=float)
@@ -310,11 +296,7 @@ def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np
     alpha = np.array(found, dtype=float)  # a bound not found reads nan
     for k in np.flatnonzero(np.isnan(alpha)).tolist():
         if found[k] is None:
-            i, j = graph.edges[k]
-            bound = alphas.get((j, i))
-            if bound is None:
-                raise DegenerateInput(f"no upper sector bound for edge ({i}, {j})")
-            alpha[k] = bound
+            alpha[k] = _alpha_for(alphas, *graph.edges[k])
     if not alpha.all():
         i, j = graph.edges[int(np.flatnonzero(alpha == 0.0)[0])]
         raise DegenerateInput(f"upper sector bound of edge ({i}, {j}) is zero")
@@ -529,7 +511,7 @@ def _finish_report(
     computed on the first read of ``oracle_min_eigenvalue``. The report
     holds the reported weights and margins whichever step decided.
     """
-    prob = CertificateProblem._from_arrays(composed, theta, sigma, s_weights)
+    prob = CertificateProblem(composed, theta, sigma, s_weights)
     gersh = gershgorin_pd_check(prob, tol)
     kappa = None
     positive_definite = _disc_proves_pd(

@@ -168,6 +168,12 @@ def test_gamma_rejects_isolated_node():
         compute_gamma_single(1, base, {1: -0.5, 2: -0.5, 3: -0.5}, {(2, 3): 1.0})
 
 
+def test_gamma_names_an_edge_without_a_sector_bound():
+    base = Graph([1, 2, 3], [(1, 2), (1, 3)])
+    with pytest.raises(DegenerateInput, match=re.escape("no upper sector bound for edge (1, 3)")):
+        compute_gamma_single(1, base, {1: -0.5, 2: -0.5, 3: -0.5}, {(2, 1): 1.0})
+
+
 # --- single-node certificate ------------------------------------------------------
 
 
