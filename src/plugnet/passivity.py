@@ -345,7 +345,8 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     steps on E'F - EF' evaluated from the factors' values, and the point
     after each step is tried as well. There the factors' own values cancel
     too, so the index is the value at the winning point with each factor
-    evaluated by the compensated Horner scheme (``_compensated_horner``).
+    evaluated by the compensated Horner scheme (``_compensated_horner``),
+    capped at the limit d.
     """
     poles = sys.poles()
     if np.any(poles.real > _POLE_TOL):
@@ -393,8 +394,12 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
         x = float(xs[i])
         n_e, n_o, d_e, d_o, a_x, b_x = (_compensated_horner(p.tolist(), x)
                                         for p in (ne, no, de, do, a, b))
-        nu = np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x)
-    return IfpIndex(nu=float(nu), omega=math.sqrt(x))
+        nu = float(np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x))
+    if not math.isfinite(nu):  # the split overflows past about 1.3e300
+        nu = float(values[i])
+    # Re H tends to d, so no index exceeds it; where Re H touches d at a
+    # finite point the compensated value can round a few ulps above it.
+    return IfpIndex(nu=min(nu, sys.d), omega=math.sqrt(x))
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1

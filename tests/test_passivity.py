@@ -176,6 +176,14 @@ def test_index_scales_linearly_with_output_gain():
     assert abs(nu3 - 3 * nu1) <= 1e-9 * max(1, abs(nu3))
 
 
+def test_index_stays_finite_where_the_compensated_split_overflows():
+    # Horner's partial sums pass 1.3e300 at the minimiser, where 2**27 + 1
+    # times them overflows; the plain value, still finite, is kept.
+    nu = estimate_ifp_index(realize([1.0, 1.0, 1.0], [1.0, 0.5, 4.0])).nu
+    idx = estimate_ifp_index(realize([1e301, 1e301, 1e301], [1.0, 0.5, 4.0]))
+    assert idx.nu == pytest.approx(1e301 * nu, rel=1e-12)
+
+
 def test_index_rejects_unstable_system():
     with pytest.raises(EstimatorError):
         estimate_ifp_index(realize([1], [1, -1]))
@@ -421,6 +429,7 @@ def _stable_systems(draw):
 
 
 def _check_against_the_grid(sys, idx):
+    assert idx.nu <= sys.d  # Re H tends to d, so no index exceeds it
     grid_values = _re_h(sys, _GRID)
     scale = max(1.0, abs(idx.nu))
     # a true lower bound: no grid value lies below it
@@ -451,9 +460,15 @@ _NEAR_UNDAMPED = (
 )
 
 
+# Re H = 2 + (x - 7)**2 / (x + 1)**3 touches its limit d = 2 at x = 7 and
+# tends to it from above: the compensated value there read 2 + 8.9e-16.
+_TOUCHES_ITS_LIMIT = ([2.0, 23.0, 56.0, 51.0], [1.0, 3.0, 3.0, 1.0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_stable_systems())
 @example(realize([1.0, -1.5, 1.0, -1.5, 1.0], _LIGHT_DOUBLE_RESONANCE))
+@example(realize(*_TOUCHES_ITS_LIMIT))
 @example(realize([-1.0, 1.0, -1.0, 1.0], _LIGHT_DOUBLE_RESONANCE))
 @example(realize(*_NEAR_UNDAMPED))
 def test_closed_form_index_is_the_infimum_of_a_dense_sweep(sys):
@@ -622,8 +637,10 @@ def _ref_estimate_ifp_index(sys):
         x = float(xs[i])
         n_e, n_o, d_e, d_o, a_x, b_x = (_ref_comp_horner(p.tolist(), x)
                                         for p in (ne, no, de, do, a, b))
-        nu = np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x)
-    return IfpIndex(nu=float(nu), omega=math.sqrt(x))
+        nu = float(np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x))
+    if not math.isfinite(nu):
+        nu = float(values[i])
+    return IfpIndex(nu=min(nu, sys.d), omega=math.sqrt(x))
 
 
 def _ref_comp_horner(p, x):
