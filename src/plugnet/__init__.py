@@ -54,9 +54,11 @@ from .passivity import (
     SectorCoupling,
     estimate_ifp_index,
     evaluate_coupling,
+    ifp_indices,
     linear_gain,
     polynomial_response,
     realize,
+    realize_many,
     saturated_sine,
     saturated_sine_smooth,
     tabulated,

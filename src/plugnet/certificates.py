@@ -280,6 +280,14 @@ def _alpha_for(alphas: Mapping, i: int, j: int) -> float:
     raise DegenerateInput(f"no upper sector bound for edge ({i}, {j})")
 
 
+def _index_of(nus: Mapping[int, float], node: int) -> float:
+    """``nus[node]``; a node without an index raises DegenerateInput naming it."""
+    try:
+        return nus[node]
+    except KeyError:
+        raise DegenerateInput(f"no passivity index for node {node}") from None
+
+
 def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """theta (nu per node) and sigma (1/alpha per edge) of ``graph``, as arrays.
 
@@ -290,8 +298,8 @@ def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np
     try:
         theta = np.array([nus[v] for v in graph.node_ids], dtype=float)
     except KeyError:
-        missing = next(v for v in graph.node_ids if v not in nus)
-        raise DegenerateInput(f"no passivity index for node {missing}") from None
+        for v in graph.node_ids:  # raises for the first node without an index
+            _index_of(nus, v)
     found = list(map(alphas.get, graph.edges))
     alpha = np.array(found, dtype=float)  # a bound not found reads nan
     for k in np.flatnonzero(np.isnan(alpha)).tolist():
@@ -334,7 +342,7 @@ def compute_gamma_single(
     Undefined when nu_c = 0 (the construction divides by |nu_c|) or when c
     has no neighbours; both raise DegenerateInput.
     """
-    nu_c = float(nus[c])
+    nu_c = float(_index_of(nus, c))
     if nu_c == 0.0:
         raise DegenerateInput(
             f"gamma is undefined at node {c}: its passivity index is zero"
@@ -345,7 +353,7 @@ def compute_gamma_single(
     r_c = base.degree(c)
     return min(
         check_edge_condition(
-            nu_c, nus[j], r_c, base.degree(j), _alpha_for(alphas, c, j)
+            nu_c, _index_of(nus, j), r_c, base.degree(j), _alpha_for(alphas, c, j)
         )
         / abs(nu_c)
         for j in neighbours

@@ -6,13 +6,19 @@ the input-feedforward passivity index of a stable SISO system
 nonlinearities with their exact sector bounds, which any declared bounds
 must contain.
 
-A heterogeneous network realizes and indexes one system per node, so the
-per-system cost is kept to the arithmetic: the polynomial helpers below
-compute exactly what ``np.roots``, ``np.polymul``, ``np.polyadd``/
-``np.polysub`` and ``np.polyval`` compute, operation for operation, without
-their wrappers. Each polynomial's roots are solved once: ``realize`` keeps
-the denominator's roots as the system's poles, and the realization check
-scales fixed pseudorandom points on the unit circle.
+A heterogeneous network realizes and indexes one system per node, so both
+are done for a whole batch of systems at once (``realize_many``,
+``ifp_indices``): per group of systems whose polynomials have one shape,
+one numpy pass per step instead of one per system, with the Python-level
+work per system kept to validation, the products of the index's
+polynomials and building the result. ``realize`` and
+``estimate_ifp_index`` are batches of one. Each item of a batch gets the
+bits it gets alone: the helpers below compute exactly what ``np.roots``,
+``np.polymul``, ``np.polyadd``/``np.polysub`` and ``np.polyval`` compute,
+operation for operation, and a stacked LAPACK call solves each matrix as
+it solves it alone. Each polynomial's roots are solved once: ``realize``
+keeps the denominator's roots as the system's poles, and the realization
+check scales fixed pseudorandom points on the unit circle.
 """
 
 from __future__ import annotations
@@ -31,29 +37,90 @@ _HALF_PI = math.pi / 2.0
 # Where the realization check compares the state-space response with the
 # polynomials, before scaling to a circle enclosing every pole and zero.
 _CHECK_POINTS = np.exp(1j * np.random.default_rng(1724).uniform(0.0, 2.0 * math.pi, size=20))
+# Systems per stacked realization check: its pencils take 320 n^2 bytes a
+# system, so blocks keep a large batch's temporaries small.
+_CHECK_BLOCK = 64
 
 
-def _roots(p: np.ndarray) -> np.ndarray:
-    """``np.roots(p)`` of a flat float array: the same companion matrix and
-    eigenvalue call, and the roots at zero appended for trailing zeros."""
-    nz = p.nonzero()[0]
-    if nz.size == 0:
-        return np.array([])
-    trailing = len(p) - nz[-1] - 1
-    p = p[nz[0]:nz[-1] + 1]
-    if len(p) > 1:
-        companion = np.eye(len(p) - 1, k=-1)
-        companion[0, :] = -p[1:] / p[0]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.array([])
-    if trailing:
-        roots = np.concatenate((roots, np.zeros(trailing, roots.dtype)))
-    return roots
+def _groups(keys) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    groups: dict = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return groups
+
+
+def _eigvals_each(matrices: np.ndarray) -> list:
+    """``np.linalg.eigvals`` of each matrix of a stack, as each alone gives it.
+
+    One call solves the stack, each matrix by the same LAPACK routine as
+    alone; but that call returns complex eigenvalues for every matrix once
+    one matrix has a complex pair, so a matrix whose eigenvalues are all
+    real gets their real parts, as it would alone. A non-finite matrix
+    fails the whole stack: then each matrix is solved alone, and one that
+    fails keeps the LinAlgError it raises.
+    """
+    try:
+        w = np.linalg.eigvals(matrices)
+    except np.linalg.LinAlgError:
+        out = []
+        for matrix in matrices:
+            try:
+                out.append(np.linalg.eigvals(matrix))
+            except np.linalg.LinAlgError as exc:
+                out.append(exc)
+        return out
+    if w.dtype.kind != "c":
+        return list(w)
+    complex_rows = (w.imag != 0.0).any(axis=1).tolist()
+    return [row if is_complex else row.real for row, is_complex in zip(w, complex_rows)]
+
+
+def _roots_many(rows: np.ndarray) -> list:
+    """``np.roots`` of each row of a 2-D float array, bit for bit.
+
+    Each row's companion matrix is that of the row without its leading and
+    trailing zeros, and each trailing zero appends a root at zero. Rows with
+    the same leading and trailing zero counts share one ``eigvals`` call on
+    their stacked companion matrices (see ``_eigvals_each``). An entry is a
+    root array, or the LinAlgError that row's matrix raises.
+    """
+    n = rows.shape[1]
+    nonzero = rows != 0.0
+    shapes = zip(nonzero.any(axis=1).tolist(), nonzero.argmax(axis=1).tolist(),
+                 nonzero[:, ::-1].argmax(axis=1).tolist())
+    out: list = [None] * len(rows)
+    for (any_nonzero, lead, trailing), members in _groups(shapes).items():
+        if not any_nonzero:
+            for r in members:
+                out[r] = np.array([])
+            continue
+        p = rows[members, lead:n - trailing]
+        m = p.shape[1] - 1
+        if m == 0:
+            roots = [np.array([]) for _ in members]
+        else:
+            companion = np.zeros((len(members), m, m))
+            companion[:, 1:, :-1] = np.eye(m - 1)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = _eigvals_each(companion)
+        for r, w in zip(members, roots):
+            if trailing and not isinstance(w, Exception):
+                w = np.concatenate((w, np.zeros(trailing, w.dtype)))
+            out[r] = w
+    return out
+
+
+def _magnitudes(z: np.ndarray) -> np.ndarray:
+    """``abs`` of each entry as numpy's scalar ``abs`` gives it: ``hypot`` of
+    the parts. (The array ``abs`` of a complex array can differ in the last bit.)"""
+    return np.hypot(z.real, z.imag)
 
 
 def _trimmed(p: np.ndarray) -> np.ndarray:
     """``p`` without leading zeros, or ``[0.]`` when all are zero (as ``np.poly1d``)."""
+    if p.size and p[0] != 0.0:
+        return p
     nz = p.nonzero()[0]
     return p[nz[0]:] if nz.size else np.zeros(1)
 
@@ -126,11 +193,10 @@ class LtiSystem:
 
     def poles(self) -> np.ndarray:
         """The roots of ``den`` (a new array): kept from ``realize``, else solved."""
-        if self._poles is not None:
-            return self._poles.copy()
-        if len(self.den) == 1:
-            return np.empty(0, dtype=complex)
-        return _roots(np.array(self.den, dtype=float))
+        poles, = _poles_many([self])
+        if isinstance(poles, Exception):
+            raise poles
+        return poles.copy()
 
 
 def polynomial_response(num: Sequence[float], den: Sequence[float], s) -> np.ndarray:
@@ -140,6 +206,8 @@ def polynomial_response(num: Sequence[float], den: Sequence[float], s) -> np.nda
 
 
 def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
+    if coeffs[0] != 0.0:
+        return coeffs
     nz = np.flatnonzero(coeffs != 0.0)
     if nz.size == 0:
         return coeffs[-1:]
@@ -162,7 +230,7 @@ def _coefficients(values, which: str) -> np.ndarray:
     except OverflowError:  # an integer beyond the float range
         raise RealizationError(
             f"{which} coefficients must be a flat list of finite numbers") from None
-    if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
+    if coeffs.ndim != 1 or not np.isfinite(coeffs).all():
         raise RealizationError(f"{which} coefficients must be a flat list of finite numbers")
     if coeffs.size == 0:
         raise RealizationError(f"{which} coefficients must not be empty")
@@ -190,22 +258,45 @@ def _cancel_common_roots(num: np.ndarray, den: np.ndarray, zeros: list, poles: l
     return new_num, new_den, kept_zeros, poles
 
 
-def _verify_realization(sys: LtiSystem, roots: list) -> None:
-    """Cross-check the state-space response against the polynomials.
-
-    The twenty fixed pseudorandom points of ``_CHECK_POINTS``, scaled to a
-    circle enclosing ``roots`` (all poles and zeros of ``sys``); relative
-    tolerance 1e-8.
+def _realization_errors(a, b, c, d, num, den, radius) -> list:
+    """The realization check of systems of one order and numerator length,
+    stacked: ``a`` (k, n, n), ``b`` and ``c`` (k, n), ``d`` (k,), ``num``
+    and ``den`` (k, len) and ``radius`` (k,). Each system's state-space
+    response is compared with its polynomials at the twenty fixed
+    pseudorandom points of ``_CHECK_POINTS`` scaled to ``radius``, a circle
+    enclosing all its poles and zeros; relative tolerance 1e-8. One stacked
+    solve of every pencil ``s I - A``. An entry is None, or the
+    RealizationError of a system that fails the check.
     """
-    radius = 2.0 * (1.0 + max((abs(r) for r in roots), default=0.0))
-    s = radius * _CHECK_POINTS
-    h_ss = sys.response(s)
-    h_poly = polynomial_response(sys.num, sys.den, s)
+    s = radius[:, None] * _CHECK_POINTS
+    pencils = s[:, :, None, None] * np.eye(b.shape[1]) - a[:, None]
+    x = np.linalg.solve(pencils, b[:, None, :, None])
+    h_ss = (x[..., 0] @ c[:, :, None])[..., 0] + d[:, None]
+    h_poly = _polyval(num.T[:, :, None], s) / _polyval(den.T[:, :, None], s)
     err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
-    if not np.all(err <= 1e-8):
-        raise RealizationError(
-            f"state-space response deviates from the polynomials (max rel err {err.max():.3g})"
-        )
+    raised: list = [None] * len(b)
+    for r in np.flatnonzero(~np.all(err <= 1e-8, axis=1)).tolist():
+        raised[r] = RealizationError(f"state-space response deviates from the polynomials "
+                                     f"(max rel err {err[r].max():.3g})")
+    return raised
+
+
+def _check_radius(roots: list) -> np.ndarray:
+    """``2 (1 + max |r|)`` over each row's roots, in one pass over all of
+    them, with ``|r|`` as numpy's scalar ``abs`` gives it."""
+    owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    largest = np.full(len(roots), -np.inf)
+    np.maximum.at(largest, owner, _magnitudes(np.concatenate(roots)))
+    return 2.0 * (1.0 + largest)
+
+
+def _verify_realization(sys: LtiSystem, roots: list) -> None:
+    """The realization check of one system whose poles and zeros are ``roots``."""
+    error, = _realization_errors(
+        sys.a[None], sys.b[None], sys.c[None], np.array([sys.d]), np.array([sys.num]),
+        np.array([sys.den]), _check_radius([np.array(roots)]))
+    if error is not None:
+        raise error
 
 
 def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
@@ -213,58 +304,107 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
 
     Exactly-equal common roots (tolerance 1e-9) are cancelled first, so the
     realization order equals the reduced denominator degree. The result is
-    checked against the polynomials at twenty fixed points in one batched
-    solve (see ``LtiSystem.response``). Each polynomial's roots are solved
-    once, for the cancellation, the radius of that check and, when nothing
-    cancels, the system's ``poles()``. The returned system is immutable, so
-    callers may share one realization between nodes with the same transfer
-    function. Raises RealizationError for coefficients that are not a flat
-    list of finite numbers, improper functions or a zero denominator.
+    checked against the polynomials at twenty fixed points. The returned
+    system is immutable, so callers may share one realization between nodes
+    with the same transfer function. Raises RealizationError for
+    coefficients that are not a flat list of finite numbers, improper
+    functions, a zero denominator or a failed check. A batch of one
+    ``realize_many``.
     """
-    num_c = _coefficients(num, "numerator")
-    den_c = _coefficients(den, "denominator")
-    if np.all(den_c == 0.0):
-        raise RealizationError("zero denominator")
-    if len(num_c) > len(den_c):
-        raise RealizationError(
-            f"improper transfer function (numerator degree {len(num_c) - 1} "
-            f"> denominator degree {len(den_c) - 1})"
-        )
-    num_c = num_c / den_c[0]
-    den_c = den_c / den_c[0]
-    den_roots = _roots(den_c)
-    num_c, den_c, zeros, poles = _cancel_common_roots(
-        num_c, den_c, list(_roots(num_c)), list(den_roots)
-    )
+    outcome, = realize_many([(num, den)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    k = len(den_c) - 1
-    if k == 0:
-        sys = LtiSystem(
-            num=tuple(num_c),
-            den=(1.0,),
-            a=np.empty((0, 0)),
-            b=np.empty(0),
-            c=np.empty(0),
-            d=float(num_c[0]),
-        )
-        return sys
 
-    alpha = den_c[1:]
-    padded = np.zeros(k + 1)
-    padded[k + 1 - len(num_c):] = num_c
-    d = padded[0]
-    c = padded[1:] - d * alpha
-    a = np.zeros((k, k))
-    a[0, :] = -alpha
-    if k > 1:
-        a[1:, :-1] = np.eye(k - 1)
-    b = np.zeros(k)
-    b[0] = 1.0
-    sys = LtiSystem(num=tuple(num_c), den=tuple(den_c), a=a, b=b, c=c, d=float(d))
-    if len(poles) == len(den_roots):  # nothing cancelled: den_roots are the poles
-        object.__setattr__(sys, "_poles", den_roots)
-    _verify_realization(sys, zeros + poles)
-    return sys
+def realize_many(pairs: Sequence[tuple]) -> list:
+    """``realize`` of each ``(num, den)`` pair, bit for bit, in stacked passes.
+
+    One outcome per pair: its ``LtiSystem``, or the exception ``realize``
+    raises for that pair alone. The coefficients are validated pair by
+    pair; then the pairs whose coefficient lists have one shape are
+    normalized in one pass and their roots solved by one ``eigvals`` per
+    group of companion matrices (``_roots_many``). A pair with a zero within
+    twice the cancellation tolerance of a pole goes through
+    ``_cancel_common_roots``; then the systems of one order and numerator
+    length are built and checked together (``_realization_errors``). Each
+    polynomial's roots are solved once, for the cancellation, the radius of
+    the check and, when nothing cancels, the system's ``poles()``.
+    """
+    outcomes: list = [None] * len(pairs)
+    valid = []
+    for i, (num, den) in enumerate(pairs):
+        try:
+            num_c = _coefficients(num, "numerator")
+            den_c = _coefficients(den, "denominator")
+            if not den_c.any():
+                raise RealizationError("zero denominator")
+            if len(num_c) > len(den_c):
+                raise RealizationError(
+                    f"improper transfer function (numerator degree {len(num_c) - 1} "
+                    f"> denominator degree {len(den_c) - 1})"
+                )
+        except PlugnetError as exc:
+            outcomes[i] = exc
+        else:
+            valid.append((i, num_c, den_c))
+
+    # (position, num, den, zeros, poles, the denominator's roots) per pair
+    solved = []
+    for members in _groups((len(v[1]), len(v[2])) for v in valid).values():
+        lead = np.array([valid[m][2][0] for m in members])[:, None]
+        nums = np.array([valid[m][1] for m in members]) / lead
+        dens = np.array([valid[m][2] for m in members]) / lead
+        for m, num_c, den_c, poles, zeros in zip(members, nums, dens, _roots_many(dens),
+                                                 _roots_many(nums)):
+            i = valid[m][0]
+            if isinstance(poles, Exception) or isinstance(zeros, Exception):
+                outcomes[i] = poles if isinstance(poles, Exception) else zeros
+            else:
+                solved.append((i, num_c, den_c, zeros, poles, poles))
+
+    for members in _groups((len(s[3]), len(s[4])) for s in solved).values():
+        zeros = np.array([solved[m][3] for m in members], dtype=complex)
+        poles = np.array([solved[m][4] for m in members], dtype=complex)
+        gaps = zeros[:, :, None] - poles[:, None, :]
+        near = (_magnitudes(gaps) <= 2.0 * _CANCEL_TOL).any(axis=(1, 2))
+        for m in np.asarray(members)[near].tolist():
+            i, num_c, den_c, z, p, den_roots = solved[m]
+            solved[m] = (i, *_cancel_common_roots(num_c, den_c, list(z), list(p)), den_roots)
+
+    for members in _groups((len(s[1]), len(s[2])) for s in solved).values():
+        rows = [solved[m] for m in members]
+        num, den = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+        k = den.shape[1] - 1
+        if k == 0:
+            for i, num_c, *_ in rows:
+                outcomes[i] = LtiSystem(num=tuple(num_c), den=(1.0,), a=np.empty((0, 0)),
+                                        b=np.empty(0), c=np.empty(0), d=float(num_c[0]))
+            continue
+        alpha = den[:, 1:]
+        padded = np.zeros((len(rows), k + 1))
+        padded[:, k + 1 - num.shape[1]:] = num
+        d = padded[:, 0]
+        c = padded[:, 1:] - d[:, None] * alpha
+        a = np.zeros((len(rows), k, k))
+        a[:, 0, :] = -alpha
+        a[:, 1:, :-1] = np.eye(k - 1)
+        b = np.zeros((len(rows), k))
+        b[:, 0] = 1.0
+        radius = _check_radius([np.concatenate((r[3], r[4])) for r in rows])
+        errors = [error for start in range(0, len(rows), _CHECK_BLOCK)
+                  for error in _realization_errors(*(v[start:start + _CHECK_BLOCK] for v in
+                                                     (a, b, c, d, num, den, radius)))]
+        for r, (i, num_c, den_c, _, poles, den_roots) in enumerate(rows):
+            if errors[r] is not None:
+                outcomes[i] = errors[r]
+                continue
+            sys = LtiSystem(num=tuple(num_c), den=tuple(den_c), a=a[r], b=b[r], c=c[r],
+                            d=float(d[r]))
+            if len(poles) == len(den_roots):  # nothing cancelled: den_roots are the poles
+                object.__setattr__(sys, "_poles", den_roots)
+            outcomes[i] = sys
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -285,34 +425,66 @@ class IfpIndex:
 
 
 def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """``Pe, Po`` with ``P(jw) = Pe(x) + jw Po(x)`` and ``x = w**2``, descending in x."""
-    ascending = np.asarray(coeffs, dtype=float)[::-1]
-    even, odd = ascending[0::2], ascending[1::2]
-    even = even * (-1.0) ** np.arange(even.size)
-    odd = odd * (-1.0) ** np.arange(odd.size) if odd.size else np.zeros(1)
-    return even[::-1], odd[::-1]
+    """``Pe, Po`` with ``P(jw) = Pe(x) + jw Po(x)`` and ``x = w**2``, descending
+    in x: of one coefficient list, or of each row of a 2-D array."""
+    ascending = np.asarray(coeffs, dtype=float)[..., ::-1]
+    even, odd = ascending[..., 0::2], ascending[..., 1::2]
+    even = even * (-1.0) ** np.arange(even.shape[-1])
+    if odd.shape[-1]:
+        odd = odd * (-1.0) ** np.arange(odd.shape[-1])
+    else:
+        odd = np.zeros(odd.shape[:-1] + (1,))
+    return even[..., ::-1], odd[..., ::-1]
 
 
-def _with_derivatives(polys: Sequence[np.ndarray]) -> np.ndarray:
-    """``polys`` and then their derivatives as rows, zero-padded in front to
-    one length; each entry is the product ``_derivative`` forms."""
-    width = max(map(len, polys))
-    rows = np.zeros((2 * len(polys), width))
-    for k, p in enumerate(polys):
-        rows[k, width - len(p):] = p
-    rows[len(polys):, 1:] = rows[:len(polys), :-1] * np.arange(width - 1, 0, -1)
-    return rows
+def _index_polynomials(systems: Sequence[LtiSystem]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The factors ``(Ne, No, De, Do, a, b)`` of each system's Re H(jw), and
+    the polynomial E'F - EF' whose positive roots are its stationary points
+    (see ``estimate_ifp_index``).
+
+    The factors of the systems whose ``num`` and ``den`` have one shape
+    come from one pass, returned right-aligned as ``factors`` (systems, 6,
+    width) with their ``lengths`` (systems, 6). Their products are formed
+    system by system: ``np.convolve`` may sum in BLAS order, which a
+    stacked product would not repeat.
+    """
+    groups = _groups((len(s.num), len(s.den), s.den[-1] == 0.0) for s in systems)
+    parts = {}
+    for (_, _, origin_pole), members in groups.items():
+        ne, no = _even_odd([systems[k].num for k in members])
+        de, do = _even_odd([systems[k].den for k in members])
+        # E = Ne a + No b and F = De a + Do b, with (a, b) = (De, x Do), or
+        # (De / x, Do) when the denominator's constant term is zero.
+        pad = np.zeros((len(members), 1))
+        if not origin_pole:
+            parts[tuple(members)] = (ne, no, de, do, de, np.concatenate((do, pad), axis=1))
+        else:
+            parts[tuple(members)] = (ne, no, de, do, de[:, :-1] if de.shape[1] > 1 else pad, do)
+    width = max((p.shape[1] for factors in parts.values() for p in factors), default=1)
+    factors = np.zeros((len(systems), 6, width))
+    lengths = np.zeros((len(systems), 6), dtype=int)
+    g: list = [None] * len(systems)
+    for members, group in parts.items():
+        for i, p in enumerate(group):
+            factors[list(members), i, width - p.shape[1]:] = p
+            lengths[list(members), i] = p.shape[1]
+        for k, (ne, no, de, do, a, b) in zip(members, zip(*group)):
+            e = np.add(*_padded(_polymul(ne, a), _polymul(no, b)))
+            f = np.add(*_padded(_polymul(de, a), _polymul(do, b)))
+            g[k] = np.subtract(*_padded(_polymul(_derivative(e), f), _polymul(e, _derivative(f))))
+    return factors, lengths, g
 
 
 def _re_h_and_slope(rows: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``E/F`` and ``E'F - EF'`` at ``xs``, from the values of the factors
-    ``(Ne, No, De, Do, a, b)`` of ``estimate_ifp_index`` and of their
-    derivatives (``rows``, from ``_with_derivatives``), not from E's and F's
-    own coefficients, which cancel where |D(jw)| is small. Each row is
-    evaluated as ``_polyval`` evaluates it: at a finite x a leading zero
-    leaves the bits as they are."""
-    values = np.zeros((len(rows), len(xs)))
-    for coeff in rows.T[:, :, None]:
+    """``E/F`` and ``E'F - EF'`` at each point of ``xs``, from the values of
+    the factors ``(Ne, No, De, Do, a, b)`` and of their derivatives, not
+    from E's and F's own coefficients, which cancel where |D(jw)| is small.
+    ``rows`` holds the coefficients for each point, (width, 12, len(xs)):
+    the six factors, then their derivatives. Each is evaluated as
+    ``_polyval`` evaluates it: at a finite x >= 0 a leading zero leaves the
+    bits as they are, so any padding gives the same values."""
+    values = np.zeros(rows.shape[1:])
+    for coeff in rows:
         values = values * xs + coeff
     # the values of [(Ne, No), (De, Do)] and (a, b), then their derivatives
     (parts, weights), (d_parts, d_weights) = ((v[:2], v[2]) for v in values.reshape(2, 3, 2, -1))
@@ -321,13 +493,57 @@ def _re_h_and_slope(rows: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     return e / f, de * f - e * df
 
 
+def _pole_problems(poles: list) -> list:
+    """The EstimatorError that makes each system's index undefined, or None:
+    a pole in the right half-plane, on the imaginary axis away from the
+    origin, or twice at the origin. One pass over all the poles."""
+    flat = np.concatenate([np.zeros(0)] + poles)
+    owner = np.repeat(np.arange(len(poles)), [len(p) for p in poles])
+    on_axis = np.abs(flat.real) <= _POLE_TOL
+    origin = on_axis & (np.abs(flat) <= _POLE_TOL)
+    unstable, off_origin, at_origin = (np.bincount(owner[mask], minlength=len(poles)).tolist()
+                                       for mask in (flat.real > _POLE_TOL, on_axis & ~origin,
+                                                    origin))
+    problems: list = [None] * len(poles)
+    for k, p in enumerate(poles):
+        if unstable[k]:
+            problems[k] = EstimatorError(f"unstable system: pole at {p[p.real > _POLE_TOL][0]:.6g}")
+        elif off_origin[k]:
+            problems[k] = EstimatorError("pole on the imaginary axis away from the origin")
+        elif at_origin[k] > 1:
+            problems[k] = EstimatorError("repeated pole at the origin: Re H(jw) is unbounded below")
+    return problems
+
+
+def _poles_many(systems: Sequence[LtiSystem]) -> list:
+    """Each system's poles: kept from ``realize``, else solved, one
+    ``eigvals`` per group (``_roots_many``). An entry is an array, shared
+    with the system when kept, or the LinAlgError of a failed solve."""
+    out: list = [None] * len(systems)
+    unsolved = []
+    for k, sys in enumerate(systems):
+        if sys._poles is not None:
+            out[k] = sys._poles
+        elif len(sys.den) == 1:
+            out[k] = np.empty(0, dtype=complex)
+        else:
+            unsolved.append(k)
+    for members in _groups(len(systems[k].den) for k in unsolved).values():
+        members = [unsolved[m] for m in members]
+        dens = np.array([systems[k].den for k in members], dtype=float)
+        for k, roots in zip(members, _roots_many(dens)):
+            out[k] = roots
+    return out
+
+
 def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     """Passivity index ``inf_w Re H(jw)`` of a SISO LTI system, in closed form.
 
     Requires all poles in the closed left half-plane with imaginary-axis
     poles only at the origin (and at most one there); otherwise the real
     part is unbounded or the system is unstable and the index is
-    meaningless.
+    meaningless, and EstimatorError says which. A batch of one
+    ``ifp_indices``.
 
     With ``H = N/D`` and ``x = w**2``, Re H(jw) = E(x)/F(x) where
     E = Ne De + x No Do and F = De**2 + x Do**2 = |D(jw)|**2; a pole at the
@@ -348,83 +564,144 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     evaluated by the compensated Horner scheme (``_compensated_horner``),
     capped at the limit d.
     """
-    poles = sys.poles()
-    if np.any(poles.real > _POLE_TOL):
-        raise EstimatorError(f"unstable system: pole at {poles[poles.real > _POLE_TOL][0]:.6g}")
-    on_axis = np.abs(poles.real) <= _POLE_TOL
-    origin = on_axis & (np.abs(poles) <= _POLE_TOL)
-    if np.any(on_axis & ~origin):
-        raise EstimatorError("pole on the imaginary axis away from the origin")
-    if int(np.count_nonzero(origin)) > 1:
-        raise EstimatorError("repeated pole at the origin: Re H(jw) is unbounded below")
+    outcome, = ifp_indices([sys])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    ne, no = _even_odd(sys.num)
-    de, do = _even_odd(sys.den)
-    # E = Ne a + No b and F = De a + Do b, with (a, b) = (De, x Do), or
-    # (De / x, Do) when the denominator's constant term is zero.
-    a, b = de, np.append(do, 0.0)
-    if sys.den[-1] == 0.0:
-        a, b = (de[:-1] if de.size > 1 else np.zeros(1)), do
-    e = np.add(*_padded(_polymul(ne, a), _polymul(no, b)))
-    f = np.add(*_padded(_polymul(de, a), _polymul(do, b)))
-    g = np.subtract(*_padded(_polymul(_derivative(e), f), _polymul(e, _derivative(f))))
+
+def ifp_indices(systems: Sequence[LtiSystem]) -> list:
+    """``estimate_ifp_index`` of each system, bit for bit, in stacked passes.
+
+    One outcome per system: its ``IfpIndex``, or the exception
+    ``estimate_ifp_index`` raises for it alone. The factors of Re H(jw)
+    come from one pass per shape of ``num`` and ``den``
+    (``_index_polynomials``); the root solves of E'F - EF' and of its
+    reverse are stacked per polynomial length; the candidate points of all
+    systems are flattened with an owner index, so the Newton steps, the
+    choice of each system's winner and its compensated Horner evaluation
+    are one numpy pass each.
+    """
+    poles = _poles_many(systems)
+    outcomes: list = [p if isinstance(p, Exception) else None for p in poles]
+    usable = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    for k, problem in zip(usable, _pole_problems([poles[k] for k in usable])):
+        outcomes[k] = problem
+    positions = [k for k in usable if outcomes[k] is None]
+    swept = [systems[k] for k in positions]
+    factors, lengths, g = _index_polynomials(swept)
+    width = factors.shape[2]
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The companion matrix finds the roots far below the largest one
         # poorly, so they also come as reciprocals of the reversed
-        # polynomial's roots.
-        roots = np.concatenate([_roots(g), 1.0 / _roots(g[::-1])]).real
-        xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
-        rows = _with_derivatives((ne, no, de, do, a, b))
-        dg = _derivative(g)
-        values, slopes = _re_h_and_slope(rows, xs)
-        points, minima = [xs], [values]
+        # polynomial's roots. dg: each E'F - EF' differentiated, right-aligned.
+        found: list = [None] * len(swept)
+        dg = np.zeros((len(swept), max(map(len, g), default=1) - 1))
+        for members in _groups(map(len, g)).values():
+            rows = np.array([g[j] for j in members])
+            dg[members, dg.shape[1] + 1 - rows.shape[1]:] = rows[:, :-1] * np.arange(
+                rows.shape[1] - 1, 0, -1)
+            for j, forward, reverse in zip(members, _roots_many(rows), _roots_many(rows[:, ::-1])):
+                found[j] = (forward, reverse)
+        live, owners, candidates = [], [], []
+        for j, roots in enumerate(found):
+            failed = [r for r in roots if isinstance(r, Exception)]
+            if failed:
+                outcomes[positions[j]] = failed[0]
+                continue
+            r = np.concatenate([roots[0], 1.0 / roots[1]]).real
+            r = r[(r > 0.0) & (r < np.inf)]
+            live.append(j)
+            owners.append(np.full(len(r), j))
+            candidates.append(r)
+        owner = np.concatenate([np.array(live, dtype=int)] + owners)
+        xs = np.concatenate([np.zeros(len(live))] + candidates)
+
+        # (width, 12, system): the factors, then their derivatives
+        rows = np.zeros((len(swept), 12, width))
+        rows[:, :6] = factors
+        rows[:, 6:, 1:] = factors[:, :, :-1] * np.arange(width - 1, 0, -1)
+        rows = rows.transpose(2, 1, 0)
+        dg = dg.T
+        values, slopes = _re_h_and_slope(rows[:, :, owner], xs)
+        points, minima, owned = [xs], [values], [owner]
         for _ in range(2):  # each step starts from the points the last one reached
-            xs = xs - slopes / _polyval(dg, xs)
-            xs = xs[(xs >= 0.0) & (xs < np.inf)]
-            values, slopes = _re_h_and_slope(rows, xs)
+            xs = xs - slopes / _polyval(dg[:, owner], xs)
+            kept = (xs >= 0.0) & (xs < np.inf)
+            xs, owner = xs[kept], owner[kept]
+            values, slopes = _re_h_and_slope(rows[:, :, owner], xs)
             points.append(xs)
             minima.append(values)
+            owned.append(owner)
         # The limit d comes last, so a value at a finite frequency wins a
-        # tie, and a polished point wins only with a smaller value.
+        # tie, and a polished point wins only with a smaller value. Each
+        # system's winner is the first of its least values, NaN ignored,
+        # as np.nanargmin picks it.
+        limits = np.array([swept[j].d for j in live])
         xs = np.concatenate(points)
-        values = np.concatenate(minima + [[sys.d]])
-        i = int(np.nanargmin(values))
-        if i == xs.size:
-            return IfpIndex(nu=sys.d)
-        x = float(xs[i])
-        n_e, n_o, d_e, d_o, a_x, b_x = (_compensated_horner(p.tolist(), x)
-                                        for p in (ne, no, de, do, a, b))
-        nu = float(np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x))
-    if not math.isfinite(nu):  # the split overflows past about 1.3e300
-        nu = float(values[i])
-    # Re H tends to d, so no index exceeds it; where Re H touches d at a
-    # finite point the compensated value can round a few ulps above it.
-    return IfpIndex(nu=min(nu, sys.d), omega=math.sqrt(x))
+        values = np.concatenate(minima + [limits])
+        owner = np.concatenate(owned + [np.array(live, dtype=int)])
+        ranked = np.where(np.isnan(values), np.inf, values)
+        least = np.full(len(swept), np.inf)
+        np.minimum.at(least, owner, ranked)
+        hits = np.flatnonzero(ranked == least[owner])
+        _, first = np.unique(owner[hits], return_index=True)
+        winners = hits[first]  # one per live system, in the order of ``live``
+        at = winners[winners < xs.size]
+        x = xs[at]
+        # each factor once more at the winning point, by compensated Horner
+        won = owner[at]
+        n_e, n_o, d_e, d_o, a_x, b_x = _compensated_horner(
+            factors[won].reshape(-1, width), np.repeat(x, 6),
+            (width - lengths[won]).ravel()).reshape(-1, 6).T
+        nu = np.divide(n_e * a_x + n_o * b_x, d_e * a_x + d_o * b_x)
+    # where the split overflows past about 1.3e300, the plain value
+    nu = np.where(np.isfinite(nu), nu, values[at])
+    compensated = iter(zip(nu.tolist(), x.tolist()))
+    for j, winner in zip(live, winners.tolist()):
+        sys = swept[j]
+        try:
+            if winner >= xs.size:  # the limit d
+                outcomes[positions[j]] = IfpIndex(nu=sys.d)
+                continue
+            nu_j, x_j = next(compensated)
+            # Re H tends to d, so no index exceeds it; where Re H touches d
+            # at a finite point the compensated value can round a few ulps above it.
+            outcomes[positions[j]] = IfpIndex(nu=min(nu_j, sys.d), omega=math.sqrt(x_j))
+        except PlugnetError as exc:
+            outcomes[positions[j]] = exc
+    return outcomes
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _compensated_horner(coeffs: list[float], x: float) -> float:
-    """The polynomial ``coeffs`` (descending) at x, as accurate as Horner's
-    rule in twice the working precision and then rounded (Graillat,
-    Langlois & Louvet, "Compensated Horner scheme", 2005): each step's
-    product error (Dekker's TwoProduct, on halves of 26 significant bits)
-    and sum error (Knuth's TwoSum) are found exactly and summed by a second
-    Horner recurrence, which corrects the result."""
+def _compensated_horner(coeffs: np.ndarray, x: np.ndarray, first=0) -> np.ndarray:
+    """Each row of ``coeffs`` (descending) at the matching point of ``x``, as
+    accurate as Horner's rule in twice the working precision and then
+    rounded (Graillat, Langlois & Louvet, "Compensated Horner scheme",
+    2005): each step's product error (Dekker's TwoProduct, on halves of 26
+    significant bits) and sum error (Knuth's TwoSum) are found exactly and
+    summed by a second Horner recurrence, which corrects the result. Row r
+    starts at its column ``first[r]`` (0 by default): the columns before
+    it are padding, which the result ignores."""
     t = _SPLITTER * x
     x_hi = t - (t - x)
     x_lo = x - x_hi
-    s, c = coeffs[0], 0.0
-    for coeff in coeffs[1:]:
+    first = np.asarray(first)
+    s, c = coeffs[:, 0], np.zeros(len(x))
+    for column, coeff in enumerate(coeffs.T[1:], start=1):
         product = s * x
         t = _SPLITTER * s
         s_hi = t - (t - s)
         s_lo = s - s_hi
         product_error = ((s_hi * x_hi - product) + s_hi * x_lo + s_lo * x_hi) + s_lo * x_lo
-        s = product + coeff
-        z = s - product
-        c = c * x + (product_error + ((product - (s - z)) + (coeff - z)))
+        total = product + coeff
+        z = total - product
+        started = column > first
+        c = np.where(started, c * x + (product_error + ((product - (total - z)) + (coeff - z))), 0.0)
+        s = np.where(started, total, coeff)
     return s + c
 
 

@@ -32,14 +32,17 @@ from .passivity import (
     IfpIndex,
     LtiSystem,
     SectorCoupling,
-    estimate_ifp_index,
+    ifp_indices,
     linear_gain,
-    realize,
+    realize_many,
     saturated_sine,
     saturated_sine_smooth,
     tabulated,
     verify_sector,
 )
+# Not called here any more: the benchmark tracer still wraps these two names
+# in this module, until ROADMAP item 7 moves the spans into plugnet.
+from .passivity import estimate_ifp_index, realize  # noqa: F401
 from .sim import (NoiseSpec, PlugEvent, Scenario, SolverConfig, _node_initial_state,
                   topology_phases)
 
@@ -176,12 +179,14 @@ class ScenarioDocument:
         """Passivity indices (declared where present, computed from the
         dynamics otherwise) and upper sector bounds per edge. Each distinct
         system's index is computed once per document."""
+        failed = self._sweep([spec.system for spec in self.nodes.values()
+                              if spec.declared_nu is None and spec.system is not None])
         nus: dict[int, float] = {}
         for node_id, spec in self.nodes.items():
             if spec.declared_nu is not None:
                 nus[node_id] = spec.declared_nu
             elif spec.system is not None:
-                nus[node_id] = _sweep(spec.system, self._sweeps).nu
+                nus[node_id] = self._index_of(spec.system, failed).nu
             else:
                 raise ScenarioError(
                     f"node {node_id} has neither a declared index nor dynamics"
@@ -192,11 +197,33 @@ class ScenarioDocument:
     def sweep_indices(self) -> dict[int, IfpIndex]:
         """Indices computed from the dynamics of every node that has them;
         each distinct system's index is computed once per document."""
+        failed = self._sweep([spec.system for spec in self.nodes.values()
+                              if spec.system is not None])
         return {
-            node_id: _sweep(spec.system, self._sweeps)
+            node_id: self._index_of(spec.system, failed)
             for node_id, spec in self.nodes.items()
             if spec.system is not None
         }
+
+    def _sweep(self, systems: list[LtiSystem]) -> dict[LtiSystem, Exception]:
+        """Index, in one batch, the distinct ``systems`` that ``_sweeps``
+        lacks; the error of each system that has no index."""
+        missing = [system for system in dict.fromkeys(systems) if system not in self._sweeps]
+        failed: dict[LtiSystem, Exception] = {}
+        if not missing:
+            return failed
+        for system, outcome in zip(missing, ifp_indices(missing)):
+            if isinstance(outcome, Exception):
+                failed[system] = outcome
+            else:
+                self._sweeps[system] = outcome
+        return failed
+
+    def _index_of(self, system: LtiSystem, failed: dict[LtiSystem, Exception]) -> IfpIndex:
+        """The index of ``system``; raises its error when it has none."""
+        if system in failed:
+            raise failed[system]
+        return self._sweeps[system]
 
     def to_dict(self) -> dict:
         nodes = []
@@ -255,27 +282,38 @@ class ScenarioDocument:
         return out
 
 
-def _sweep(system: LtiSystem, sweeps: dict[LtiSystem, IfpIndex]) -> IfpIndex:
-    """The IFP index of ``system``, computed only when ``sweeps`` lacks it."""
-    if system not in sweeps:
-        sweeps[system] = estimate_ifp_index(system)
-    return sweeps[system]
+def _coefficient_key(dynamics: Any) -> tuple | None:
+    """``(num, den)`` as tuples when ``dynamics`` is a well-formed block
+    whose ``num`` and ``den`` are flat lists of numbers, else None.
 
-
-def _coefficient_key(dynamics: dict) -> tuple | None:
-    """``(num, den)`` as tuples when both are flat lists of numbers, else None.
-
-    Equal keys mean equal coefficients, hence the same realization; other
+    Equal keys mean equal coefficients, hence the same realization. A bool
+    is no number here, though ``True == 1``: ``realize`` rejects it. Other
     forms are realized node by node and left to ``realize`` to judge.
     """
+    if not isinstance(dynamics, dict) or dynamics.keys() != _DYNAMICS_KEYS:
+        return None
     key = []
     for coeffs in (dynamics["num"], dynamics["den"]):
         if not isinstance(coeffs, (list, tuple)) or not all(
-            isinstance(v, (int, float)) for v in coeffs
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs
         ):
             return None
         key.append(tuple(coeffs))
     return tuple(key)
+
+
+def _realize_distinct(raw: list) -> tuple[list, dict[tuple, LtiSystem | Exception]]:
+    """The coefficient key of each node, and the realization of each
+    distinct key, in one batch: the system, or the error realizing it
+    raises. The first node with a key gives its coefficients."""
+    keys = [_coefficient_key(entry.get("dynamics")) if isinstance(entry, dict) else None
+            for entry in raw]
+    blocks: dict[tuple, dict] = {}
+    for key, entry in zip(keys, raw):
+        if key is not None:
+            blocks.setdefault(key, entry["dynamics"])
+    outcomes = realize_many([(d["num"], d["den"]) for d in blocks.values()])
+    return keys, dict(zip(blocks, outcomes))
 
 
 def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
@@ -283,8 +321,9 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
         raise ScenarioError("nodes: must be a non-empty list")
     nodes: dict[int, NodeSpec] = {}
     # One realization per distinct transfer function in this document; the
-    # systems are immutable, so nodes share them.
-    realized: dict[tuple, LtiSystem] = {}
+    # systems are immutable, so nodes share them. The loop below reads the
+    # outcomes node by node, so the first error in document order is raised.
+    keys, realized = _realize_distinct(raw)
     for idx, entry in enumerate(raw):
         path = f"nodes[{idx}]"
         _check_keys(entry, _NODE_KEYS, {"id"}, path)
@@ -295,15 +334,13 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
         if "dynamics" in entry:
             dynamics = entry["dynamics"]
             _check_keys(dynamics, _DYNAMICS_KEYS, _DYNAMICS_KEYS, f"{path}.dynamics")
-            key = _coefficient_key(dynamics)
-            system = realized.get(key)
-            if system is None:
-                try:
-                    system = realize(dynamics["num"], dynamics["den"])
-                except PlugnetError as exc:
-                    raise ScenarioError(f"{path}.dynamics: {exc}") from exc
-                if key is not None:
-                    realized[key] = system
+            key = keys[idx]
+            system = realized[key] if key is not None else realize_many(
+                [(dynamics["num"], dynamics["den"])])[0]
+            if isinstance(system, PlugnetError):
+                raise ScenarioError(f"{path}.dynamics: {system}") from system
+            if isinstance(system, Exception):
+                raise system
         nu = entry.get("nu")
         if nu is not None:
             nu = _finite_number(nu, f"{path}.nu")
@@ -535,11 +572,13 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
 def parse_scenario(path: str | Path) -> ScenarioDocument:
     """Load and validate a scenario file.
 
-    The cost follows the document's distinct content: each distinct
-    transfer function is realized once (its realization check one batched
-    solve), and nodes with equal ``num``/``den`` share that immutable
-    ``LtiSystem``. ``certificate_inputs`` and ``sweep_indices`` share one
-    memo, so each distinct system's index is computed once per document
+    The cost follows the document's distinct content: the distinct
+    transfer functions are realized once each, in one batch of stacked
+    numpy passes (``passivity.realize_many``), and nodes with equal
+    ``num``/``den`` share that immutable ``LtiSystem``.
+    ``certificate_inputs`` and ``sweep_indices`` share one memo, filled by
+    one batch (``passivity.ifp_indices``) over the distinct systems it
+    lacks, so each distinct system's index is computed once per document
     (``certify`` calls both). Nothing is reused across parses.
     """
     path = Path(path)

@@ -174,6 +174,15 @@ def test_gamma_names_an_edge_without_a_sector_bound():
         compute_gamma_single(1, base, {1: -0.5, 2: -0.5, 3: -0.5}, {(2, 1): 1.0})
 
 
+@pytest.mark.parametrize("missing", [1, 3], ids=["node", "neighbour"])
+def test_gamma_names_a_node_without_an_index(missing):
+    base = Graph([1, 2, 3], [(1, 2), (1, 3)])
+    nus = {1: -0.5, 2: -0.5, 3: -0.5}
+    del nus[missing]
+    with pytest.raises(DegenerateInput, match=f"no passivity index for node {missing}"):
+        compute_gamma_single(1, base, nus, {(1, 2): 1.0, (1, 3): 1.0})
+
+
 # --- single-node certificate ------------------------------------------------------
 
 

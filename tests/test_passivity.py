@@ -22,9 +22,11 @@ from plugnet.passivity import (
     coupling_parameters,
     estimate_ifp_index,
     evaluate_coupling,
+    ifp_indices,
     linear_gain,
     polynomial_response,
     realize,
+    realize_many,
     saturated_sine,
     saturated_sine_smooth,
     tabulated,
@@ -523,7 +525,7 @@ def test_compensated_horner_is_as_accurate_as_twice_the_precision(case):
     # Theorem 4 of Graillat, Langlois & Louvet (2005), checked in rational
     # arithmetic: |result - p(x)| <= u |p(x)| + gamma_2n^2 p~(|x|).
     coeffs, x = case
-    got = _compensated_horner(coeffs, x)
+    got = float(_compensated_horner(np.array([coeffs], dtype=float), np.array([x]))[0])
     terms = [Fraction(c) * Fraction(x) ** k for k, c in enumerate(reversed(coeffs))]
     exact, magnitude = sum(terms), sum(map(abs, terms))
     u = Fraction(1, 2 ** 53)
@@ -743,6 +745,83 @@ def test_realize_and_index_are_bit_identical_to_numpy_polynomials(tf):
     assert got_error == want_error
     if want is not None:
         assert (_bits(got.nu), _bits(got.omega)) == (_bits(want.nu), _bits(want.omega))
+
+
+# --- batches: realize_many and ifp_indices against each item alone -----------------
+
+
+@st.composite
+def _batches(draw):
+    """Transfer functions for one batch, in any order: mixed orders and
+    shapes, failing items among good ones, and repeats."""
+    items = draw(st.lists(_transfer_functions(), min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(items), max_size=4))
+    return draw(st.permutations(items + repeats))
+
+
+# Equal-length polynomials with and without trailing zeros, real and complex
+# roots in one stack, cancellations, static gains, and each way to fail.
+_MIXED_BATCH = [
+    ([1.0, 1.0], [1.0, 0.7, 0.0]),  # a pole at the origin
+    ([1.0], [1.0, 2.0, 5.0]),  # complex poles
+    ([1.0], [1.0, 3.0, 2.0]),  # real poles, same shape
+    ([2.0], [1.0]),  # static gain
+    ([1.0, 1.0], [1.0, 3.0, 2.0]),  # (s + 1) cancels
+    ([1.0, 0.0], [1.0, 3.0, 0.0]),  # s cancels at the origin
+    ([1.0, 1.0], [1.0, 1.0]),  # cancels to a static gain
+    ([1.0, 1.0 + 7.5e-10], [1.0, 3.0, 2.0]),  # cancels within the tolerance
+    ([1.0, 0.0, 0.0], [1.0, 1.0]),  # improper
+    ([1.0], [0.0, 0.0]),  # zero denominator
+    ([1.0], [1e-300, 1e300]),  # normalized to [1, inf]: eigvals raises LinAlgError
+    (["a"], [1.0]),  # not numbers
+    ([1.0], [1.0, -1.0]),  # unstable
+    ([1.0], [1.0, 0.0, 0.0]),  # repeated pole at the origin
+    ([1.0], [1.0, 0.0, 1.0]),  # poles on the imaginary axis
+    ([2.0, -1.0, 3.0], [1.0, 2.0, 5.0, 1.0]),
+    ([1.0, 1.0], [1.0, 0.7, 0.0]),  # a repeat
+]
+
+
+# Re H overflows to inf/inf at candidates near 1e157 rad/s: their values are
+# NaN, which the choice of the winner must skip.
+_NAN_CANDIDATES = ([91.46776485098455, 1.2532009521629861e+159], [1.0, 2.7554496718156447e+157])
+
+
+def _error(outcome):
+    return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+@example(_MIXED_BATCH)
+@example([_NEAR_UNDAMPED, _TOUCHES_ITS_LIMIT, ([1.0], _LIGHT_DOUBLE_RESONANCE)])
+@example([([1.0], [1.0, 1.0]), _NAN_CANDIDATES, ([1.0, 2.0], [1.0, 3.0])])
+def test_batches_are_bit_identical_to_each_item_alone(batch):
+    systems = realize_many(batch)
+    assert len(systems) == len(batch)
+    realized = []
+    for (num, den), got in zip(batch, systems):
+        want, want_error = _outcome(_ref_realize, num, den)
+        assert _error(got) == want_error
+        if want is None:
+            continue
+        for name in ("num", "den", "a", "b", "c", "d"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert _bits(got.poles()) == _bits(_ref_poles(want))
+        realized.append((got, want))
+    # each system once more, as the same object
+    realized += realized[:2]
+    indices = ifp_indices([got for got, _ in realized])
+    assert len(indices) == len(realized)
+    for (_, want_sys), got in zip(realized, indices):
+        want, want_error = _outcome(_ref_estimate_ifp_index, want_sys)
+        assert _error(got) == want_error
+        if want is not None:
+            assert (_bits(got.nu), _bits(got.omega)) == (_bits(want.nu), _bits(want.omega))
+
+
+def test_an_empty_batch_has_no_outcomes():
+    assert realize_many([]) == [] and ifp_indices([]) == []
 
 
 @pytest.mark.parametrize("num, den, order", [

@@ -6,16 +6,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import fig2_scenario as _fig2_scenario
 from helpers import first_plugged_sample, late_node_scenario
+from test_passivity import (_bits, _outcome, _ref_estimate_ifp_index, _ref_poles, _ref_realize,
+                            _transfer_functions)
 
 import plugnet.scenario
 from plugnet.cli import _write_json, main, read_trajectory_csv, write_trajectory_csv
 from plugnet.errors import PlugnetError, ScenarioError
 from plugnet.graph import Graph, PlugPlan, incidence
 from plugnet.metrics import estimate_io_gain
-from plugnet.passivity import estimate_ifp_index
+from plugnet.passivity import estimate_ifp_index, ifp_indices
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
 from plugnet.sim import PlugEvent, TrajectoryRecord, run
 
@@ -130,22 +133,21 @@ def _shared_tf_scenario():
 
 def test_equal_transfer_functions_share_one_realization(monkeypatch):
     import plugnet.scenario as scenario_module
-    from plugnet.passivity import estimate_ifp_index, realize
+    from plugnet.passivity import estimate_ifp_index, ifp_indices, realize, realize_many
 
-    calls = {"realize": 0, "sweep": 0}
+    calls = {"realize": [], "sweep": []}  # the size of each batch
 
     def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def wrapper(items):
+            calls[name].append(len(items))
+            return fn(items)
         return wrapper
 
-    monkeypatch.setattr(scenario_module, "realize", counted("realize", realize))
-    monkeypatch.setattr(scenario_module, "estimate_ifp_index",
-                        counted("sweep", estimate_ifp_index))
+    monkeypatch.setattr(scenario_module, "realize_many", counted("realize", realize_many))
+    monkeypatch.setattr(scenario_module, "ifp_indices", counted("sweep", ifp_indices))
     raw = _shared_tf_scenario()
     doc = parse_scenario_dict(raw)
-    assert calls["realize"] == 2
+    assert calls["realize"] == [2]  # one batch of the two distinct transfer functions
     systems = {i: spec.system for i, spec in doc.nodes.items()}
     assert systems[2] is systems[5]
     assert all(systems[i] is systems[1] for i in (3, 4, 6))
@@ -153,13 +155,134 @@ def test_equal_transfer_functions_share_one_realization(monkeypatch):
 
     nus, _ = doc.certificate_inputs()
     sweeps = doc.sweep_indices()
-    assert calls["sweep"] == 2  # the two systems once, shared by both calls
+    assert calls["sweep"] == [2]  # one batch of the two systems, shared by both calls
 
     # bit-identical to realizing and sweeping node by node
     for node in raw["nodes"]:
         alone = estimate_ifp_index(realize(node["dynamics"]["num"], node["dynamics"]["den"]))
         assert sweeps[node["id"]] == alone
         assert nus[node["id"]] == node.get("nu", alone.nu)
+
+
+def test_a_bool_coefficient_is_no_number_in_an_equal_block():
+    # True == 1.0 and hash(True) == hash(1.0): a bool must not reuse the
+    # realization of an equal numeric block
+    raw = paper_example()
+    raw["nodes"][1]["dynamics"] = {"num": [True, True], "den": [1.0, 0.7, 0.0]}
+    assert raw["nodes"][0]["dynamics"] == {"num": [1.0, 1.0], "den": [1.0, 0.7, 0.0]}
+    message = "nodes[1].dynamics: numerator coefficients must be numbers"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario_dict(raw)
+
+
+_IMPROPER = ({"num": [1.0, 0.0, 0.0], "den": [1.0, 1.0]},
+             "improper transfer function (numerator degree 2 > denominator degree 1)")
+_ZERO_DENOMINATOR = ({"num": [1.0], "den": [0.0]}, "zero denominator")
+
+
+@pytest.mark.parametrize("first, second", [(_IMPROPER, _ZERO_DENOMINATOR),
+                                           (_ZERO_DENOMINATOR, _IMPROPER)],
+                         ids=["improper_first", "zero_denominator_first"])
+def test_the_first_faulty_node_in_document_order_is_reported(first, second):
+    raw = paper_example()
+    raw["nodes"][2]["dynamics"], raw["nodes"][5]["dynamics"] = first[0], second[0]
+    with pytest.raises(ScenarioError, match=re.escape(f"nodes[2].dynamics: {first[1]}")):
+        parse_scenario_dict(raw)
+
+
+@pytest.mark.parametrize("first, second", [
+    (([1.0], [1.0, -2.0]), ([1.0], [1.0, 0.0, 0.0])),
+    (([1.0], [1.0, 0.0, 0.0]), ([1.0], [1.0, -2.0])),
+], ids=["unstable_first", "double_integrator_first"])
+def test_the_first_node_without_an_index_is_reported(first, second):
+    raw = paper_example()
+    for k, (num, den) in ((2, first), (5, second)):
+        raw["nodes"][k]["dynamics"] = {"num": num, "den": den}
+        del raw["nodes"][k]["nu"]
+    doc = parse_scenario_dict(raw)
+    _, want = _outcome(_ref_estimate_ifp_index, _ref_realize(*first))
+    for method in (doc.certificate_inputs, doc.sweep_indices):
+        with pytest.raises(want[0], match=re.escape(want[1])):
+            method()
+
+
+def _path_document(tfs, declared):
+    """One node per transfer function, ``nu`` declared where ``declared``
+    says so, joined in a path with linear couplings."""
+    ids = list(range(1, len(tfs) + 1))
+    edges = [[i, i + 1] for i in ids[:-1]]
+    return {
+        "version": "1",
+        "nodes": [{"id": i, "dynamics": {"num": list(num), "den": list(den)},
+                   **({"nu": -0.1} if flag else {})}
+                  for i, (num, den), flag in zip(ids, tfs, declared)],
+        "graphs": {"g": {"nodes": ids, "edges": edges}},
+        "initial": ["g"],
+        "couplings": [{"edge": e, "kind": "linear_gain", "a": 0.5} for e in edges],
+        "noise": {"scale": 0.0, "seed": 1},
+        "solver": {"dt": 0.01, "t_end": 0.1},
+    }
+
+
+def _first_error(outcomes):
+    """The first error among (index, value, error) in order, or None."""
+    return next(((k, error) for k, _, error in outcomes if error is not None), None)
+
+
+@st.composite
+def _node_dynamics(draw):
+    """Transfer functions for the nodes of one document, some of them again
+    on later nodes, and whether each node declares its index."""
+    tfs = draw(st.lists(_transfer_functions(), min_size=1, max_size=8))
+    tfs += draw(st.lists(st.sampled_from(tfs), max_size=3))
+    return tfs, draw(st.lists(st.booleans(), min_size=len(tfs), max_size=len(tfs)))
+
+
+# equal-length denominators with and without a root at zero, real and
+# complex poles of one shape, and cancellations
+_MIXED_NODES = ([([1.0, 1.0], [1.0, 0.7, 0.0]), ([1.0], [1.0, 2.0, 5.0]), ([1.0], [1.0, 3.0, 2.0]),
+                 ([1.0, 1.0], [1.0, 3.0, 2.0]), ([1.0, 0.0], [1.0, 3.0, 0.0]), ([2.0], [1.0]),
+                 ([1.0, 0.5], [1.0, 0.4, 0.0])], [False, False, True, False, False, False, False])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_node_dynamics())
+@example(_MIXED_NODES)
+def test_parse_and_indices_are_those_of_node_by_node_realization(nodes):
+    tfs, declared = nodes
+    raw = _path_document(tfs, declared)
+    # the reference: node by node, one realization per coefficient key
+    cache = {}
+    realized = [(k, *cache.setdefault((tuple(num), tuple(den)), _outcome(_ref_realize, num, den)))
+                for k, (num, den) in enumerate(tfs)]
+    failed = _first_error(realized)
+    if failed is not None:
+        k, (kind, message) = failed
+        if issubclass(kind, PlugnetError):
+            kind, message = ScenarioError, f"nodes[{k}].dynamics: {message}"
+        with pytest.raises(kind, match=re.escape(message)):
+            parse_scenario_dict(raw)
+        return
+    doc = parse_scenario_dict(raw)
+    for (k, want, _), spec in zip(realized, doc.nodes.values()):
+        for name in ("num", "den", "a", "b", "c", "d"):
+            assert _bits(getattr(spec.system, name)) == _bits(getattr(want, name)), (k, name)
+        assert _bits(spec.system.poles()) == _bits(_ref_poles(want)), k
+    indices = {}
+    swept = [(k, *indices.setdefault(id(want), _outcome(_ref_estimate_ifp_index, want)))
+             for k, want, _ in realized]
+    for method, nodes in ((doc.certificate_inputs, [not flag for flag in declared]),
+                          (doc.sweep_indices, [True] * len(tfs))):
+        failed = _first_error(s for s, needed in zip(swept, nodes) if needed)
+        if failed is not None:
+            with pytest.raises(failed[1][0], match=re.escape(failed[1][1])):
+                method()
+            continue
+        got = method()
+        got = got[0] if method == doc.certificate_inputs else {i: v.nu for i, v in got.items()}
+        for (k, want, _), needed in zip(swept, nodes):
+            if needed:
+                assert _bits(got[k + 1]) == _bits(want.nu), k
 
 
 def test_parses_share_no_realization():
@@ -578,11 +701,11 @@ def test_cli_certify_computes_each_index_once(tmp_path, capsys, monkeypatch):
     write_scenario(raw, path)
     calls = []
 
-    def counting(sys):
-        calls.append(sys)
-        return estimate_ifp_index(sys)
+    def counting(systems):
+        calls.extend(systems)
+        return ifp_indices(systems)
 
-    monkeypatch.setattr(plugnet.scenario, "estimate_ifp_index", counting)
+    monkeypatch.setattr(plugnet.scenario, "ifp_indices", counting)
     doc = parse_scenario(path)
     doc.certificate_inputs()
     assert len(calls) == 2  # the declared nodes 5-7 are not swept
