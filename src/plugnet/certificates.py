@@ -292,7 +292,8 @@ def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np
     """theta (nu per node) and sigma (1/alpha per edge) of ``graph``, as arrays.
 
     One mapping probe per node and per edge; an edge that ``alphas`` keys
-    as (j, i) is looked up again by ``_alpha_for``. A missing index or
+    as (j, i) only is looked up again by ``_alpha_for`` (the bounds of a
+    parsed document are keyed both ways round). A missing index or
     bound, or a zero bound, raises DegenerateInput naming its node or edge.
     """
     try:

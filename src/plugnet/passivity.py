@@ -33,7 +33,6 @@ from .errors import EstimatorError, PlugnetError, RealizationError, TableError
 
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
-_HALF_PI = math.pi / 2.0
 # Where the realization check compares the state-space response with the
 # polynomials, before scaling to a circle enclosing every pole and zero.
 _CHECK_POINTS = np.exp(1j * np.random.default_rng(1724).uniform(0.0, 2.0 * math.pi, size=20))
@@ -102,7 +101,8 @@ def _roots_many(rows: np.ndarray) -> list:
         else:
             companion = np.zeros((len(members), m, m))
             companion[:, 1:, :-1] = np.eye(m - 1)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            with np.errstate(over="ignore"):  # an overflow fails in eigvals
+                companion[:, 0, :] = -p[:, 1:] / p[:, :1]
             roots = _eigvals_each(companion)
         for r, w in zip(members, roots):
             if trailing and not isinstance(w, Exception):
@@ -308,8 +308,9 @@ def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
     system is immutable, so callers may share one realization between nodes
     with the same transfer function. Raises RealizationError for
     coefficients that are not a flat list of finite numbers, improper
-    functions, a zero denominator or a failed check. A batch of one
-    ``realize_many``.
+    functions, a zero denominator, coefficients that overflow when divided
+    by the leading denominator coefficient, roots that cannot be solved or
+    a failed check. A batch of one ``realize_many``.
     """
     outcome, = realize_many([(num, den)])
     if isinstance(outcome, Exception):
@@ -353,13 +354,21 @@ def realize_many(pairs: Sequence[tuple]) -> list:
     solved = []
     for members in _groups((len(v[1]), len(v[2])) for v in valid).values():
         lead = np.array([valid[m][2][0] for m in members])[:, None]
-        nums = np.array([valid[m][1] for m in members]) / lead
-        dens = np.array([valid[m][2] for m in members]) / lead
+        with np.errstate(over="ignore"):
+            nums = np.array([valid[m][1] for m in members]) / lead
+            dens = np.array([valid[m][2] for m in members]) / lead
+        finite = np.isfinite(nums).all(axis=1) & np.isfinite(dens).all(axis=1)
+        for m in np.asarray(members)[~finite].tolist():
+            outcomes[valid[m][0]] = RealizationError(
+                "coefficients overflow when divided by the leading denominator coefficient")
+        members, nums, dens = np.asarray(members)[finite].tolist(), nums[finite], dens[finite]
         for m, num_c, den_c, poles, zeros in zip(members, nums, dens, _roots_many(dens),
                                                  _roots_many(nums)):
             i = valid[m][0]
-            if isinstance(poles, Exception) or isinstance(zeros, Exception):
-                outcomes[i] = poles if isinstance(poles, Exception) else zeros
+            for which, roots in (("denominator", poles), ("numerator", zeros)):
+                if isinstance(roots, Exception):
+                    outcomes[i] = RealizationError(f"{which} roots cannot be solved: {roots}")
+                    break
             else:
                 solved.append((i, num_c, den_c, zeros, poles, poles))
 
@@ -823,23 +832,43 @@ def tabulated(
 # The formula of each coupling kind, written once. Parameters broadcast
 # against x: shape (m,) for a gain, (m, K + 1) for a table of K knots, with
 # m = 1 or m = len(x), so one call evaluates one coupling at many points or
-# m same-kind couplings at one point each.
+# m same-kind couplings at one point each. x is a float array. A formula
+# writes phi(x) into ``out`` when given (the simulator passes a slice of its
+# step buffer), else into a fresh array, and returns it. ``out`` may be
+# ``x`` itself, since every read of x comes before the one write to
+# ``out``; a partial overlap is not supported. Each formula keeps the
+# operations of its plain numpy expression in their order, so the results
+# are the same bit for bit.
+
+# pi/2 as a 0-d array: comparing with or subtracting it skips the
+# conversion that a Python float costs on every call.
+_HALF_PI = np.array(math.pi / 2.0)
+_HALF_PI.flags.writeable = False
 
 
-def _linear_gain_phi(gain, x):
-    return gain * x
+def _linear_gain_phi(gain, x, out=None):
+    return np.multiply(gain, x, out=out)
 
 
-def _sat_sine_phi(gain, x):
-    return gain * np.where(np.abs(x) < _HALF_PI, np.sin(x), x)
+def _sat_sine_phi(gain, x, out=None):
+    """``gain * where(|x| < pi/2, sin(x), x)``; NaN keeps sin's NaN."""
+    sat = np.sin(x)
+    np.copyto(sat, x, where=np.abs(x) >= _HALF_PI)
+    return np.multiply(gain, sat, out=out)
 
 
-def _sat_sine_smooth_phi(gain, x):
-    mag = np.abs(x)
-    return gain * np.where(mag < _HALF_PI, np.sin(x), np.sign(x) * (mag - _HALF_PI + 1.0))
+def _sat_sine_smooth_phi(gain, x, out=None):
+    """``gain * where(|x| < pi/2, sin(x), sign(x) * (|x| - pi/2 + 1))``."""
+    sat = np.abs(x)
+    small = sat < _HALF_PI
+    np.subtract(sat, _HALF_PI, out=sat)
+    np.add(sat, 1.0, out=sat)
+    np.multiply(np.sign(x), sat, out=sat)
+    np.copyto(sat, np.sin(x), where=small)
+    return np.multiply(gain, sat, out=out)
 
 
-def _tabulated_phi(knots, values, slopes, x):
+def _tabulated_phi(knots, values, slopes, x, out=None):
     """Odd piecewise-linear interpolation through (0, 0) and the knots.
 
     Row r of ``knots``/``values``/``slopes`` holds anchors 0, x_1, ..., x_K,
@@ -851,7 +880,10 @@ def _tabulated_phi(knots, values, slopes, x):
     at = np.arange(len(knots)) * knots.shape[1]  # flat index of each row's anchor 0
     for knot in knots[:, 1:].T:
         at = at + (knot <= mag)
-    return np.sign(x) * (values.take(at) + slopes.take(at) * (mag - knots.take(at)))
+    segment = np.subtract(mag, knots.take(at), out=mag)
+    np.multiply(slopes.take(at), segment, out=segment)
+    np.add(values.take(at), segment, out=segment)
+    return np.multiply(np.sign(x), segment, out=out)
 
 
 COUPLING_FORMULAS = {

@@ -178,7 +178,10 @@ class ScenarioDocument:
     def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
         """Passivity indices (declared where present, computed from the
         dynamics otherwise) and upper sector bounds per edge. Each distinct
-        system's index is computed once per document."""
+        system's index is computed once per document. The bounds are keyed
+        both ways round, so a certificate finds each edge's bound on the
+        first probe whatever its orientation (``PlugPlan`` orients a
+        single-node boundary edge from the added node)."""
         failed = self._sweep([spec.system for spec in self.nodes.values()
                               if spec.declared_nu is None and spec.system is not None])
         nus: dict[int, float] = {}
@@ -191,7 +194,9 @@ class ScenarioDocument:
                 raise ScenarioError(
                     f"node {node_id} has neither a declared index nor dynamics"
                 )
-        alphas = {edge: c.alpha_upper for edge, c in self.couplings.items()}
+        alphas: dict[tuple[int, int], float] = {}
+        for (i, j), c in self.couplings.items():
+            alphas[i, j] = alphas[j, i] = c.alpha_upper
         return nus, alphas
 
     def sweep_indices(self) -> dict[int, IfpIndex]:

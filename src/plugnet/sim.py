@@ -13,28 +13,32 @@ and ``k_s = A x_s - B D f_s``, every RK4 stage state ``x_s`` and the state
 after the step are linear in ``(x, f_1, ..., f_{s-1})``. So each topology
 phase runs the recurrence once per distinct node system, symbolically in
 its state and its four stage inputs, and scatters the result along the
-edges into the maps of one step:
+edges into the maps of one step, over one buffer ``z = [w; x; f_1; ...;
+f_4]``:
 
-* H (4p x N): the part of the four stages' ``v_s`` that is linear in x;
-* L_2, L_3, L_4: what ``f_1 .. f_{s-1}`` add to ``v_s``;
-* [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``.
+* V_1 .. V_4: ``v_s = V_s [w; x; f_1; ...; f_{s-1}]``, a prefix of z;
+* [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``, the rest of z.
 
-A row of H or a column of Q touches one edge's end nodes and P is
-block-diagonal. L_s is kept as two factors: the node inputs ``-D f_r`` of
-the earlier stages, and what each edge reads of them at its two ends; its
-product would hold an entry for every pair of edges that share a node, so
-sum(degree^2) of them at a hub. A step is five products and one coupling
-evaluation per stage. A map with at most ``DENSE_MAX_ENTRIES`` entries in
+A step is one product of V_s and one coupling evaluation per stage, which
+writes ``f_s`` into z, and one product by [P | Q]. A node's output at
+stage s reads its own state, noise and earlier inputs ``u_r = -D f_r``
+only, so V_s is kept as two factors for s > 1: D^T, and G_s reading those
+(its ``-D`` columns touch the node's edges); their product would hold an
+entry for every pair of edges that share a node, so sum(degree^2) of them
+at a hub. V_1 reads no coupling output and is the one factor ``[D^T |
+H_1]``, whose rows, like the columns of Q, touch one edge's end nodes; P
+is block-diagonal. A map with at most ``DENSE_MAX_ENTRIES`` entries in
 dense form (its factors' too) is evaluated as one ``ndarray.dot`` by the
-product, a larger one as COO triplets, one product per factor. So the
-maps hold at most 8m + 12 entries per edge end and m + 1 per state, for
-the largest node order m and whatever the node degrees, and a step costs
-time linear in the number of states and edges. The couplings are
-evaluated by kind with the formulas of ``plugnet.passivity``, all edges of
-one kind in one call. A dense reference in the tests holds this core to a
-relative error of 1e-12 with identical NaN masks, and a second test holds
-the collapsed step, dense and COO, to the stage-wise recurrence
-``dx/dt = S [x; phi(G x + D^T w)]`` with ``G = D^T C``, ``S = [A | -B D]``.
+product, a larger one as COO triplets, one product per factor, eight per
+step. So the maps hold at most 5m + 10 entries per edge end, m per state
+and 3m + 3 per node, for the largest node order m, whatever the node
+degrees, and a step costs time linear in the number of states and edges.
+The couplings are evaluated by kind with the formulas of
+``plugnet.passivity``, all edges of one kind in one call that writes into
+the buffer. A dense reference in the tests holds this core to a relative
+error of 1e-12 with identical NaN masks, and a second test holds the
+collapsed step, dense and COO, to the stage-wise recurrence ``dx/dt = S
+[x; phi(G x + D^T w)]`` with ``G = D^T C``, ``S = [A | -B D]``.
 
 That stage-wise recurrence also decides divergence. When a step ends in a
 state whose squared norm is not finite, it is replayed from the last
@@ -44,8 +48,9 @@ overflows, and a dense product spreads one non-finite entry to every row.
 
 Integration is classic RK4 with a fixed step. Noise is piecewise-constant:
 one Gaussian draw per node per step, held across the step's internal
-stages (so ``D^T w`` is formed once per step). The draw for (node, step)
-depends only on the seed and the node id, so plugging more nodes in never
+stages; each phase gathers its nodes' draws for all its steps at once,
+and a step copies its row into z. The draw for (node, step) depends only
+on the seed and the node id, so plugging more nodes in never
 perturbs existing noise streams. Scheduled plug events swap in the
 composed graph mid-run, carrying node states over and initializing newly
 added nodes from their declared initial outputs (minimum-norm state).
@@ -348,8 +353,8 @@ def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
 class _PhaseContext:
     """Step operators and coupling groups for one topology phase, step ``dt``.
 
-    ``rk4`` is the collapsed step of the module docstring. Its operators
-    H, L_2..L_4 and [P | Q] are built at construction, each evaluated by
+    ``rk4`` is the collapsed step of the module docstring. Its four stage
+    maps and [P | Q] are built at construction, each evaluated by
     ``_operator``. ``deriv`` is the stage-wise
     derivative ``S [x; phi(G x + dw)]`` with COO operators; S is built on
     first use, since only the divergence replay and the tests call it.
@@ -429,66 +434,78 @@ class _PhaseContext:
     def _build_step(self) -> None:
         """The collapsed RK4 step of size ``dt``, scattered from ``_node_steps``.
 
-        Stage s's coupling arguments are ``v_s = (H x)_s + dw + L_s [f_1;
-        ...; f_{s-1}]`` and the step ends at ``x+ = [P | Q] [x; f_1; ...;
-        f_4]``. A row of H or a column of Q touches only one edge's end
-        nodes and P is block-diagonal. L_s is held as two factors: the node
-        inputs ``u_r = -D f_r`` of the earlier stages, and what an edge reads
-        of them at its two ends. Every factor then has O(1) entries per
-        state and edge end, whatever the node degrees; a dense L_s is their
-        product.
+        A step runs in one buffer ``z = [w; x; f_1; ...; f_4]``: node noise,
+        state and the four stages' coupling outputs. Stage s's coupling
+        arguments are one product of its map over the prefix ``[w; x; f_1;
+        ...; f_{s-1}]``, and the step ends at ``x+ = [P | Q] [x; f_1; ...;
+        f_4]``, the rest of the buffer. Every node's output at stage s is
+        linear in its own state, noise and earlier inputs ``u_r = -D f_r``,
+        so stage s's map is ``D^T G_s`` with G_s (n rows) reading them;
+        stage 1 reads no coupling output and is held as the one factor
+        ``[D^T | H_1]``. A row of H_1 or a column of Q touches only one
+        edge's end nodes and P is block-diagonal, so every factor has O(m)
+        entries per state and edge end, whatever the node degrees; the dense
+        ``D^T G_s`` has one per pair of edges that share a node.
         """
-        n_states, p = self.n_states, self.p
+        n, n_states, p = self.n, self.n_states, self.p
         y, x_next = _node_steps(self._a, self._b, self._c, self._orders, self.dt)
         m = self._a.shape[-1]
-        states, stages = np.arange(m), np.arange(4)
+        states, stages, nodes = np.arange(m), np.arange(4), np.arange(n)
         first = self._first[:, None, None]
         end_first = self._first[self._end_node][:, None, None]
         end_sys, edge = self._sys[self._end_node], self._end_edge[:, None, None]
         sign = self._end_sign[:, None, None]
 
-        h_op = _Triplets((4 * p, n_states))
-        h_op.add(stages[:, None] * p + edge, end_first + states, sign * y[end_sys, :, :m])
         pq_op = _Triplets((n_states, n_states + 4 * p))
         pq_op.add(first + states[:, None], first + states, x_next[self._sys, :, :m])
         pq_op.add(end_first + states[:, None], n_states + stages * p + edge,
                   -sign * x_next[end_sys, :, m:])
-        n, node, edge, sign = self.n, self._end_node[:, None], edge[:, 0], sign[:, 0]
-        l_ops = []
+        node, edge, sign = self._end_node[:, None], edge[:, 0], sign[:, 0]
+        f_start = n + n_states  # where f_1 starts in z
+        v_op = _Triplets((p, f_start))  # [D^T | H_1]
+        v_op.add(edge, node, sign)
+        v_op.add(edge, n + end_first[:, 0] + states, sign * y[end_sys, 0, :m])
+        stage_maps = [_operator(v_op)]
+        d_t = _Triplets((p, n))
+        d_t.add(edge, node, sign)
         for s in (1, 2, 3):
-            earlier = stages[:s]
-            node_inputs = _Triplets((s * n, s * p))
-            node_inputs.add(earlier * n + node, earlier * p + edge, -sign)
-            reads = _Triplets((p, s * n))
-            reads.add(edge, earlier * n + node, sign * y[end_sys, s, m:m + s])
-            l_ops.append(_operator(reads, node_inputs))
+            g_op = _Triplets((n, f_start + s * p))
+            g_op.add(nodes, nodes, 1.0)
+            g_op.add(nodes[:, None], n + self._first[:, None] + states, y[self._sys, s, :m])
+            g_op.add(node, f_start + stages[:s] * p + edge, -sign * y[end_sys, s, m:m + s])
+            stage_maps.append(_operator(d_t, g_op))
 
-        self._H = _operator(h_op)
-        self._L = l_ops
         self._PQ = _operator(pq_op)
-        self._z = np.empty(n_states + 4 * p)  # [x; f_1; ...; f_4]
-        self._f = [slice(n_states + s * p, n_states + (s + 1) * p) for s in range(4)]
+        z = np.empty(f_start + 4 * p)
+        self._w, self._x, self._x_on = z[:n], z[n:f_start], z[n:]
+        # per stage: its map, the prefix of z the map reads, and the slot of f_s
+        self._stages = [(stage_maps[s], z[:f_start + s * p],
+                         z[f_start + s * p:f_start + (s + 1) * p]) for s in range(4)]
 
     def edge_noise(self, w: np.ndarray) -> np.ndarray:
         """``D^T w`` for node noise ``w`` in ``node_ids`` order."""
         return w[self._heads] - w[self._tails]
 
-    def phi(self, v: np.ndarray) -> np.ndarray:
+    def phi(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coupling outputs ``phi(v)``, one formula call per kind, written
+        into ``out`` or a fresh array. ``out`` may be ``v`` itself but must
+        not overlap it otherwise."""
         if len(self._kinds) == 1:
             _, formula, params = self._kinds[0]
-            return formula(*params, v)
-        out = np.empty_like(v)
+            return formula(*params, v, out=out)
+        if out is None:
+            out = np.empty_like(v)
         for sl, formula, params in self._kinds:
-            out[sl] = formula(*params, v[sl])
+            formula(*params, v[sl], out=out[sl])
         return out
 
     def edge_inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Coupling arguments ``v = D^T (C x + w)`` given ``dw = D^T w``."""
         return _matvec(self._G, x) + dw
 
-    def inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """Node inputs ``u = -D phi(v)``."""
-        f = self.phi(self.edge_inputs(x, dw))
+    def inputs(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Node inputs ``u = -D phi(v)`` under node noise ``w``."""
+        f = self.phi(self.edge_inputs(x, self.edge_noise(w)))
         return (np.bincount(self._tails, f, minlength=self.n)
                 - np.bincount(self._heads, f, minlength=self.n))
 
@@ -496,20 +513,18 @@ class _PhaseContext:
         z = np.concatenate((x, self.phi(self.edge_inputs(x, dw))))
         return _matvec(self._S, z)
 
-    def rk4(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """One RK4 step: five operator products and one ``phi`` per stage."""
-        z, f, p = self._z, self._f, self.p
-        z[:self.n_states] = x
-        v = self._H(x).reshape(4, p)
-        v += dw
-        z[f[0]] = self.phi(v[0])
-        for s in (1, 2, 3):
-            z[f[s]] = self.phi(v[s] + self._L[s - 1](z[f[0].start:f[s].start]))
-        return self._PQ(z)
+    def rk4(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """One RK4 step from ``x`` under node noise ``w``: per stage one
+        product of its map and one ``phi`` into the step buffer, then [P | Q]."""
+        self._w[:] = w
+        self._x[:] = x
+        for stage_map, reads, f in self._stages:
+            self.phi(stage_map(reads), out=f)
+        return self._PQ(self._x_on)
 
-    def rk4_by_stages(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    def rk4_by_stages(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The RK4 recurrence that ``rk4`` collapses, one ``deriv`` per stage."""
-        dt = self.dt
+        dt, dw = self.dt, self.edge_noise(w)
         k1 = self.deriv(x, dw)
         k2 = self.deriv(x + 0.5 * dt * k1, dw)
         k3 = self.deriv(x + 0.5 * dt * k2, dw)
@@ -519,8 +534,9 @@ class _PhaseContext:
     def first_nonfinite_node(self, x: np.ndarray) -> int:
         return next(node for node, sl in self.slices.items() if not np.all(np.isfinite(x[sl])))
 
-    def advance(self, x: np.ndarray, dw: np.ndarray, time: float, step_no: int) -> np.ndarray:
-        """``rk4`` from the finite state ``x``, checked; the step ends at ``time``.
+    def advance(self, x: np.ndarray, w: np.ndarray, time: float, step_no: int) -> np.ndarray:
+        """``rk4`` from the finite state ``x`` under node noise ``w``, checked;
+        the step ends at ``time``.
 
         When the new state's squared norm is not finite (a non-finite entry,
         or one beyond about 1e154), the step is replayed stage by stage from
@@ -529,10 +545,10 @@ class _PhaseContext:
         overflows, and a dense product spreads one non-finite entry to every
         row.
         """
-        x_next = self.rk4(x, dw)
+        x_next = self.rk4(x, w)
         if x_next @ x_next < math.inf:
             return x_next
-        x_next = self.rk4_by_stages(x, dw)
+        x_next = self.rk4_by_stages(x, w)
         if not np.all(np.isfinite(x_next)):
             raise SimulationDiverged(time, self.first_nonfinite_node(x_next), step_no)
         return x_next
@@ -591,7 +607,7 @@ def step(
         x[ctx.slices[node]] = arr
     w = np.array([float(w_sample.get(node, 0.0)) for node in ctx.node_ids])
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = ctx.advance(x, ctx.edge_noise(w), t0 + dt, round(t0 / dt) + 1)
+        x_next = ctx.advance(x, w, t0 + dt, round(t0 / dt) + 1)
     y = ctx.outputs(x_next)
     next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
     return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
@@ -634,15 +650,22 @@ def run(scenario: Scenario) -> TrajectoryRecord:
                 x_new[ctx.slices[node]] = x[sl]
         x = x_new
         cols = np.array([col_of[node] for node in ctx.node_ids], dtype=np.intp)
+        # the phase's node noise, a row per step: a view when its columns are
+        # consecutive, as in every benchmark workload, since a copy as long as
+        # the phase raised the bundled example's peak memory by 0.9 MB
+        steps = slice(starts[phase_idx], bounds[phase_idx])
+        if len(cols) and np.array_equal(cols, np.arange(cols[0], cols[0] + len(cols))):
+            phase_noise = noise[steps, cols[0]:cols[0] + len(cols)]
+        else:
+            phase_noise = noise[steps, cols]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for step_i in range(starts[phase_idx], bounds[phase_idx]):
-                dw = ctx.edge_noise(noise[step_i, cols])
+            for step_i, w in enumerate(phase_noise, starts[phase_idx]):
                 if step_i % stride == 0:
                     s = step_i // stride
                     y_rec[s, cols] = ctx.outputs(x)
-                    u_rec[s, cols] = ctx.inputs(x, dw)
-                x = ctx.advance(x, dw, (step_i + 1) * dt, step_i + 1)
+                    u_rec[s, cols] = ctx.inputs(x, w)
+                x = ctx.advance(x, w, (step_i + 1) * dt, step_i + 1)
         prev_ctx = ctx
 
     if total_steps % stride == 0:
@@ -650,7 +673,7 @@ def run(scenario: Scenario) -> TrajectoryRecord:
         cols = [col_of[node] for node in ctx.node_ids]
         s = total_steps // stride
         y_rec[s, cols] = ctx.outputs(x)
-        u_rec[s, cols] = ctx.inputs(x, ctx.edge_noise(noise[total_steps - 1, cols]))
+        u_rec[s, cols] = ctx.inputs(x, noise[total_steps - 1, cols])
 
     return TrajectoryRecord(node_ids=all_ids, times=times, outputs=y_rec, inputs=u_rec,
                             noise=w_rec)

@@ -321,6 +321,76 @@ def test_every_coupling_formula_is_odd(kind):
     assert np.array_equal(COUPLING_FORMULAS[kind](*coupling_parameters([coupling]), -xs), -phi)
 
 
+def _reference_phi(kind, params, x):
+    """Each coupling formula as the plain numpy expression that the in-place
+    formulas replace; they must give its bits."""
+    if kind == "linear_gain":
+        return params[0] * x
+    if kind == "sat_sine":
+        return params[0] * np.where(np.abs(x) < math.pi / 2.0, np.sin(x), x)
+    if kind == "sat_sine_smooth":
+        mag = np.abs(x)
+        return params[0] * np.where(mag < math.pi / 2.0, np.sin(x),
+                                    np.sign(x) * (mag - math.pi / 2.0 + 1.0))
+    knots, values, slopes = params
+    mag = np.abs(x)
+    at = np.arange(len(knots)) * knots.shape[1]
+    for knot in knots[:, 1:].T:
+        at = at + (knot <= mag)
+    return np.sign(x) * (values.take(at) + slopes.take(at) * (mag - knots.take(at)))
+
+
+def _same_bits(got, want):
+    """Equal bit for bit where ``want`` is a number, NaN exactly where it is
+    NaN (``sin`` of a NaN may return a NaN of its own)."""
+    nan = np.isnan(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+_HALF_PI = math.pi / 2.0
+_TABLES = ([(0.5, 0.3), (1.0, 0.8), (2.0, 1.2)], [(0.25, 0.2)], [(1.0, 1.0), (3.0, 2.0)])
+_SPECIAL_POINTS = np.array([
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, _HALF_PI, -_HALF_PI,
+    np.nextafter(_HALF_PI, 0.0), np.nextafter(_HALF_PI, 2.0), -np.nextafter(_HALF_PI, 0.0),
+    5e-324, -1e-300, 1e300, -1e300, 0.25, 0.5, -1.0, 2.0, 3.0, 7.5,
+])
+
+
+def _formula_cases(kind, x, rng):
+    """Parameters for one coupling of ``kind`` at every point of ``x``, and
+    for one coupling per point."""
+    if kind == "tabulated":
+        tables = [_TABLES[k] for k in rng.integers(0, len(_TABLES), len(x))]
+        return [coupling_parameters([tabulated(_TABLES[0])]),
+                coupling_parameters([tabulated(t) for t in tables])]
+    gains = rng.uniform(0.1, 2.0, len(x))
+    return [coupling_parameters([SectorCoupling(kind, 0.7, 0.7, gain=0.7)]),
+            coupling_parameters([SectorCoupling(kind, g, g, gain=g) for g in gains])]
+
+
+@pytest.mark.parametrize("kind", sorted(COUPLING_FORMULAS))
+def test_in_place_formulas_match_the_plain_expressions_bit_for_bit(kind):
+    rng = np.random.default_rng(5)
+    x = np.concatenate((_SPECIAL_POINTS, [k for t in _TABLES for k, _ in t],
+                        3.0 * rng.standard_normal(200)))
+    x = np.concatenate((x, -x))
+    original = x.copy()
+    formula = COUPLING_FORMULAS[kind]
+    for params in _formula_cases(kind, x, rng):
+        with np.errstate(invalid="ignore"):  # sin(inf) and inf - inf
+            want = _reference_phi(kind, params, x)
+            assert _same_bits(formula(*params, x), want)
+            buf = np.full_like(x, 7.0)
+            assert formula(*params, x, out=buf) is buf
+            assert _same_bits(buf, want)
+            # the rule stated with COUPLING_FORMULAS: out may be x itself
+            alias = x.copy()
+            formula(*params, alias, out=alias)
+            assert _same_bits(alias, want)
+    assert _same_bits(x, original)
+
+
 @st.composite
 def _tables(draw):
     """Knots in (0, 1e4] with any positive knot ratios and a rising last segment."""
@@ -564,10 +634,21 @@ def _ref_realize(num, den):
             f"improper transfer function (numerator degree {len(num_c) - 1} "
             f"> denominator degree {len(den_c) - 1})"
         )
-    num_c = num_c / den_c[0]
-    den_c = den_c / den_c[0]
+    with np.errstate(over="ignore"):
+        num_c = num_c / den_c[0]
+        den_c = den_c / den_c[0]
+    if not (np.isfinite(num_c).all() and np.isfinite(den_c).all()):
+        raise RealizationError(
+            "coefficients overflow when divided by the leading denominator coefficient")
+    roots = {}
+    for which, p in (("denominator", den_c), ("numerator", num_c)):
+        try:
+            with np.errstate(over="ignore"):
+                roots[which] = list(np.roots(p))
+        except np.linalg.LinAlgError as exc:
+            raise RealizationError(f"{which} roots cannot be solved: {exc}") from None
     num_c, den_c, zeros, poles = _cancel_common_roots(
-        num_c, den_c, list(np.roots(num_c)), list(np.roots(den_c))
+        num_c, den_c, roots["numerator"], roots["denominator"]
     )
     k = len(den_c) - 1
     if k == 0:
@@ -772,7 +853,8 @@ _MIXED_BATCH = [
     ([1.0, 1.0 + 7.5e-10], [1.0, 3.0, 2.0]),  # cancels within the tolerance
     ([1.0, 0.0, 0.0], [1.0, 1.0]),  # improper
     ([1.0], [0.0, 0.0]),  # zero denominator
-    ([1.0], [1e-300, 1e300]),  # normalized to [1, inf]: eigvals raises LinAlgError
+    ([1.0], [1e-300, 1e300]),  # normalized to [1, inf]
+    ([1e-300, 1e300], [1.0, 1.0, 1.0]),  # the numerator's companion matrix overflows
     (["a"], [1.0]),  # not numbers
     ([1.0], [1.0, -1.0]),  # unstable
     ([1.0], [1.0, 0.0, 0.0]),  # repeated pole at the origin

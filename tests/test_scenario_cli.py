@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +18,10 @@ from test_passivity import (_bits, _outcome, _ref_estimate_ifp_index, _ref_poles
                             _transfer_functions)
 
 import plugnet.scenario
+from plugnet import certificates
 from plugnet.cli import _write_json, main, read_trajectory_csv, write_trajectory_csv
-from plugnet.errors import PlugnetError, ScenarioError
-from plugnet.graph import Graph, PlugPlan, incidence
+from plugnet.errors import DegenerateInput, PlugnetError, ScenarioError
+from plugnet.graph import Graph, PlugPlan, compose, incidence
 from plugnet.metrics import estimate_io_gain
 from plugnet.passivity import estimate_ifp_index, ifp_indices
 from plugnet.scenario import parse_scenario, parse_scenario_dict, paper_example, write_scenario
@@ -109,6 +114,42 @@ def test_certificate_inputs_prefer_declared_indices(golden_doc):
     nus, alphas = golden_doc.certificate_inputs()
     assert nus[1] == -0.45  # declared, not the sweep value (-0.612)
     assert alphas[(1, 5)] == pytest.approx(0.37)
+
+
+def _flipped_fig2_scenario():
+    """``fig2_scenario`` plugged the other way round: base g2 (nodes 4-6)
+    takes g1, so each boundary edge is oriented (base, added) = (4, 1)."""
+    raw = _fig2_scenario([[1, 4]])
+    raw["plug_events"][0].update(base="g2", added="g1")
+    return raw
+
+
+@pytest.mark.parametrize("raw", [late_node_scenario(), _flipped_fig2_scenario()],
+                         ids=["single_node", "network"])
+def test_parsed_sector_bounds_hit_on_the_first_probe(raw, monkeypatch):
+    # a single-node plug orients its boundary edge (added node, base node)
+    # and a network plug (base, added), while couplings are declared (min, max)
+    doc = parse_scenario_dict(raw)
+    composed = compose(doc.plug_plan(doc.plug_entries[0]))
+    boundary = composed.edges[-1]
+    assert boundary[0] > boundary[1]
+    nus, alphas = doc.certificate_inputs()
+    assert all(alphas.get(edge) is not None for edge in composed.edges)
+
+    def second_probe(*args):
+        raise AssertionError(f"second probe for {args[1:]}")
+
+    monkeypatch.setattr(certificates, "_alpha_for", second_probe)
+    _, sigma = certificates._gather(composed, nus, alphas)
+    assert sigma[-1] == 1.0 / doc.couplings[tuple(sorted(boundary))].alpha_upper
+    monkeypatch.undo()
+    i, j = boundary
+    missing = {e: a for e, a in alphas.items() if e not in (boundary, (j, i))}
+    with pytest.raises(DegenerateInput, match=re.escape(f"no upper sector bound for edge {boundary}")):
+        certificates._gather(composed, nus, missing)
+    zero = {**alphas, boundary: 0.0, (j, i): 0.0}
+    with pytest.raises(DegenerateInput, match=re.escape(f"upper sector bound of edge {boundary} is zero")):
+        certificates._gather(composed, nus, zero)
 
 
 def test_sweep_fallback_when_no_declared_index():
@@ -470,6 +511,22 @@ def test_cli_report_writes_no_json_from_an_infinite_sample(tmp_path, capsys, gol
     assert capsys.readouterr().err.startswith(f"error: {csv_path}: a y or u cell is infinite")
     assert not (tmp_path / "traj_report.json").exists()
     assert not (tmp_path / "traj_disagreement.csv").exists()
+
+
+def test_cli_certify_names_a_realization_that_overflows(tmp_path):
+    # normalizing den [1e-300, 1e300] by its leading coefficient gives
+    # [1, inf]; a separate process shows any warning or traceback on stderr
+    raw = paper_example()
+    raw["nodes"][1]["dynamics"]["den"] = [1e-300, 1e300]
+    path = tmp_path / "overflow.json"
+    write_scenario(raw, path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(plugnet.scenario.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "plugnet.cli", "certify", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: nodes[1].dynamics: coefficients overflow")
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
 
 @pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan", "inf"])

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import first_plugged_sample
+from test_passivity import _SPECIAL_POINTS, _reference_phi, _same_bits
 
+from plugnet import sim
 from plugnet.errors import SimulationDiverged
 from plugnet.graph import Graph, PlugPlan
 from plugnet.metrics import disagreement
-from plugnet.passivity import linear_gain, realize, saturated_sine
+from plugnet.passivity import (COUPLING_FORMULAS, linear_gain, realize, saturated_sine,
+                               saturated_sine_smooth, tabulated)
 from plugnet.sim import (
     NoiseSpec,
     PlugEvent,
@@ -258,6 +261,33 @@ def test_scenario_validates_event_grid_alignment():
             solver=SolverConfig(dt=1e-3, t_end=2.0),
             plug_events=(PlugEvent(time=1.0005001, plan=plan),),
         )
+
+
+def test_mixed_kind_phi_writes_each_kind_into_its_slice_of_out():
+    ids = list(range(9))
+    g = Graph.from_pairs(ids, list(zip(ids, ids[1:])))
+    # every kind, interleaved along the path; two tables of different lengths
+    couplings = [saturated_sine(0.5), linear_gain(0.3),
+                 tabulated([(0.5, 0.2), (2.0, 0.9), (4.0, 1.6)]), saturated_sine_smooth(0.4),
+                 tabulated([(1.0, 0.7)]), saturated_sine(0.2), linear_gain(1.1),
+                 saturated_sine_smooth(0.9)]
+    ctx = sim._PhaseContext(g, {i: LAG for i in ids}, dict(zip(g.edges, couplings)), 0.01)
+    kind_of = {formula: kind for kind, formula in COUPLING_FORMULAS.items()}
+    assert sorted(kind_of[formula] for _, formula, _ in ctx._kinds) == sorted(COUPLING_FORMULAS)
+    p = ctx.p
+    for shift in range(len(_SPECIAL_POINTS)):
+        v = np.roll(_SPECIAL_POINTS, shift)[:p]
+        buffer = np.full(3 * p, 7.0)
+        with np.errstate(invalid="ignore"):
+            out = ctx.phi(v, out=buffer[p:2 * p])
+            fresh = ctx.phi(v)
+        assert np.shares_memory(out, buffer) and out.shape == (p,)
+        assert np.all(buffer[:p] == 7.0) and np.all(buffer[2 * p:] == 7.0)
+        assert _same_bits(fresh, out)
+        for sl, formula, params in ctx._kinds:
+            with np.errstate(invalid="ignore"):
+                want = _reference_phi(kind_of[formula], params, v[sl])
+            assert _same_bits(out[sl], want)
 
 
 def test_mixed_coupling_kinds_match_scalar_evaluation():

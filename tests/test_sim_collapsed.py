@@ -1,7 +1,8 @@
 """The collapsed RK4 step against the stage-wise recurrence it replaces.
 
-``_PhaseContext.rk4`` evaluates a step as five precomputed linear maps and
-one coupling evaluation per stage. The reference is ``rk4_by_stages``,
+``_PhaseContext.rk4`` evaluates a step as one product of a precomputed
+stage map and one coupling evaluation per stage, then one product by
+[P | Q]. The reference is ``rk4_by_stages``,
 the textbook recurrence through ``deriv``, one stage at a time. Both run the same
 scenario through ``run``; the sums are ordered differently, so the recorded
 arrays agree to a relative error of 1e-12 (the largest difference over the
@@ -98,7 +99,7 @@ def test_collapsed_step_matches_stagewise_recurrence(dense_max_entries, scenario
 
 
 def _operators(ctx):
-    return [ctx._H, *ctx._L, ctx._PQ, ctx.outputs]
+    return [*(stage_map for stage_map, _, _ in ctx._stages), ctx._PQ, ctx.outputs]
 
 
 def test_small_phases_go_dense_and_large_ones_coo():
@@ -116,8 +117,8 @@ def test_small_phases_go_dense_and_large_ones_coo():
 
 
 def test_a_hub_keeps_the_maps_linear_in_states_and_edges():
-    # one node joined to 500 leaves: L_s stays factored through the node
-    # inputs, so no map holds an entry per pair of edges at the hub
+    # one node joined to 500 leaves: the maps of stages 2-4 stay factored
+    # through the nodes, so no map holds an entry per pair of edges at the hub
     leaves = range(1, 501)
     star = Graph.from_pairs([0, *leaves], [(0, i) for i in leaves])
     systems = {i: SYSTEMS[i % len(SYSTEMS)] for i in star.node_ids}
@@ -125,5 +126,34 @@ def test_a_hub_keeps_the_maps_linear_in_states_and_edges():
     entries = sum(coo[2].size for op in _operators(ctx) for coo in op.args[0])
     assert entries <= 40 * (ctx.n_states + ctx.p)
     rng = np.random.default_rng(0)
-    x, dw = rng.standard_normal(ctx.n_states), 0.1 * rng.standard_normal(ctx.p)
-    _assert_close(ctx.rk4(x, dw), ctx.rk4_by_stages(x, dw))
+    x, w = rng.standard_normal(ctx.n_states), 0.1 * rng.standard_normal(ctx.n)
+    _assert_close(ctx.rk4(x, w), ctx.rk4_by_stages(x, w))
+
+
+def test_a_coo_step_takes_eight_products():
+    # stage 1 reads no coupling output: one factor; stages 2-4 read the earlier
+    # ones through the nodes: two factors each; then [P | Q]
+    ids = list(range(200))
+    ring = Graph.from_pairs(ids, [(i, (i + 1) % 200) for i in ids])
+    ctx = sim._PhaseContext(ring, dict.fromkeys(ids, SYSTEMS[4]),
+                            dict.fromkeys(ring.edges, saturated_sine(0.5)), 1e-3)
+    factors = [len(stage_map.args[0]) for stage_map, _, _ in ctx._stages]
+    assert factors + [len(ctx._PQ.args[0])] == [1, 2, 2, 2, 1]
+
+
+def test_run_takes_one_rk4_step_per_solver_step(monkeypatch):
+    raw = paper_example(t_end=16.0)
+    raw["solver"]["dt"] = 0.01
+    scenario = parse_scenario_dict(raw).build_scenario()
+    edges_per_step = []
+    rk4 = sim._PhaseContext.rk4
+
+    def counted(ctx, x, w):
+        edges_per_step.append(ctx.p)
+        return rk4(ctx, x, w)
+
+    monkeypatch.setattr(sim._PhaseContext, "rk4", counted)
+    run(scenario)
+    # the plug at t = 15 adds the edges 1-5 and 4-7 to the two subnetworks
+    assert edges_per_step == [6] * 1500 + [8] * 100
+    assert len(edges_per_step) == scenario.solver.n_steps

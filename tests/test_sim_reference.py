@@ -162,10 +162,13 @@ def _coupling(rng, k: int):
     return factory(float(rng.uniform(0.2, 0.8)))
 
 
-def _random_scenario(seed: int, tfs=TRANSFER_FUNCTIONS) -> Scenario:
-    """Two paths with chords, joined by a network plug, then one added node."""
+def _random_scenario(seed: int, tfs=TRANSFER_FUNCTIONS, late: int = 10) -> Scenario:
+    """Two paths with chords, joined by a network plug, then one added node.
+
+    With ``late`` below the other ids, the last phase's nodes are not in
+    id order, so ``run`` gathers that phase's noise instead of a view."""
     rng = np.random.default_rng(seed)
-    g1_ids, g2_ids, late = [1, 2, 3, 4, 5], [6, 7, 8, 9], 10
+    g1_ids, g2_ids = [1, 2, 3, 4, 5], [6, 7, 8, 9]
 
     def path_with_chord(ids):
         pairs = list(zip(ids, ids[1:])) + [(ids[0], ids[2])]
@@ -196,16 +199,17 @@ def _random_scenario(seed: int, tfs=TRANSFER_FUNCTIONS) -> Scenario:
     )
 
 
-@pytest.mark.parametrize("seed, tfs", [(seed, TRANSFER_FUNCTIONS) for seed in range(6)]
-                         + [(11, TRANSFER_FUNCTIONS[:1])],
-                         ids=[f"mixed-{seed}" for seed in range(6)] + ["integrators"])
-def test_run_matches_dense_reference(seed, tfs):
-    scenario = _random_scenario(seed, tfs)
+@pytest.mark.parametrize("seed, tfs, late", [(seed, TRANSFER_FUNCTIONS, 10) for seed in range(6)]
+                         + [(11, TRANSFER_FUNCTIONS[:1], 10), (3, TRANSFER_FUNCTIONS, 0)],
+                         ids=[f"mixed-{seed}" for seed in range(6)]
+                         + ["integrators", "late_node_first_by_id"])
+def test_run_matches_dense_reference(seed, tfs, late):
+    scenario = _random_scenario(seed, tfs, late)
     traj = run(scenario)
     y_ref, u_ref = _dense_run(scenario)
     _assert_close(traj.outputs, y_ref)
     _assert_close(traj.inputs, u_ref)
-    assert np.isnan(traj.outputs[0, traj.column(10)])  # plugged in later
+    assert np.isnan(traj.outputs[0, traj.column(late)])  # plugged in later
 
 
 @pytest.mark.parametrize("systems", [
