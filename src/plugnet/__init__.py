@@ -10,6 +10,8 @@ from .certificates import (
     CertificateProblem,
     CertificateReport,
     GershgorinResult,
+    PassivityIndices,
+    SectorBounds,
     certificate_matrix,
     certify_fixed_network,
     certify_network_plug,

@@ -53,13 +53,20 @@ too, the eigenvalue oracle decides, so that a ``not_pd`` verdict and its
 kappa come from one eigensolve. Otherwise the smallest eigenvalue kappa of
 M is computed on first access of ``CertificateReport.oracle_min_eigenvalue``.
 
-A verdict gathers nu and 1/alpha once, one mapping probe per node and per
-edge. Every interface margin of both sides is then one array pass over
-the composed graph's edge ends (``Graph.ends``), and the disc totals,
-margins and rounding bound are one pass per weight set; only the boundary
-edges (gamma and their margins) are visited one at a time. Each pass sums
-in the order of the scalar formula it replaces, so every value is the
-formula's, bit for bit.
+A verdict touches no node or edge of the grown network as a Python
+object. Its inputs are two read-only mappings that also hold their values
+as arrays, ``PassivityIndices`` (node id to nu) and ``SectorBounds`` (edge
+to upper alpha, either orientation); ``ScenarioDocument.certificate_inputs``
+builds them once per document, and any other mapping is converted to them
+when a verdict receives it. nu and 1/alpha of a whole graph are then one
+sorted search each over the graph's node-id array (``Graph.ids``). Every
+interface margin of both sides is one array pass over the composed graph's
+edge ends (``Graph.ends``), and the disc totals, margins and rounding bound
+are one pass per weight set; only the boundary edges (gamma and their
+margins) are visited one at a time. Each pass sums in the order of the
+scalar formula it replaces, so every value is the formula's, bit for bit.
+The problem, the disc result and the report keep these arrays, read-only;
+their tuple fields are built from them on first read.
 
 The proof does not ask for the reported margins to be exactly >= 0 and
 reuse Taussky's theorem on irreducibly diagonally dominant matrices: the
@@ -72,14 +79,16 @@ boundary margin instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import AssumptionViolation, DegenerateInput, GraphError
-from .graph import Graph, PlugPlan, assumption_1_violation, compose, is_connected
+from .graph import (Graph, PlugPlan, _read_only, assumption_1_violation, compose, id_array,
+                    is_connected)
 
 DEFAULT_STRICTNESS_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -89,9 +98,40 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_ORACLE_PD = "gershgorin_failed_oracle_pd"
 VERDICT_NOT_PD = "not_pd"
 
-_PROBLEM_DATA = ("theta", "sigma", "s_weights")  # CertificateProblem's weight fields
+
+class _FloatArray:
+    """A dataclass field of floats held as a read-only float array.
+
+    Assigning the field keeps ``np.array(value, dtype=float)``, read-only,
+    as the attribute ``_<name>``, the form array code reads. Reading the
+    field gives the tuple of its floats, built on the first read and kept.
+    """
+
+    def __init__(self, name: str):
+        self._name, self._array = name, "_" + name
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self._array] = _read_only(np.array(value, dtype=float))
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        values = obj.__dict__.get(self._name)
+        if values is None:
+            values = obj.__dict__[self._name] = tuple(obj.__dict__[self._array].tolist())
+        return values
 
 
+def _float_arrays(*names: str):
+    """Class decorator: hold each of the dataclass fields ``names`` as a ``_FloatArray``."""
+    def install(cls):
+        for name in names:
+            setattr(cls, name, _FloatArray(name))
+        return cls
+    return install
+
+
+@_float_arrays("theta", "sigma", "s_weights")
 @dataclass(frozen=True)
 class CertificateProblem:
     """Data of one positive-definiteness question: graph, node and edge weights.
@@ -107,23 +147,26 @@ class CertificateProblem:
     s_weights: tuple[float, ...]
 
     def __post_init__(self):
-        arrays = [np.array(getattr(self, name), dtype=float) for name in _PROBLEM_DATA]
-        theta, sigma, s_weights = arrays
+        theta, sigma, s_weights = self._arrays
         if theta.shape != (self.graph.n,):
             raise GraphError(f"theta has {theta.size} entries for {self.graph.n} nodes")
         if sigma.shape != (self.graph.p,) or s_weights.shape != (self.graph.p,):
             raise GraphError(
                 f"sigma/s_weights must have one entry per edge ({self.graph.p})"
             )
-        for name, values in zip(_PROBLEM_DATA, arrays):
-            object.__setattr__(self, name, tuple(values.tolist()))
-            if not np.isfinite(values).all():
+        for name, values in zip(("theta", "sigma", "s_weights"), self._arrays):
+            if not _all(np.isfinite(values)):
                 raise DegenerateInput(f"{name} must be finite")
-        if (s_weights <= 0.0).any():
+        if not _all(s_weights > 0.0):
             raise GraphError("s_weights must be strictly positive")
-        self.__dict__["_arrays"] = (theta, sigma, s_weights)  # the form array code reads
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """theta, sigma and s_weights as the read-only arrays array code reads."""
+        return self._theta, self._sigma, self._s_weights
 
 
+@_float_arrays("margins")
 @dataclass(frozen=True)
 class GershgorinResult:
     """Per-edge margins of the weighted disc condition plus both verdicts.
@@ -149,11 +192,11 @@ class GershgorinResult:
         only strictly positive exact margins make ``M S`` strictly
         diagonally dominant.
         """
-        return _proves_pd(np.array(self.margins), self.tol, self.rounding)
+        return _proves_pd(self._margins, self.tol, self.rounding)
 
 
 def _proves_pd(margins: np.ndarray, tol: float, rounding: float) -> bool:
-    return bool((margins > max(tol, 0.0) + rounding).all())
+    return _all(margins > max(tol, 0.0) + rounding)
 
 
 def gershgorin_pd_check(
@@ -175,9 +218,9 @@ def gershgorin_pd_check(
     """
     margins, rounding = _disc_margins(prob.graph, *prob._arrays)
     return GershgorinResult(
-        margins=tuple(margins.tolist()),
-        ok_strict=bool((margins >= tol).all()),
-        ok_nonstrict=bool((margins >= -tol).all()),
+        margins=margins,
+        ok_strict=_all(margins >= tol),
+        ok_nonstrict=_all(margins >= -tol),
         tol=tol,
         rounding=rounding,
     )
@@ -288,28 +331,178 @@ def _index_of(nus: Mapping[int, float], node: int) -> float:
         raise DegenerateInput(f"no passivity index for node {node}") from None
 
 
+def _node_id(key) -> int | None:
+    """The node id a mapping key matches, None for a key no node id equals."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        return int(key) if isinstance(key, float) and key.is_integer() else None
+
+
+def _edge_id(key) -> tuple[int, int] | None:
+    """The pair of node ids a mapping key matches, None for any other key."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        return None
+    i, j = map(_node_id, key)
+    return None if i is None or j is None else (i, j)
+
+
+def _id_keys(items: dict, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of ``items`` that a node id (a pair of them when ``pairs``)
+    can equal, as an id array, and their values as floats.
+
+    Integer keys convert in one pass; keys of any other form are read one
+    at a time (``_node_id``, ``_edge_id``), and the keys no id equals are
+    left out.
+    """
+    shape = (len(items), 2) if pairs else (len(items),)
+    try:
+        ids = np.array(list(items))
+    except ValueError:  # keys of different lengths
+        ids = None
+    if ids is not None and ids.dtype == np.int64 and ids.shape == shape:
+        return ids, np.array(list(items.values()), dtype=float)
+    read = _edge_id if pairs else _node_id
+    kept = [(key, value) for key, value in zip(map(read, items), items.values())
+            if key is not None]
+    ids = id_array([key for key, _ in kept]).reshape((-1, 2) if pairs else (-1,))
+    return ids, np.array([value for _, value in kept], dtype=float)
+
+
+def _all(values: np.ndarray) -> bool:
+    """``values.all()`` in one C call: a verdict reduces a dozen small arrays,
+    and the method's Python-level wrapper costs more than the reduction."""
+    return bool(np.count_nonzero(values) == values.size)
+
+
+def _search(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each of ``ids`` in the sorted ``keys``, and whether it is there.
+
+    Arrays of different kinds (an id beyond int64 on one side) are compared
+    as Python ints.
+    """
+    if keys.dtype != ids.dtype:
+        keys, ids = keys.astype(object), ids.astype(object)
+    at = np.searchsorted(keys, ids)
+    if not len(keys):
+        return at, np.zeros(len(ids), dtype=bool)
+    return at, keys.take(at, mode="clip") == ids
+
+
+class _InputMapping(Mapping):
+    """A read-only copy of a mapping; subclasses also hold its values as arrays."""
+
+    def __init__(self, items: Mapping):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._items
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._items!r})"
+
+
+class PassivityIndices(_InputMapping):
+    """Read-only mapping node id -> passivity index nu, also held as arrays.
+
+    Reads like the mapping it is built from. ``_ids`` (sorted) and ``_nu``
+    hold the integer keys and their values as floats, read-only, so that a
+    certificate reads the indices of a whole graph in one search.
+    """
+
+    def __init__(self, nus: Mapping):
+        super().__init__(nus)
+        ids, nu = _id_keys(self._items, pairs=False)
+        order = np.argsort(ids, kind="stable")
+        self._ids = _read_only(ids[order])
+        self._nu = _read_only(nu[order])
+
+    def theta(self, graph: Graph) -> np.ndarray:
+        """nu of every node of ``graph``, in ``node_ids`` order; a node
+        without an index raises DegenerateInput naming the first one."""
+        at, found = _search(self._ids, graph.ids)
+        if not _all(found):
+            node = graph.node_ids[int(np.argmin(found))]
+            raise DegenerateInput(f"no passivity index for node {node}")
+        return self._nu[at]
+
+
+class SectorBounds(_InputMapping):
+    """Read-only mapping edge (i, j) -> upper sector bound alpha, also held as arrays.
+
+    Iterates the keys of the mapping it is built from; a lookup answers
+    either orientation, (i, j) first, then (j, i). ``_ids`` holds the
+    distinct node ids of the keys, sorted; ``_codes`` (sorted) and
+    ``_alpha`` hold each edge in both orientations, coded as
+    ``rank(i) * (len(_ids) + 1) + rank(j)``, with its bound, a key's own
+    orientation taking precedence over the reverse of another. So a
+    certificate reads the bounds of a whole graph in one search.
+    """
+
+    def __init__(self, alphas: Mapping):
+        super().__init__(alphas)
+        pairs, alpha = _id_keys(self._items, pairs=True)
+        ids = np.sort(pairs, axis=None)
+        distinct = np.ones(len(ids), dtype=bool)
+        distinct[1:] = ids[1:] != ids[:-1]
+        self._ids = _read_only(ids[distinct])
+        rank, base = np.searchsorted(self._ids, pairs), len(self._ids) + 1
+        forward = rank[:, 0] * base + rank[:, 1]
+        backward = rank[:, 1] * base + rank[:, 0]
+        codes, first = np.unique(np.concatenate((forward, backward)), return_index=True)
+        self._codes = _read_only(codes)
+        self._alpha = _read_only(np.concatenate((alpha, alpha))[first])
+
+    def __getitem__(self, edge):
+        if edge not in self._items and isinstance(edge, tuple) and edge[::-1] in self._items:
+            edge = edge[::-1]
+        return self._items[edge]
+
+    def __contains__(self, edge) -> bool:
+        return edge in self._items or isinstance(edge, tuple) and edge[::-1] in self._items
+
+    def alpha(self, graph: Graph) -> np.ndarray:
+        """The bound of every edge of ``graph``, in ``edges`` order. The first
+        edge without one, else the first with a zero bound, raises
+        DegenerateInput naming it."""
+        rank, known = _search(self._ids, graph.ids)
+        if not _all(known):
+            rank = np.where(known, rank, len(self._ids))  # an unknown node ranks past every id
+        heads, tails = graph.ends.T
+        at, found = _search(self._codes, rank[heads] * (len(self._ids) + 1) + rank[tails])
+        if not _all(found):
+            i, j = graph.edges[int(np.argmin(found))]
+            raise DegenerateInput(f"no upper sector bound for edge ({i}, {j})")
+        alpha = self._alpha[at]
+        if not _all(alpha):
+            i, j = graph.edges[int(np.argmin(alpha != 0.0))]
+            raise DegenerateInput(f"upper sector bound of edge ({i}, {j}) is zero")
+        return alpha
+
+
 def _gather(graph: Graph, nus: Mapping, alphas: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """theta (nu per node) and sigma (1/alpha per edge) of ``graph``, as arrays.
 
-    One mapping probe per node and per edge; an edge that ``alphas`` keys
-    as (j, i) only is looked up again by ``_alpha_for`` (the bounds of a
-    parsed document are keyed both ways round). A missing index or
-    bound, or a zero bound, raises DegenerateInput naming its node or edge.
+    ``nus`` and ``alphas`` are read as ``PassivityIndices`` and
+    ``SectorBounds``, converted when they are other mappings. A missing
+    index, then a missing bound, then a zero bound raises DegenerateInput
+    naming its node or edge.
     """
-    try:
-        theta = np.array([nus[v] for v in graph.node_ids], dtype=float)
-    except KeyError:
-        for v in graph.node_ids:  # raises for the first node without an index
-            _index_of(nus, v)
-    found = list(map(alphas.get, graph.edges))
-    alpha = np.array(found, dtype=float)  # a bound not found reads nan
-    for k in np.flatnonzero(np.isnan(alpha)).tolist():
-        if found[k] is None:
-            alpha[k] = _alpha_for(alphas, *graph.edges[k])
-    if not alpha.all():
-        i, j = graph.edges[int(np.flatnonzero(alpha == 0.0)[0])]
-        raise DegenerateInput(f"upper sector bound of edge ({i}, {j}) is zero")
-    return theta, 1.0 / alpha
+    if not isinstance(nus, PassivityIndices):
+        nus = PassivityIndices(nus)
+    if not isinstance(alphas, SectorBounds):
+        alphas = SectorBounds(alphas)
+    theta = nus.theta(graph)
+    return theta, 1.0 / alphas.alpha(graph)
 
 
 def _edge_margins(
@@ -384,6 +577,7 @@ class BoundaryCheck:
     gamma_q: float | None = None
 
 
+@_float_arrays("s_weights", "gershgorin_margins", "intra_margins")
 @dataclass(frozen=True)
 class CertificateReport:
     """Everything a verdict rests on, in one serializable record.
@@ -394,7 +588,8 @@ class CertificateReport:
     ``problem`` on first access and then kept; a ``not_pd`` report already
     holds it, from the eigensolve its verdict needed. ``edge_margins`` is
     built on first read too, from ``composed_edges``, whose leading edges
-    are the intra-network ones, and their margins.
+    are the intra-network ones, and their margins. The float tuples are
+    held as read-only arrays and built on first read.
     """
 
     plan_kind: str
@@ -491,7 +686,7 @@ def _disc_proves_pd(
     theta, sigma, weights = prob._arrays
     weights = weights.copy()
     for k in range(g.p - n_boundary, g.p):
-        margin = gersh.margins[k]
+        margin = gersh._margins[k]
         if margin > 0.0:
             i, j = g.ends[k]
             weights[k] -= margin / (2.0 * (theta[i] + theta[j] + sigma[k]))
@@ -529,7 +724,7 @@ def _finish_report(
     if not positive_definite:
         kappa = pd_oracle(prob)
         positive_definite = kappa > 0.0
-    conditions_hold = bool((margins > tol).all()) and all(bc.margin > tol for bc in boundary)
+    conditions_hold = _all(margins > tol) and all(bc.margin > tol for bc in boundary)
     if not positive_definite:
         verdict = VERDICT_NOT_PD
     else:
@@ -538,13 +733,13 @@ def _finish_report(
         plan_kind=plan_kind,
         boundary=tuple(boundary),
         composed_edges=composed.edges,
-        s_weights=prob.s_weights,
-        gershgorin_margins=gersh.margins,
+        s_weights=prob._s_weights,
+        gershgorin_margins=gersh._margins,
         gershgorin_ok=gersh.ok_nonstrict,
         gershgorin_ok_strict=gersh.ok_strict,
         verdict=verdict,
         strictness_tol=tol,
-        intra_margins=tuple(margins.tolist()),
+        intra_margins=margins,
         problem=prob,
     )
     if kappa is not None:

@@ -5,9 +5,10 @@ node of the pair is the positive end, the second the negative end. The
 orientation is arbitrary but stable, so incidence matrices and edge-indexed
 quantities are reproducible. Graphs are immutable values; composing a plug
 plan returns a new graph. A graph builds its node index and adjacency once,
-at construction, so every query on it is a lookup. Its edge-end positions,
-its degrees and its connectivity are computed on first use and then kept;
-the graph a plug plan composes is built once per plan, from its parts.
+at construction, so every query on it is a lookup. Its node-id array, its
+edge-end positions, its degrees and its connectivity are computed on first
+use and then kept; the graph a plug plan composes is built once per plan,
+from its parts, its arrays by concatenating theirs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class Graph:
     ``j`` the negative end of edge ``k``. No self-loops, no duplicate
     undirected edges. ``index``, ``neighbors``, ``degree`` and ``has_edge``
     are lookups into a node-position map and a node-to-neighbours map that
-    construction builds while it validates the edges. ``ends`` and
+    construction builds while it validates the edges. ``ids``, ``ends`` and
     ``degrees`` are the same facts as read-only arrays, for array code.
     """
 
@@ -82,6 +83,7 @@ class Graph:
             ("edges", base.edges + added.edges + boundary),
             ("_position", position),
             ("_adjacency", adjacency),
+            ("ids", _read_only(np.concatenate((base.ids, added.ids)))),
             ("ends", _read_only(np.concatenate((base.ends, added.ends + offset, crossing)))),
         ):
             object.__setattr__(g, name, value)
@@ -117,6 +119,11 @@ class Graph:
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """``node_ids`` as a read-only array: int64, or object when an id is beyond int64."""
+        return _read_only(id_array(self.node_ids))
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -165,6 +172,15 @@ def incidence(g: Graph) -> np.ndarray:
         d[g.index(i), k] = 1
         d[g.index(j), k] = -1
     return d
+
+
+def id_array(ids) -> np.ndarray:
+    """Integer node ids (or (p, 2) pairs of them) as an int64 array, or as
+    an object array of Python ints when one is beyond the int64 range."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -272,8 +272,9 @@ def _realization_errors(a, b, c, d, num, den, radius) -> list:
     pencils = s[:, :, None, None] * np.eye(b.shape[1]) - a[:, None]
     x = np.linalg.solve(pencils, b[:, None, :, None])
     h_ss = (x[..., 0] @ c[:, :, None])[..., 0] + d[:, None]
-    h_poly = _polyval(num.T[:, :, None], s) / _polyval(den.T[:, :, None], s)
-    err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN fails the check
+        h_poly = _polyval(num.T[:, :, None], s) / _polyval(den.T[:, :, None], s)
+        err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
     raised: list = [None] * len(b)
     for r in np.flatnonzero(~np.all(err <= 1e-8, axis=1)).tolist():
         raised[r] = RealizationError(f"state-space response deviates from the polynomials "
@@ -477,10 +478,14 @@ def _index_polynomials(systems: Sequence[LtiSystem]) -> tuple[np.ndarray, np.nda
         for i, p in enumerate(group):
             factors[list(members), i, width - p.shape[1]:] = p
             lengths[list(members), i] = p.shape[1]
-        for k, (ne, no, de, do, a, b) in zip(members, zip(*group)):
-            e = np.add(*_padded(_polymul(ne, a), _polymul(no, b)))
-            f = np.add(*_padded(_polymul(de, a), _polymul(do, b)))
-            g[k] = np.subtract(*_padded(_polymul(_derivative(e), f), _polymul(e, _derivative(f))))
+        # Products beyond the float range leave inf and NaN coefficients,
+        # which the root solve in ``ifp_indices`` turns into an EstimatorError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (ne, no, de, do, a, b) in zip(members, zip(*group)):
+                e = np.add(*_padded(_polymul(ne, a), _polymul(no, b)))
+                f = np.add(*_padded(_polymul(de, a), _polymul(do, b)))
+                g[k] = np.subtract(*_padded(_polymul(_derivative(e), f),
+                                            _polymul(e, _derivative(f))))
     return factors, lengths, g
 
 
@@ -551,8 +556,9 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     Requires all poles in the closed left half-plane with imaginary-axis
     poles only at the origin (and at most one there); otherwise the real
     part is unbounded or the system is unstable and the index is
-    meaningless, and EstimatorError says which. A batch of one
-    ``ifp_indices``.
+    meaningless, and EstimatorError says which. It is an EstimatorError
+    too when the stationary points below cannot be root-solved. A batch of
+    one ``ifp_indices``.
 
     With ``H = N/D`` and ``x = w**2``, Re H(jw) = E(x)/F(x) where
     E = Ne De + x No Do and F = De**2 + x Do**2 = |D(jw)|**2; a pole at the
@@ -616,8 +622,11 @@ def ifp_indices(systems: Sequence[LtiSystem]) -> list:
         live, owners, candidates = [], [], []
         for j, roots in enumerate(found):
             failed = [r for r in roots if isinstance(r, Exception)]
-            if failed:
-                outcomes[positions[j]] = failed[0]
+            if failed:  # E'F - EF' or its companion matrix is not finite
+                error = EstimatorError(
+                    f"the stationary points of Re H(jw) cannot be solved: {failed[0]}")
+                error.__cause__ = failed[0]
+                outcomes[positions[j]] = error
                 continue
             r = np.concatenate([roots[0], 1.0 / roots[1]]).real
             r = r[(r > 0.0) & (r < np.inf)]

@@ -21,12 +21,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import PlugnetError, ScenarioError, TableError
+from .certificates import PassivityIndices, SectorBounds
+from .errors import EstimatorError, PlugnetError, ScenarioError, TableError
 from .graph import Graph, PlugPlan
 from .passivity import (
     IfpIndex,
@@ -175,13 +177,18 @@ class ScenarioDocument:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
-    def certificate_inputs(self) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
+    def certificate_inputs(self) -> tuple[PassivityIndices, SectorBounds]:
         """Passivity indices (declared where present, computed from the
-        dynamics otherwise) and upper sector bounds per edge. Each distinct
-        system's index is computed once per document. The bounds are keyed
-        both ways round, so a certificate finds each edge's bound on the
-        first probe whatever its orientation (``PlugPlan`` orients a
+        dynamics otherwise) and upper sector bounds per edge, as read-only
+        mappings that also hold their values as arrays, built once per
+        document. Each distinct system's index is computed once per
+        document. The bounds are keyed both ways round, so a lookup finds
+        each edge's bound whatever its orientation (``PlugPlan`` orients a
         single-node boundary edge from the added node)."""
+        return self._certificate_inputs
+
+    @cached_property
+    def _certificate_inputs(self) -> tuple[PassivityIndices, SectorBounds]:
         failed = self._sweep([spec.system for spec in self.nodes.values()
                               if spec.declared_nu is None and spec.system is not None])
         nus: dict[int, float] = {}
@@ -189,7 +196,7 @@ class ScenarioDocument:
             if spec.declared_nu is not None:
                 nus[node_id] = spec.declared_nu
             elif spec.system is not None:
-                nus[node_id] = self._index_of(spec.system, failed).nu
+                nus[node_id] = self._index_of(node_id, spec.system, failed).nu
             else:
                 raise ScenarioError(
                     f"node {node_id} has neither a declared index nor dynamics"
@@ -197,7 +204,7 @@ class ScenarioDocument:
         alphas: dict[tuple[int, int], float] = {}
         for (i, j), c in self.couplings.items():
             alphas[i, j] = alphas[j, i] = c.alpha_upper
-        return nus, alphas
+        return PassivityIndices(nus), SectorBounds(alphas)
 
     def sweep_indices(self) -> dict[int, IfpIndex]:
         """Indices computed from the dynamics of every node that has them;
@@ -205,7 +212,7 @@ class ScenarioDocument:
         failed = self._sweep([spec.system for spec in self.nodes.values()
                               if spec.system is not None])
         return {
-            node_id: self._index_of(spec.system, failed)
+            node_id: self._index_of(node_id, spec.system, failed)
             for node_id, spec in self.nodes.items()
             if spec.system is not None
         }
@@ -224,11 +231,16 @@ class ScenarioDocument:
                 self._sweeps[system] = outcome
         return failed
 
-    def _index_of(self, system: LtiSystem, failed: dict[LtiSystem, Exception]) -> IfpIndex:
-        """The index of ``system``; raises its error when it has none."""
-        if system in failed:
-            raise failed[system]
-        return self._sweeps[system]
+    def _index_of(self, node_id: int, system: LtiSystem,
+                  failed: dict[LtiSystem, Exception]) -> IfpIndex:
+        """The index of node ``node_id``'s ``system``; raises its error when
+        it has none, naming the node when numpy could not root-solve it."""
+        if system not in failed:
+            return self._sweeps[system]
+        error = failed[system]
+        if isinstance(error.__cause__, np.linalg.LinAlgError):
+            raise EstimatorError(f"node {node_id}: {error}") from error
+        raise error
 
     def to_dict(self) -> dict:
         nodes = []

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 from plugnet import certificates
 from plugnet.certificates import (
     CertificateProblem,
+    PassivityIndices,
+    SectorBounds,
     VERDICT_CERTIFIED,
     VERDICT_NOT_PD,
     VERDICT_ORACLE_PD,
@@ -27,6 +31,7 @@ from plugnet.certificates import (
 )
 from plugnet.errors import AssumptionViolation, DegenerateInput, GraphError
 from plugnet.graph import Graph, PlugPlan, assumption_1_violation, compose, incidence
+from plugnet.scenario import parse_scenario_dict
 
 # seven-node example data
 G1 = Graph.from_pairs([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (3, 4)])
@@ -929,7 +934,7 @@ def _scalar_verdict(certify, subject, nus, alphas, tol):
         verdict = VERDICT_NOT_PD
     else:
         verdict = VERDICT_CERTIFIED if conditions else VERDICT_ORACLE_PD
-    return margins, boundary, disc, rounding, proved, verdict
+    return margins, boundary, disc, rounding, proved, verdict, prob
 
 
 def _hub_graph(draw, labels):
@@ -1024,7 +1029,7 @@ def test_array_verdict_is_bit_identical_to_the_scalar_formulas(case):
         with pytest.raises(DegenerateInput, match=re.escape(str(exc))):
             certify(subject, nus, alphas, tol)
         return
-    margins, boundary, disc, rounding, proved, verdict = want
+    margins, boundary, disc, rounding, proved, verdict, _ = want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificates, "_disc_proves_pd", recording)
         report = certify(subject, nus, alphas, tol)
@@ -1061,3 +1066,199 @@ def test_a_zero_sector_bound_is_a_typed_error():
     message = "upper sector bound of edge (2, 3) is zero"
     with pytest.raises(DegenerateInput, match=re.escape(message)):
         certify_fixed_network(G1, NUS, {**ALPHAS, (2, 3): 0.0})
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+# Certificate inputs as plain dicts and as the read-only array-backed mappings.
+_INPUT_FORMS = {"dicts": lambda nus, alphas: (nus, alphas),
+                "mappings": lambda nus, alphas: (PassivityIndices(nus), SectorBounds(alphas))}
+
+
+@pytest.mark.parametrize("certify, subject", _CERTIFIED_CASES,
+                         ids=["network", "single_node", "fixed"])
+def test_missing_inputs_are_the_same_typed_errors_from_the_read_only_mappings(certify, subject):
+    nus, alphas = {**NUS, 8: -0.45}, {**ALPHAS, (8, 5): 0.37}
+    node = 2 if certify is certify_fixed_network else 6
+    edge = (6, 7) if certify is certify_single_node_plug else (2, 3)
+    for nus_given, alphas_given, message in (
+            (_without(nus, node), alphas, f"no passivity index for node {node}"),
+            (nus, _without(alphas, edge), f"no upper sector bound for edge {edge}")):
+        with pytest.raises(DegenerateInput, match=re.escape(message)):
+            certify(subject, PassivityIndices(nus_given), SectorBounds(alphas_given))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("form", sorted(_INPUT_FORMS))
+@pytest.mark.parametrize("nus, alphas, message", [
+    (NUS, {**ALPHAS, (2, 3): 0.0}, "upper sector bound of edge (2, 3) is zero"),
+    (NUS, {**ALPHAS, (2, 4): -0.0}, "upper sector bound of edge (2, 4) is zero"),
+    (NUS, {**ALPHAS, (2, 3): _NAN}, "sigma must be finite"),
+    (NUS, {**_without(ALPHAS, (2, 3)), (3, 2): _NAN}, "sigma must be finite"),
+    ({**NUS, 2: _NAN}, {**ALPHAS, (2, 3): _NAN}, "theta must be finite"),
+    # a missing index comes before a missing bound, a missing bound before a zero one
+    (_without(NUS, 3), _without(ALPHAS, (1, 2)), "no passivity index for node 3"),
+    (NUS, {**_without(ALPHAS, (3, 4)), (1, 2): 0.0}, "no upper sector bound for edge (3, 4)"),
+    (NUS, {**ALPHAS, (1, 2): _NAN, (3, 4): 0.0}, "upper sector bound of edge (3, 4) is zero"),
+], ids=["zero", "negative_zero", "nan", "nan_reversed", "nan_index", "index_first",
+        "missing_first", "zero_after_nan"])
+def test_degenerate_inputs_are_typed_errors_in_order(nus, alphas, message, form):
+    with pytest.raises(DegenerateInput, match=re.escape(message)):
+        certify_fixed_network(G1, *_INPUT_FORMS[form](nus, alphas))
+
+
+def test_a_bound_keyed_both_ways_is_read_in_the_edges_orientation():
+    # the edge (2, 3) reads its own key; the reverse key alone would fail it
+    for nus, alphas in (_INPUT_FORMS[form](NUS, {**ALPHAS, (3, 2): 0.0}) for form in _INPUT_FORMS):
+        assert certify_fixed_network(G1, nus, alphas).verdict == VERDICT_CERTIFIED
+        assert alphas[2, 3] == 0.32 and alphas[3, 2] == 0.0
+
+
+def test_input_mappings_are_read_only_and_read_as_their_dicts():
+    nus, alphas = PassivityIndices(NUS), SectorBounds(ALPHAS)
+    with pytest.raises(TypeError):
+        nus[1] = 0.0
+    with pytest.raises(TypeError):
+        alphas[1, 2] = 0.0
+    assert dict(nus) == NUS and dict(alphas) == ALPHAS and len(alphas) == len(ALPHAS)
+    assert alphas[2, 1] == alphas[1, 2] == 0.40  # either orientation
+    assert (2, 1) in alphas and (1, 3) not in alphas and 8 not in nus
+    with pytest.raises(KeyError):
+        alphas[1, 3]
+    assert not nus._nu.flags.writeable and not alphas._alpha.flags.writeable
+
+
+def test_node_ids_beyond_int64_keep_working():
+    big = 2**70
+    graph = Graph.from_pairs([v + big for v in G1.node_ids],
+                             [(i + big, j + big) for i, j in G1.edges])
+    nus = {v + big: nu for v, nu in NUS.items()}
+    alphas = {(i + big, j + big): a for (i, j), a in ALPHAS.items()}
+    want = certify_fixed_network(G1, NUS, ALPHAS)
+    for form in _INPUT_FORMS:
+        got = certify_fixed_network(graph, *_INPUT_FORMS[form](nus, alphas))
+        assert _bits(got.gershgorin_margins) == _bits(want.gershgorin_margins)
+        assert got.oracle_min_eigenvalue == want.oracle_min_eigenvalue
+    # a graph mixing ids in and beyond the int64 range, against int64 mappings and back
+    plan = PlugPlan(G1, big, ((big, 1),))
+    mixed = certify_single_node_plug(plan, {**NUS, big: -0.4}, {**ALPHAS, (1, big): 0.3})
+    small = certify_single_node_plug(PlugPlan(G1, 8, ((8, 1),)), {**NUS, 8: -0.4},
+                                     {**ALPHAS, (1, 8): 0.3})
+    assert _bits(mixed.gershgorin_margins) == _bits(small.gershgorin_margins)
+    with pytest.raises(DegenerateInput, match=f"no passivity index for node {big}"):
+        certify_single_node_plug(plan, PassivityIndices(NUS), {**ALPHAS, (1, big): 0.3})
+
+
+def test_problem_and_report_tuples_are_built_on_first_read():
+    report = certify_network_plug(PLAN, NUS, ALPHAS)
+    assert "intra_margins" not in vars(report) and "theta" not in vars(report.problem)
+    assert isinstance(report.intra_margins, tuple) and report.intra_margins is report.intra_margins
+    assert all(type(m) is float for m in report.gershgorin_margins + report.problem.theta)
+    assert not report._s_weights.flags.writeable and not report.problem._theta.flags.writeable
+    assert report == certify_network_plug(PLAN, NUS, ALPHAS)
+    assert dataclasses.replace(report.problem).theta == report.problem.theta
+
+
+# --- array-backed inputs: plug chains from every input form against the scalar formulas
+
+
+def _bitwise(value):
+    """``value`` with every float as its bytes, recursing into tuples and compared
+    dataclass fields."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bitwise, value))
+    if dataclasses.is_dataclass(value):
+        return tuple(_bitwise(getattr(value, f.name)) for f in dataclasses.fields(value)
+                     if f.compare)
+    return value
+
+
+def _document_inputs(graph, nus, alphas):
+    """``certificate_inputs()`` of a document declaring ``nus`` and a linear gain
+    ``alphas`` on each edge of ``graph``."""
+    raw = {
+        "version": "1",
+        "nodes": [{"id": v, "nu": nus[v]} for v in graph.node_ids],
+        "graphs": {"all": {"nodes": list(graph.node_ids), "edges": [list(e) for e in graph.edges]}},
+        "initial": ["all"],
+        "couplings": [{"edge": list(e), "kind": "linear_gain",
+                       "a": certificates._alpha_for(alphas, *e)} for e in graph.edges],
+        "noise": {"scale": 0.0, "seed": 0},
+        "solver": {"dt": 0.1, "t_end": 1.0},
+    }
+    return parse_scenario_dict(raw).certificate_inputs()
+
+
+@st.composite
+def _plug_chains(draw):
+    """A hub base network grown one plug at a time, as ``plug_chain`` grows it:
+    single nodes joining through one edge, and small networks through one
+    or two boundary edges; indices and bounds on every node and edge of the
+    grown network, keyed either way in the dicts."""
+    regime = draw(st.sampled_from(sorted(_INDICES)))
+    n = draw(st.integers(2, 12))
+    grown, next_id, plans = _hub_graph(draw, list(range(n))), n, []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(grown.node_ids))
+            plan, next_id = PlugPlan(grown, next_id, ((next_id, c),)), next_id + 1
+        else:
+            size = draw(st.integers(1, 5))
+            added = _hub_graph(draw, list(range(next_id, next_id + size)))
+            next_id += size
+            k = draw(st.integers(1, min(2, size)))
+            ps, qs = (draw(st.lists(st.sampled_from(side.node_ids), min_size=k, max_size=k,
+                                    unique=True)) for side in (grown, added))
+            plan = PlugPlan(grown, added, tuple(zip(ps, qs)))
+            if assumption_1_violation(plan) is not None:
+                plan = PlugPlan(grown, added, plan.boundary[:1])
+        plans.append(plan)
+        grown = compose(plan)
+    nus = {v: draw(_SIGNED_ZEROS if draw(st.integers(0, 9)) == 0 else _INDICES[regime])
+           for v in grown.node_ids}
+    alphas = {(j, i) if draw(st.booleans()) else (i, j): draw(_BOUNDS[regime])
+              for i, j in grown.edges}
+    return plans, grown, nus, alphas, draw(st.sampled_from([1e-12, 0.0, -1e-3]))
+
+
+def _verdict_bits(certify, plan, nus, alphas, tol):
+    """A report with its kappa as bits, or the DegenerateInput message."""
+    try:
+        report = certify(plan, nus, alphas, tol)
+    except DegenerateInput as exc:
+        return str(exc)
+    return _bitwise(report), _bitwise(report.oracle_min_eigenvalue)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plug_chains())
+def test_plug_chain_reports_are_bit_identical_from_every_input_form(case):
+    plans, grown, nus, alphas, tol = case
+    forms = [_document_inputs(grown, nus, alphas), (nus, alphas),
+             (PassivityIndices(nus), SectorBounds(alphas))]
+    for plan in plans:
+        certify = certify_single_node_plug if plan.is_single_node else certify_network_plug
+        got = [_verdict_bits(certify, plan, *form, tol) for form in forms]
+        assert got[1:] == got[:-1]
+        try:
+            margins, boundary, disc, _, _, verdict, prob = _scalar_verdict(
+                certify, plan, nus, alphas, tol)
+        except DegenerateInput as exc:
+            assert got[0] == str(exc)
+            continue
+        report = certify(plan, nus, alphas, tol)
+        assert report.verdict == verdict
+        assert _bits(report.intra_margins) == _bits(margins)
+        assert _bits([(bc.gamma, bc.margin) for bc in report.boundary]) == _bits(boundary)
+        assert _bits(report.gershgorin_margins) == _bits(disc)
+        for name in ("theta", "sigma", "s_weights"):
+            assert _bits(getattr(report.problem, name)) == _bits(getattr(prob, name))
+        assert _bits(report.s_weights) == _bits(prob.s_weights)
+        kappa = np.linalg.eigvalsh(_reference_matrix(prob))[0]
+        assert _bits([report.oracle_min_eigenvalue]) == _bits([kappa])

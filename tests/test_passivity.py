@@ -703,7 +703,11 @@ def _ref_estimate_ifp_index(sys):
         return e / f, de_x * f - e * df_x
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
+        try:
+            roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
+        except np.linalg.LinAlgError as exc:  # g overflowed
+            raise EstimatorError(
+                f"the stationary points of Re H(jw) cannot be solved: {exc}") from None
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
         values, slopes = re_h_and_slope(xs)  # two Newton steps from every candidate
         polished = xs - slopes / np.polyval(np.polyder(g), xs)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,21 @@ def test_certificate_inputs_prefer_declared_indices(golden_doc):
     nus, alphas = golden_doc.certificate_inputs()
     assert nus[1] == -0.45  # declared, not the sweep value (-0.612)
     assert alphas[(1, 5)] == pytest.approx(0.37)
+
+
+def test_certificate_inputs_are_read_only_mappings_built_once(golden_doc):
+    nus, alphas = golden_doc.certificate_inputs()
+    assert golden_doc.certificate_inputs()[0] is nus
+    assert golden_doc.certificate_inputs()[1] is alphas
+    assert dict(nus) == {node: spec.declared_nu for node, spec in golden_doc.nodes.items()}
+    both_ways = {}
+    for (i, j), c in golden_doc.couplings.items():
+        both_ways[i, j] = both_ways[j, i] = c.alpha_upper
+    assert dict(alphas) == both_ways
+    with pytest.raises(TypeError):
+        nus[1] = 0.0
+    with pytest.raises(TypeError):
+        alphas[1, 2] = 0.0
 
 
 def _flipped_fig2_scenario():
@@ -527,6 +543,39 @@ def test_cli_certify_names_a_realization_that_overflows(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith("error: nodes[1].dynamics: coefficients overflow")
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+
+# Node 2's dynamics at the edge of the float range, each with the error
+# line that certify prints for it. E'F - EF' of the first overflows, so
+# its stationary points cannot be root-solved, whether node 2 declares its
+# index or not (the informational sweep table indexes it either way).
+_EXTREME_DYNAMICS = {
+    "unsolvable_index": ([1, 0, 1e300], [1, 1e150, 1e300],
+                         "error: node 2: the stationary points of Re H(jw) cannot be solved"),
+    "realization_nan": ([1e300, 1e300], [1, 1e300, 1],
+                        "error: nodes[1].dynamics: state-space response deviates from the "
+                        "polynomials (max rel err nan)\n"),
+    "c_c_overflow": ([1e200, 1], [1, 1e-100, 1e200],
+                     "error: pole on the imaginary axis away from the origin\n"),
+}
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared_nu", "swept_nu"])
+@pytest.mark.parametrize("case", sorted(_EXTREME_DYNAMICS))
+def test_cli_certify_extreme_dynamics_end_in_an_error_line_without_warnings(
+        tmp_path, capsys, case, declared):
+    num, den, line = _EXTREME_DYNAMICS[case]
+    raw = paper_example()
+    raw["nodes"][1]["dynamics"] = {"num": num, "den": den}
+    if not declared:
+        del raw["nodes"][1]["nu"]
+    path = tmp_path / "extreme.json"
+    write_scenario(raw, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raises out of main
+        assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan", "inf"])
