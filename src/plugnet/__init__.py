@@ -32,6 +32,7 @@ from .errors import (
     ScenarioError,
     SimulationDiverged,
     TableError,
+    UnsolvableIndex,
 )
 from .graph import (
     Graph,

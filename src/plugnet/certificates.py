@@ -56,7 +56,7 @@ M is computed on first access of ``CertificateReport.oracle_min_eigenvalue``.
 A verdict touches no node or edge of the grown network as a Python
 object. Its inputs are two read-only mappings that also hold their values
 as arrays, ``PassivityIndices`` (node id to nu) and ``SectorBounds`` (edge
-to upper alpha, either orientation); ``ScenarioDocument.certificate_inputs``
+to upper alpha, read in either orientation); ``ScenarioDocument.certificate_inputs``
 builds them once per document, and any other mapping is converted to them
 when a verdict receives it. nu and 1/alpha of a whole graph are then one
 sorted search each over the graph's node-id array (``Graph.ids``). Every
@@ -439,8 +439,9 @@ class PassivityIndices(_InputMapping):
 class SectorBounds(_InputMapping):
     """Read-only mapping edge (i, j) -> upper sector bound alpha, also held as arrays.
 
-    Iterates the keys of the mapping it is built from; a lookup answers
-    either orientation, (i, j) first, then (j, i). ``_ids`` holds the
+    Reads like the mapping it is built from, key for key; ``alpha(graph)``
+    answers either orientation, (i, j) first, then (j, i), as
+    ``_alpha_for`` does for a single edge. ``_ids`` holds the
     distinct node ids of the keys, sorted; ``_codes`` (sorted) and
     ``_alpha`` hold each edge in both orientations, coded as
     ``rank(i) * (len(_ids) + 1) + rank(j)``, with its bound, a key's own
@@ -461,14 +462,6 @@ class SectorBounds(_InputMapping):
         codes, first = np.unique(np.concatenate((forward, backward)), return_index=True)
         self._codes = _read_only(codes)
         self._alpha = _read_only(np.concatenate((alpha, alpha))[first])
-
-    def __getitem__(self, edge):
-        if edge not in self._items and isinstance(edge, tuple) and edge[::-1] in self._items:
-            edge = edge[::-1]
-        return self._items[edge]
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._items or isinstance(edge, tuple) and edge[::-1] in self._items
 
     def alpha(self, graph: Graph) -> np.ndarray:
         """The bound of every edge of ``graph``, in ``edges`` order. The first

@@ -41,6 +41,11 @@ class EstimatorError(PlugnetError):
     """Passivity-index sweep is undefined for the given dynamics."""
 
 
+class UnsolvableIndex(EstimatorError):
+    """The stationary points of Re H(jw) cannot be root-solved: E'F - EF'
+    or its companion matrix is not finite."""
+
+
 class SimulationDiverged(PlugnetError):
     """Integration produced a non-finite state.
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EstimatorError, PlugnetError, RealizationError, TableError
+from .errors import EstimatorError, PlugnetError, RealizationError, TableError, UnsolvableIndex
 
 _CANCEL_TOL = 1e-9
 _POLE_TOL = 1e-9
@@ -556,8 +556,8 @@ def estimate_ifp_index(sys: LtiSystem) -> IfpIndex:
     Requires all poles in the closed left half-plane with imaginary-axis
     poles only at the origin (and at most one there); otherwise the real
     part is unbounded or the system is unstable and the index is
-    meaningless, and EstimatorError says which. It is an EstimatorError
-    too when the stationary points below cannot be root-solved. A batch of
+    meaningless, and EstimatorError says which. It is ``UnsolvableIndex``,
+    an EstimatorError, when the stationary points below cannot be root-solved. A batch of
     one ``ifp_indices``.
 
     With ``H = N/D`` and ``x = w**2``, Re H(jw) = E(x)/F(x) where
@@ -623,7 +623,7 @@ def ifp_indices(systems: Sequence[LtiSystem]) -> list:
         for j, roots in enumerate(found):
             failed = [r for r in roots if isinstance(r, Exception)]
             if failed:  # E'F - EF' or its companion matrix is not finite
-                error = EstimatorError(
+                error = UnsolvableIndex(
                     f"the stationary points of Re H(jw) cannot be solved: {failed[0]}")
                 error.__cause__ = failed[0]
                 outcomes[positions[j]] = error

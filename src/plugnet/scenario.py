@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .certificates import PassivityIndices, SectorBounds
-from .errors import EstimatorError, PlugnetError, ScenarioError, TableError
+from .errors import PlugnetError, ScenarioError, TableError, UnsolvableIndex
 from .graph import Graph, PlugPlan
 from .passivity import (
     IfpIndex,
@@ -234,12 +234,12 @@ class ScenarioDocument:
     def _index_of(self, node_id: int, system: LtiSystem,
                   failed: dict[LtiSystem, Exception]) -> IfpIndex:
         """The index of node ``node_id``'s ``system``; raises its error when
-        it has none, naming the node when numpy could not root-solve it."""
+        it has none, naming the node when it cannot be root-solved."""
         if system not in failed:
             return self._sweeps[system]
         error = failed[system]
-        if isinstance(error.__cause__, np.linalg.LinAlgError):
-            raise EstimatorError(f"node {node_id}: {error}") from error
+        if isinstance(error, UnsolvableIndex):
+            raise UnsolvableIndex(f"node {node_id}: {error}") from error
         raise error
 
     def to_dict(self) -> dict:

@@ -1125,10 +1125,13 @@ def test_input_mappings_are_read_only_and_read_as_their_dicts():
     with pytest.raises(TypeError):
         alphas[1, 2] = 0.0
     assert dict(nus) == NUS and dict(alphas) == ALPHAS and len(alphas) == len(ALPHAS)
-    assert alphas[2, 1] == alphas[1, 2] == 0.40  # either orientation
-    assert (2, 1) in alphas and (1, 3) not in alphas and 8 not in nus
+    # a key lookup is the dict's own; the graph lookup reads either orientation
+    assert (2, 1) not in alphas and (1, 3) not in alphas and 8 not in nus
     with pytest.raises(KeyError):
-        alphas[1, 3]
+        alphas[2, 1]
+    reversed_g1 = Graph.from_pairs(G1.node_ids, [(j, i) for i, j in G1.edges])
+    assert alphas.alpha(reversed_g1).tolist() == alphas.alpha(G1).tolist() == [
+        certificates._alpha_for(ALPHAS, j, i) for i, j in reversed_g1.edges]
     assert not nus._nu.flags.writeable and not alphas._alpha.flags.writeable
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from plugnet.errors import EstimatorError, PlugnetError, RealizationError
+from plugnet.errors import EstimatorError, PlugnetError, RealizationError, UnsolvableIndex
 from plugnet.passivity import (
     COUPLING_FORMULAS,
     IfpIndex,
@@ -706,7 +706,7 @@ def _ref_estimate_ifp_index(sys):
         try:
             roots = np.concatenate([np.roots(g), 1.0 / np.roots(g[::-1])]).real
         except np.linalg.LinAlgError as exc:  # g overflowed
-            raise EstimatorError(
+            raise UnsolvableIndex(
                 f"the stationary points of Re H(jw) cannot be solved: {exc}") from None
         xs = np.concatenate([[0.0], roots[(roots > 0.0) & (roots < np.inf)]])
         values, slopes = re_h_and_slope(xs)  # two Newton steps from every candidate

@@ -142,23 +142,21 @@ def _flipped_fig2_scenario():
 
 @pytest.mark.parametrize("raw", [late_node_scenario(), _flipped_fig2_scenario()],
                          ids=["single_node", "network"])
-def test_parsed_sector_bounds_hit_on_the_first_probe(raw, monkeypatch):
+def test_parsed_sector_bounds_hit_on_the_first_probe(raw):
     # a single-node plug orients its boundary edge (added node, base node)
-    # and a network plug (base, added), while couplings are declared (min, max)
+    # and a network plug (base, added), while couplings are declared (min, max);
+    # the parsed bounds are keyed both ways, so every edge is its own key
     doc = parse_scenario_dict(raw)
     composed = compose(doc.plug_plan(doc.plug_entries[0]))
     boundary = composed.edges[-1]
     assert boundary[0] > boundary[1]
     nus, alphas = doc.certificate_inputs()
-    assert all(alphas.get(edge) is not None for edge in composed.edges)
-
-    def second_probe(*args):
-        raise AssertionError(f"second probe for {args[1:]}")
-
-    monkeypatch.setattr(certificates, "_alpha_for", second_probe)
+    assert isinstance(alphas, certificates.SectorBounds)
+    assert all(edge in alphas for edge in composed.edges)
+    bound = doc.couplings[tuple(sorted(boundary))].alpha_upper
+    assert alphas[boundary] == alphas.alpha(composed)[-1] == bound
     _, sigma = certificates._gather(composed, nus, alphas)
-    assert sigma[-1] == 1.0 / doc.couplings[tuple(sorted(boundary))].alpha_upper
-    monkeypatch.undo()
+    assert sigma[-1] == 1.0 / bound
     i, j = boundary
     missing = {e: a for e, a in alphas.items() if e not in (boundary, (j, i))}
     with pytest.raises(DegenerateInput, match=re.escape(f"no upper sector bound for edge {boundary}")):

@@ -376,29 +376,3 @@ def test_initial_state_matches_y0_when_c_c_overflows():
     assert abs(float(system.c @ x0) + 0.55) <= 1e-12 * 0.55
     assert np.array_equal(sim._node_initial_state(LAG, -0.55, None), LAG.c * (-0.55 / 1.0))
 
-
-@pytest.mark.parametrize("stride", [1, 3, 7])
-def test_sampled_inputs_come_from_the_step_buffer(monkeypatch, stride):
-    # t_end = 1.2 s at dt = 0.1 is 12 steps: the last sample is a step when
-    # the stride divides 12, and only that sample evaluates the couplings anew
-    scenario = _two_node_scenario(LAG, saturated_sine(0.8), (1.0, -0.5), dt=0.1,
-                                  t_end=1.2, stride=stride, noise=NoiseSpec(scale=0.3, seed=4))
-    calls = []
-    real = sim._PhaseContext.inputs
-
-    def counting(ctx, x, w):
-        calls.append(w)
-        return real(ctx, x, w)
-
-    monkeypatch.setattr(sim._PhaseContext, "inputs", counting)
-    record = run(scenario)
-    assert len(calls) == (12 % stride == 0)
-    monkeypatch.undo()
-    ctx = sim._PhaseContext(scenario.phases[0], scenario.systems, scenario.couplings, 0.1)
-    w = np.column_stack([noise_stream(scenario.noise, node, 12, 0.1) for node in (1, 2)])
-    x = ctx.initial_state(scenario.initial_outputs, scenario.initial_states)
-    for step_i in range(12):
-        if step_i % stride == 0:
-            want = ctx.inputs(x, w[step_i])
-            np.testing.assert_allclose(record.inputs[step_i // stride], want, rtol=0, atol=1e-15)
-        x = ctx.advance(x, w[step_i], (step_i + 1) * 0.1, step_i + 1)

@@ -84,13 +84,6 @@ def _assert_close(got, want):
     assert np.max(np.abs(got[finite] - want[finite])) <= REL_TOL * scale
 
 
-def _stagewise_rk4(ctx, x, w):
-    """The stage-wise step, keeping the inputs at its start as ``inputs``
-    computes them from ``x`` and ``w``, for the patched ``step_inputs``."""
-    ctx.reference_inputs = ctx.inputs(x, w)
-    return ctx.rk4_by_stages(x, w)
-
-
 @pytest.mark.parametrize("dense_max_entries", [0, 10**9], ids=["coo", "dense"])
 @settings(max_examples=40, deadline=None)
 @given(_scenarios())
@@ -98,8 +91,7 @@ def test_collapsed_step_matches_stagewise_recurrence(dense_max_entries, scenario
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "DENSE_MAX_ENTRIES", dense_max_entries)
         traj = run(scenario)
-        mp.setattr(sim._PhaseContext, "rk4", _stagewise_rk4)
-        mp.setattr(sim._PhaseContext, "step_inputs", lambda ctx: ctx.reference_inputs)
+        mp.setattr(sim._PhaseContext, "rk4", sim._PhaseContext.rk4_by_stages)
         ref = run(scenario)
     _assert_close(traj.outputs, ref.outputs)
     _assert_close(traj.inputs, ref.inputs)
