@@ -312,10 +312,7 @@ def main(argv=None) -> int:
     except DegenerateInput as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except PlugnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
+    except (PlugnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -168,9 +168,7 @@ def incidence(g: Graph) -> np.ndarray:
     Integer-valued; column sums are exactly zero.
     """
     d = np.zeros((g.n, g.p), dtype=int)
-    for k, (i, j) in enumerate(g.edges):
-        d[g.index(i), k] = 1
-        d[g.index(j), k] = -1
+    d[g.ends.T, np.arange(g.p)] = [[1], [-1]]
     return d
 
 

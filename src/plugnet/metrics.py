@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlugnetError
-from .graph import Graph, incidence
+from .graph import Graph
 from .sim import TrajectoryRecord
 
 
@@ -49,14 +49,13 @@ def _edge_differences(traj: TrajectoryRecord, graph: Graph,
                       signals: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """``D^T s`` over ``graph``'s edges for each recorded signal ``s``.
 
-    Gathered per edge, head minus tail as ``incidence`` orients it, into a
+    Gathered per edge, head minus tail as ``Graph.ends`` orients it, into a
     C-ordered array, whose row sums round as over the product ``s @ D``. The
     graph may cover a subset of the recorded nodes. An edge adds zero at a
     sample where an output end is unrecorded (NaN), as before a node joins.
     """
     cols = np.array([traj.column(node) for node in graph.node_ids], dtype=np.intp)
-    ends = incidence(graph).T  # edge by node: +1 at the head, -1 at the tail
-    heads, tails = (cols[np.nonzero(ends == sign)[1]] for sign in (1, -1))
+    heads, tails = cols[graph.ends.T]
     idle = np.isnan(traj.outputs[:, heads]) | np.isnan(traj.outputs[:, tails])
     diffs = [np.subtract(s[:, heads], s[:, tails], order="C") for s in signals]
     for diff in diffs:

@@ -182,14 +182,16 @@ class LtiSystem:
     def response(self, s) -> np.ndarray:
         """Frequency response from the state-space matrices (not the polynomials).
 
-        One stacked solve of ``(s I - A) x = B`` over all points of ``s``.
+        One stacked solve of ``(s I - A) x = B`` over all points of ``s``;
+        a response beyond the float range comes back inf or NaN, unwarned.
         """
         s = np.atleast_1d(np.asarray(s, dtype=complex))
         if self.order == 0:
             return np.full(s.shape, self.d, dtype=complex)
-        pencils = s[:, None, None] * np.eye(self.order) - self.a
-        x = np.linalg.solve(pencils, self.b[:, None])
-        return x[:, :, 0] @ self.c + self.d
+        with np.errstate(over="ignore", invalid="ignore"):
+            pencils = s[:, None, None] * np.eye(self.order) - self.a
+            x = np.linalg.solve(pencils, self.b[:, None])
+            return x[:, :, 0] @ self.c + self.d
 
     def poles(self) -> np.ndarray:
         """The roots of ``den`` (a new array): kept from ``realize``, else solved."""
@@ -268,11 +270,11 @@ def _realization_errors(a, b, c, d, num, den, radius) -> list:
     solve of every pencil ``s I - A``. An entry is None, or the
     RealizationError of a system that fails the check.
     """
-    s = radius[:, None] * _CHECK_POINTS
-    pencils = s[:, :, None, None] * np.eye(b.shape[1]) - a[:, None]
-    x = np.linalg.solve(pencils, b[:, None, :, None])
-    h_ss = (x[..., 0] @ c[:, :, None])[..., 0] + d[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN fails the check
+        s = radius[:, None] * _CHECK_POINTS
+        pencils = s[:, :, None, None] * np.eye(b.shape[1]) - a[:, None]
+        x = np.linalg.solve(pencils, b[:, None, :, None])
+        h_ss = (x[..., 0] @ c[:, :, None])[..., 0] + d[:, None]
         h_poly = _polyval(num.T[:, :, None], s) / _polyval(den.T[:, :, None], s)
         err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
     raised: list = [None] * len(b)
@@ -395,7 +397,8 @@ def realize_many(pairs: Sequence[tuple]) -> list:
         padded = np.zeros((len(rows), k + 1))
         padded[:, k + 1 - num.shape[1]:] = num
         d = padded[:, 0]
-        c = padded[:, 1:] - d[:, None] * alpha
+        with np.errstate(over="ignore", invalid="ignore"):  # the check rejects a non-finite c
+            c = padded[:, 1:] - d[:, None] * alpha
         a = np.zeros((len(rows), k, k))
         a[:, 0, :] = -alpha
         a[:, 1:, :-1] = np.eye(k - 1)
@@ -838,14 +841,12 @@ def tabulated(
     )
 
 
-# The formula of each coupling kind, written once. Parameters broadcast
-# against x: shape (m,) for a gain, (m, K + 1) for a table of K knots, with
-# m = 1 or m = len(x), so one call evaluates one coupling at many points or
-# m same-kind couplings at one point each. x is a float array. A formula
-# writes phi(x) into ``out`` when given (the simulator passes a slice of its
-# step buffer), else into a fresh array, and returns it. ``out`` may be
-# ``x`` itself, since every read of x comes before the one write to
-# ``out``; a partial overlap is not supported. Each formula keeps the
+# The gain-free shape of each coupling kind, written once: phi(x) = gain *
+# shape(x), with gain 1 for a table. A table's parameters broadcast against
+# x: shape (m, K + 1) for K knots, with m = 1 or m = len(x). x is a float
+# array. A shape writes into ``out`` when given (the simulator passes a slice
+# of its step buffer), else into a fresh array, and returns it. ``out`` may
+# be ``x`` itself, not a partial overlap of it. Each shape keeps the
 # operations of its plain numpy expression in their order, so the results
 # are the same bit for bit.
 
@@ -855,40 +856,39 @@ _HALF_PI = np.array(math.pi / 2.0)
 _HALF_PI.flags.writeable = False
 
 
-def _linear_gain_phi(gain, x, out=None):
-    return np.multiply(gain, x, out=out)
+def _sat_sine_shape(x, out=None):
+    """``where(|x| < pi/2, sin(x), x)``; NaN keeps sin's NaN."""
+    big = np.abs(x) >= _HALF_PI
+    if out is x:
+        x = x.copy()
+    out = np.sin(x, out=out)
+    np.copyto(out, x, where=big)
+    return out
 
 
-def _sat_sine_phi(gain, x, out=None):
-    """``gain * where(|x| < pi/2, sin(x), x)``; NaN keeps sin's NaN."""
-    sat = np.sin(x)
-    np.copyto(sat, x, where=np.abs(x) >= _HALF_PI)
-    return np.multiply(gain, sat, out=out)
-
-
-def _sat_sine_smooth_phi(gain, x, out=None):
-    """``gain * where(|x| < pi/2, sin(x), sign(x) * (|x| - pi/2 + 1))``."""
+def _sat_sine_smooth_shape(x, out=None):
+    """``where(|x| < pi/2, sin(x), sign(x) * (|x| - pi/2 + 1))``."""
     sat = np.abs(x)
     small = sat < _HALF_PI
     np.subtract(sat, _HALF_PI, out=sat)
     np.add(sat, 1.0, out=sat)
-    np.multiply(np.sign(x), sat, out=sat)
-    np.copyto(sat, np.sin(x), where=small)
-    return np.multiply(gain, sat, out=out)
+    sine = np.sin(x)
+    out = np.multiply(np.sign(x), sat, out=out)
+    np.copyto(out, sine, where=small)
+    return out
 
 
-def _tabulated_phi(knots, values, slopes, x, out=None):
+def _tabulated_shape(knots, values, slopes, anchors, x, out=None):
     """Odd piecewise-linear interpolation through (0, 0) and the knots.
 
     Row r of ``knots``/``values``/``slopes`` holds anchors 0, x_1, ..., x_K,
     the values there and the slope of the segment that starts there; the
     last slope continues the final segment past x_K. Shorter tables are
-    padded by repeating their last entry, which leaves them unchanged.
+    padded by repeating their last entry, which leaves them unchanged;
+    ``anchors[r]`` is the flat index of row r's anchor 0.
     """
     mag = np.abs(x)
-    at = np.arange(len(knots)) * knots.shape[1]  # flat index of each row's anchor 0
-    for knot in knots[:, 1:].T:
-        at = at + (knot <= mag)
+    at = anchors + (knots[:, 1:] <= mag[:, None]).sum(axis=1)  # knots crossed
     segment = np.subtract(mag, knots.take(at), out=mag)
     np.multiply(slopes.take(at), segment, out=segment)
     np.add(values.take(at), segment, out=segment)
@@ -896,20 +896,18 @@ def _tabulated_phi(knots, values, slopes, x, out=None):
 
 
 COUPLING_FORMULAS = {
-    "linear_gain": _linear_gain_phi,
-    "sat_sine": _sat_sine_phi,
-    "sat_sine_smooth": _sat_sine_smooth_phi,
-    "tabulated": _tabulated_phi,
+    "linear_gain": np.positive,  # the identity, as a copy
+    "sat_sine": _sat_sine_shape,
+    "sat_sine_smooth": _sat_sine_smooth_shape,
+    "tabulated": _tabulated_shape,
 }
 
 
-def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray, ...]:
-    """Stacked parameters of same-kind couplings, one row per coupling.
-
-    The result is the leading arguments of ``COUPLING_FORMULAS[kind]``.
-    """
+def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray, tuple]:
+    """``(gains, params)`` of same-kind couplings, one row each: a table's
+    gain is 1, and ``params`` are the leading arguments of its shape."""
     if couplings[0].kind != "tabulated":
-        return (np.array([c.gain for c in couplings], dtype=float),)
+        return np.array([c.gain for c in couplings], dtype=float), ()
     width = 1 + max(len(c.table) for c in couplings)
     knots, values, slopes = [], [], []
     for c in couplings:
@@ -920,13 +918,15 @@ def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray
         knots.append(xs + xs[-1:] * pad)
         values.append(ys + ys[-1:] * pad)
         slopes.append(ss + ss[-1:] * (pad + 1))
-    return np.array(knots), np.array(values), np.array(slopes)
+    anchors = np.arange(len(couplings)) * width
+    return np.ones(len(couplings)), (np.array(knots), np.array(values), np.array(slopes), anchors)
 
 
 def evaluate_coupling(c: SectorCoupling, x):
-    """phi(x) for scalar or array x."""
+    """phi(x) = gain * shape(x), for scalar or array x."""
     arr = np.asarray(x, dtype=float)
-    out = COUPLING_FORMULAS[c.kind](*coupling_parameters([c]), arr.ravel())
+    gains, params = coupling_parameters([c])
+    out = np.multiply(gains, COUPLING_FORMULAS[c.kind](*params, arr.ravel()))
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(out[0])
     return out.reshape(arr.shape)

@@ -8,22 +8,23 @@ with per-node noise added inside the coupling argument:
 
 Stacked over the network this is ``dx/dt = A x - B D phi(D^T (C x + w))``
 with block-diagonal A, B, C and incidence matrix D. The core never forms
-them densely. With step h, ``v_s = D^T (C x_s + w)``, ``f_s = phi(v_s)``
-and ``k_s = A x_s - B D f_s``, every RK4 stage state ``x_s`` and the state
-after the step are linear in ``(x, f_1, ..., f_{s-1})``. So each topology
-phase runs the recurrence once per distinct node system, symbolically in
-its state and its four stage inputs, and scatters the result along the
-edges into the maps of one step, over one buffer ``z = [w; x; f_1; ...;
+them densely. Each coupling is its edge's gain g times a gain-free shape.
+With step h, ``v_s = D^T (C x_s + w)``, ``f_s = shape(v_s)`` and ``k_s = A
+x_s - B D g f_s``, every RK4 stage state ``x_s`` and the state after the
+step are linear in ``(x, f_1, ..., f_{s-1})``. So each topology phase runs
+the recurrence once per distinct node system, symbolically in its state and
+its four stage inputs, and scatters the result along the edges into the maps
+of one step, which carry the gains, over one buffer ``z = [w; x; f_1; ...;
 f_4]``:
 
 * V_1 .. V_4: ``v_s = V_s [w; x; f_1; ...; f_{s-1}]``, a prefix of z;
 * [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``, the rest of z.
 
-A step is one product of V_s and one coupling evaluation per stage, which
+A step is one product of V_s and one shape evaluation per stage, which
 writes ``f_s`` into z, and one product by [P | Q]. A node's output at
-stage s reads its own state, noise and earlier inputs ``u_r = -D f_r``
+stage s reads its own state, noise and earlier inputs ``u_r = -D g f_r``
 only, so V_s is kept as two factors for s > 1: D^T, and G_s reading those
-(its ``-D`` columns touch the node's edges); their product would hold an
+(its ``-D g`` columns touch the node's edges); their product would hold an
 entry for every pair of edges that share a node, so sum(degree^2) of them
 at a hub. V_1 reads no coupling output and is the one factor ``[D^T |
 H_1]``, whose rows, like the columns of Q, touch one edge's end nodes; P
@@ -33,12 +34,12 @@ product, a larger one as COO triplets, one product per factor, eight per
 step. So the maps hold at most 5m + 10 entries per edge end, m per state
 and 3m + 3 per node, for the largest node order m, whatever the node
 degrees, and a step costs time linear in the number of states and edges.
-The couplings are evaluated by kind with the formulas of
-``plugnet.passivity``, all edges of one kind in one call that writes into
-the buffer. A dense reference in the tests holds this core to a relative
-error of 1e-12 with identical NaN masks, and a second test holds the
-collapsed step, dense and COO, to the stage-wise recurrence ``dx/dt = S
-[x; phi(G x + D^T w)]`` with ``G = D^T C``, ``S = [A | -B D]``.
+The shapes are evaluated by kind with ``COUPLING_FORMULAS``, all edges of
+one kind in one call that writes into the buffer. A dense reference in the
+tests holds this core to a relative error of 1e-12 with identical NaN
+masks, and a second test holds the collapsed step, dense and COO, to the
+stage-wise recurrence ``dx/dt = S [x; shape(G x + D^T w)]`` with ``G =
+D^T C``, ``S = [A | -B D g]``.
 
 That stage-wise recurrence also decides divergence. When a step ends in a
 state whose squared norm is not finite, it is replayed from the last
@@ -356,7 +357,7 @@ class _PhaseContext:
     ``rk4`` is the collapsed step of the module docstring. Its four stage
     maps and [P | Q] are built at construction, each evaluated by
     ``_operator``. ``deriv`` is the stage-wise
-    derivative ``S [x; phi(G x + dw)]`` with COO operators; S is built on
+    derivative ``S [x; shape(G x + dw)]`` with COO operators; S is built on
     first use, since only the divergence replay and the tests call it.
     Edges are held grouped by coupling kind, one slice per kind, so their
     internal order is not that of ``graph.edges``.
@@ -381,14 +382,14 @@ class _PhaseContext:
         self.p = graph.p
         self._heads, self._tails = graph.ends[order].T.copy()
 
-        self._kinds = []
-        start = 0
+        self._kinds, gains, start = [], [np.zeros(0)], 0
         for kind, group in itertools.groupby(order, key=lambda k: edge_couplings[k].kind):
-            group_couplings = [edge_couplings[k] for k in group]
-            stop = start + len(group_couplings)
-            self._kinds.append((slice(start, stop), COUPLING_FORMULAS[kind],
-                                coupling_parameters(group_couplings)))
+            group_gains, params = coupling_parameters([edge_couplings[k] for k in group])
+            stop = start + len(group_gains)
+            self._kinds.append((slice(start, stop), COUPLING_FORMULAS[kind], params))
+            gains.append(group_gains)
             start = stop
+        self._gain = np.concatenate(gains)  # per edge; phi writes the gain-free shapes
 
         # Each distinct system once, zero-padded to the largest order: node k
         # runs system _sys[k] from state _first[k]. An edge end is a node, an
@@ -409,6 +410,7 @@ class _PhaseContext:
         self._end_node = np.concatenate((self._heads, self._tails))
         self._end_edge = np.tile(np.arange(self.p), 2)
         self._end_sign = np.repeat([1.0, -1.0], self.p)
+        self._end_gain = -self._end_sign * self._gain[self._end_edge]  # -D g, per edge end
 
         states = np.arange(m)
         c_op = _Triplets((self.n, self.n_states))
@@ -422,30 +424,31 @@ class _PhaseContext:
 
     @functools.cached_property
     def _S(self) -> tuple:
-        """``S = [A | -B D]`` as COO triplets."""
+        """``S = [A | -B D g]`` as COO triplets, g the edge gains."""
         n_states, states = self.n_states, np.arange(self._a.shape[-1])
         first, end_first = self._first[:, None, None], self._first[self._end_node][:, None]
         s_op = _Triplets((n_states, n_states + self.p))
         s_op.add(first + states[:, None], first + states, self._a[self._sys])
         s_op.add(end_first + states, n_states + self._end_edge[:, None],
-                 -self._end_sign[:, None] * self._b[self._sys[self._end_node]])
+                 self._end_gain[:, None] * self._b[self._sys[self._end_node]])
         return s_op.coo()
 
     def _build_step(self) -> None:
         """The collapsed RK4 step of size ``dt``, scattered from ``_node_steps``.
 
         A step runs in one buffer ``z = [w; x; f_1; ...; f_4]``: node noise,
-        state and the four stages' coupling outputs. Stage s's coupling
+        state and the four stages' coupling shapes. Stage s's coupling
         arguments are one product of its map over the prefix ``[w; x; f_1;
         ...; f_{s-1}]``, and the step ends at ``x+ = [P | Q] [x; f_1; ...;
-        f_4]``, the rest of the buffer. Every node's output at stage s is
-        linear in its own state, noise and earlier inputs ``u_r = -D f_r``,
-        so stage s's map is ``D^T G_s`` with G_s (n rows) reading them;
-        stage 1 reads no coupling output and is held as the one factor
-        ``[D^T | H_1]``. A row of H_1 or a column of Q touches only one
-        edge's end nodes and P is block-diagonal, so every factor has O(m)
-        entries per state and edge end, whatever the node degrees; the dense
-        ``D^T G_s`` has one per pair of edges that share a node.
+        f_4]``, the rest of the buffer; columns that read an ``f_r`` carry its
+        edge's gain. Every node's output at stage s is linear in its own
+        state, noise and earlier inputs ``u_r = -D g f_r``, so stage s's map
+        is ``D^T G_s`` with G_s (n rows) reading them; stage 1 reads no
+        coupling output and is held as the one factor ``[D^T | H_1]``. A row
+        of H_1 or a column of Q touches only one edge's end nodes and P is
+        block-diagonal, so every factor has O(m) entries per state and edge
+        end, whatever the node degrees; the dense ``D^T G_s`` has one per pair
+        of edges that share a node.
         """
         n, n_states, p = self.n, self.n_states, self.p
         y, x_next = _node_steps(self._a, self._b, self._c, self._orders, self.dt)
@@ -454,13 +457,13 @@ class _PhaseContext:
         first = self._first[:, None, None]
         end_first = self._first[self._end_node][:, None, None]
         end_sys, edge = self._sys[self._end_node], self._end_edge[:, None, None]
-        sign = self._end_sign[:, None, None]
+        sign, gain = self._end_sign[:, None, None], self._end_gain[:, None, None]
 
         pq_op = _Triplets((n_states, n_states + 4 * p))
         pq_op.add(first + states[:, None], first + states, x_next[self._sys, :, :m])
         pq_op.add(end_first + states[:, None], n_states + stages * p + edge,
-                  -sign * x_next[end_sys, :, m:])
-        node, edge, sign = self._end_node[:, None], edge[:, 0], sign[:, 0]
+                  gain * x_next[end_sys, :, m:])
+        node, edge, sign, gain = self._end_node[:, None], edge[:, 0], sign[:, 0], gain[:, 0]
         f_start = n + n_states  # where f_1 starts in z
         v_op = _Triplets((p, f_start))  # [D^T | H_1]
         v_op.add(edge, node, sign)
@@ -472,7 +475,7 @@ class _PhaseContext:
             g_op = _Triplets((n, f_start + s * p))
             g_op.add(nodes, nodes, 1.0)
             g_op.add(nodes[:, None], n + self._first[:, None] + states, y[self._sys, s, :m])
-            g_op.add(node, f_start + stages[:s] * p + edge, -sign * y[end_sys, s, m:m + s])
+            g_op.add(node, f_start + stages[:s] * p + edge, gain * y[end_sys, s, m:m + s])
             stage_maps.append(_operator(d_t, g_op))
 
         self._PQ = _operator(pq_op)
@@ -487,9 +490,9 @@ class _PhaseContext:
         return w[self._heads] - w[self._tails]
 
     def phi(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Coupling outputs ``phi(v)``, one formula call per kind, written
-        into ``out`` or a fresh array. ``out`` may be ``v`` itself but must
-        not overlap it otherwise."""
+        """Gain-free coupling shapes at ``v``, one call per kind, written
+        into ``out`` or a fresh array; the couplings are ``_gain * phi(v)``.
+        ``out`` may be ``v`` itself but must not overlap it otherwise."""
         if len(self._kinds) == 1:
             _, formula, params = self._kinds[0]
             return formula(*params, v, out=out)
@@ -504,8 +507,8 @@ class _PhaseContext:
         return _matvec(self._G, x) + dw
 
     def inputs(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Node inputs ``u = -D phi(v)`` under node noise ``w``."""
-        f = self.phi(self.edge_inputs(x, self.edge_noise(w)))
+        """Node inputs ``u = -D (g phi(v))`` under node noise ``w``, g the edge gains."""
+        f = self._gain * self.phi(self.edge_inputs(x, self.edge_noise(w)))
         return (np.bincount(self._tails, f, minlength=self.n)
                 - np.bincount(self._heads, f, minlength=self.n))
 
@@ -546,7 +549,7 @@ class _PhaseContext:
         row.
         """
         x_next = self.rk4(x, w)
-        if x_next @ x_next < math.inf:
+        if x_next.dot(x_next) < math.inf:
             return x_next
         x_next = self.rk4_by_stages(x, w)
         if not np.all(np.isfinite(x_next)):
@@ -674,12 +677,9 @@ def run(scenario: Scenario) -> TrajectoryRecord:
                 x = ctx.advance(x, w, (step_i + 1) * dt, step_i + 1)
         prev_ctx = ctx
 
-    if total_steps % stride == 0:
-        ctx = prev_ctx
-        cols = [col_of[node] for node in ctx.node_ids]
-        s = total_steps // stride
-        y_rec[s, cols] = ctx.outputs(x)
-        u_rec[s, cols] = ctx.inputs(x, noise[total_steps - 1, cols])
+    if total_steps % stride == 0:  # the last sample, in the last phase
+        y_rec[-1, cols] = ctx.outputs(x)
+        u_rec[-1, cols] = ctx.inputs(x, noise[total_steps - 1, cols])
 
     return TrajectoryRecord(node_ids=all_ids, times=times, outputs=y_rec, inputs=u_rec,
                             noise=w_rec)

@@ -45,3 +45,25 @@ def late_node_scenario():
     raw["couplings"].append({"edge": [1, 8], "kind": "sat_sine", "a": 0.37})
     raw["plug_events"] = [{"time": 2.0, "base": "g1", "added_node": 8, "boundary": [[8, 1]]}]
     return raw
+
+
+def huge_gamma_scenario():
+    """Node 3 plugs in at node 2, whose declared index 1e-300 makes gamma 2e300.
+
+    The plug edge's gain 1e-10 then puts the boundary margin, gamma times
+    about 1e10, beyond the float range.
+    """
+    def node(i, nu):
+        return {"id": i, "dynamics": {"num": [1.0], "den": [1.0, 1.0]}, "nu": nu}
+
+    return {
+        "version": "1",
+        "nodes": [node(1, 1.0), node(2, 1e-300), node(3, 1.0)],
+        "graphs": {"g1": {"nodes": [1, 2], "edges": [[1, 2]]}},
+        "initial": ["g1"],
+        "couplings": [{"edge": [1, 2], "kind": "linear_gain", "a": 1.0},
+                      {"edge": [2, 3], "kind": "linear_gain", "a": 1e-10}],
+        "plug_events": [{"time": 1.0, "base": "g1", "added_node": 3, "boundary": [[2, 3]]}],
+        "noise": {"scale": 0.0, "seed": 1},
+        "solver": {"dt": 0.01, "t_end": 2.0},
+    }

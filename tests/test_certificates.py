@@ -886,8 +886,19 @@ def _scalar_disc(graph, theta, sigma, s_weights):
     return margins, (2 * degree + 4) * (np.finfo(float).eps * largest + math.ulp(0.0))
 
 
+def _require_finite(values, edges, what):
+    for (i, j), value in zip(edges, values):
+        if not math.isfinite(value):
+            raise DegenerateInput(f"edge ({i}, {j}): {what} is beyond the float range")
+
+
 def _scalar_verdict(certify, subject, nus, alphas, tol):
-    """Everything a verdict computes, by the scalar formulas, edge by edge."""
+    """Everything a verdict computes, by the scalar formulas, edge by edge.
+
+    An infinite boundary gamma or margin, then (after the problem's own
+    checks) a non-finite interface or disc margin raises DegenerateInput
+    naming its edge.
+    """
     if certify is certify_fixed_network:
         sides, plan_boundary, composed = [subject], (), subject
     else:
@@ -912,10 +923,17 @@ def _scalar_verdict(certify, subject, nus, alphas, tol):
         margin = gamma * (1.0 / certificates._alpha_for(alphas, i, j) + nus[i] + nus[j]) \
             - base.degree(b) * abs(nus[b]) - added.degree(a) * abs(nus[a])
         boundary.append((gamma, margin))
+    for (gamma, margin), (i, j) in zip(boundary, plan_boundary):
+        if math.isinf(gamma) or math.isinf(margin):
+            raise DegenerateInput(f"edge ({i}, {j}): boundary gamma or margin is beyond the "
+                                  "float range")
     s_weights = [1.0] * len(margins) + [g if g > 0.0 else 1.0 for g, _ in boundary]
     theta = [float(nus[v]) for v in composed.node_ids]
     sigma = [1.0 / certificates._alpha_for(alphas, i, j) for i, j in composed.edges]
+    prob = CertificateProblem(composed, theta, sigma, s_weights)
+    _require_finite(margins, composed.edges, "interface margin")
     disc, rounding = _scalar_disc(composed, theta, sigma, s_weights)
+    _require_finite(disc, composed.edges, "disc margin")
     proved = all(m > max(tol, 0.0) + rounding for m in disc)
     if not proved and boundary:
         at = dict(zip(composed.node_ids, theta))
@@ -926,7 +944,6 @@ def _scalar_verdict(certify, subject, nus, alphas, tol):
                 weights[k] -= disc[k] / (2.0 * (at[i] + at[j] + sigma[k]))
         retry, retry_rounding = _scalar_disc(composed, theta, sigma, weights)
         proved = all(m > max(tol, 0.0) + retry_rounding for m in retry)
-    prob = CertificateProblem(composed, theta, sigma, s_weights)
     positive_definite = proved or certificates._cholesky_succeeds(certificate_matrix(prob)) \
         or pd_oracle(prob) > 0.0
     conditions = all(m > tol for m in margins + [m for _, m in boundary])

@@ -317,22 +317,22 @@ def test_every_coupling_formula_is_odd(kind):
     coupling = tabulated([(0.5, 0.3), (1.0, 0.8), (2.0, 1.2)]) if kind == "tabulated" else (
         SectorCoupling(kind=kind, gain=0.7, alpha_lower=0.7, alpha_upper=0.7 * math.pi))
     xs = np.concatenate([np.logspace(-9, 4, 2001), np.linspace(0.0, 10.0, 2001)])
-    phi = COUPLING_FORMULAS[kind](*coupling_parameters([coupling]), xs)
-    assert np.array_equal(COUPLING_FORMULAS[kind](*coupling_parameters([coupling]), -xs), -phi)
+    _, params = coupling_parameters([coupling])
+    phi = COUPLING_FORMULAS[kind](*params, xs)
+    assert np.array_equal(COUPLING_FORMULAS[kind](*params, -xs), -phi)
 
 
-def _reference_phi(kind, params, x):
-    """Each coupling formula as the plain numpy expression that the in-place
-    formulas replace; they must give its bits."""
+def _reference_shape(kind, params, x):
+    """Each coupling shape as the plain numpy expression that the in-place
+    shapes replace; they must give its bits."""
     if kind == "linear_gain":
-        return params[0] * x
+        return x.copy()
     if kind == "sat_sine":
-        return params[0] * np.where(np.abs(x) < math.pi / 2.0, np.sin(x), x)
+        return np.where(np.abs(x) < math.pi / 2.0, np.sin(x), x)
     if kind == "sat_sine_smooth":
         mag = np.abs(x)
-        return params[0] * np.where(mag < math.pi / 2.0, np.sin(x),
-                                    np.sign(x) * (mag - math.pi / 2.0 + 1.0))
-    knots, values, slopes = params
+        return np.where(mag < math.pi / 2.0, np.sin(x), np.sign(x) * (mag - math.pi / 2.0 + 1.0))
+    knots, values, slopes, _ = params
     mag = np.abs(x)
     at = np.arange(len(knots)) * knots.shape[1]
     for knot in knots[:, 1:].T:
@@ -358,29 +358,33 @@ _SPECIAL_POINTS = np.array([
 
 
 def _formula_cases(kind, x, rng):
-    """Parameters for one coupling of ``kind`` at every point of ``x``, and
-    for one coupling per point."""
+    """One coupling of ``kind`` for every point of ``x``, and one coupling per point."""
     if kind == "tabulated":
         tables = [_TABLES[k] for k in rng.integers(0, len(_TABLES), len(x))]
-        return [coupling_parameters([tabulated(_TABLES[0])]),
-                coupling_parameters([tabulated(t) for t in tables])]
+        return [[tabulated(_TABLES[0])], [tabulated(t) for t in tables]]
     gains = rng.uniform(0.1, 2.0, len(x))
-    return [coupling_parameters([SectorCoupling(kind, 0.7, 0.7, gain=0.7)]),
-            coupling_parameters([SectorCoupling(kind, g, g, gain=g) for g in gains])]
+    return [[SectorCoupling(kind, 0.7, 0.7, gain=0.7)],
+            [SectorCoupling(kind, g, g, gain=g) for g in gains]]
 
 
 @pytest.mark.parametrize("kind", sorted(COUPLING_FORMULAS))
 def test_in_place_formulas_match_the_plain_expressions_bit_for_bit(kind):
+    # the shapes against their plain expressions, and evaluate_coupling
+    # against the coupling's plain expression, gain * shape (1 * shape for
+    # a table)
     rng = np.random.default_rng(5)
     x = np.concatenate((_SPECIAL_POINTS, [k for t in _TABLES for k, _ in t],
                         3.0 * rng.standard_normal(200)))
     x = np.concatenate((x, -x))
     original = x.copy()
     formula = COUPLING_FORMULAS[kind]
-    for params in _formula_cases(kind, x, rng):
+    for couplings in _formula_cases(kind, x, rng):
+        gains, params = coupling_parameters(couplings)
         with np.errstate(invalid="ignore"):  # sin(inf) and inf - inf
-            want = _reference_phi(kind, params, x)
+            want = _reference_shape(kind, params, x)
             assert _same_bits(formula(*params, x), want)
+            if len(couplings) == 1:
+                assert _same_bits(evaluate_coupling(couplings[0], x), gains * want)
             buf = np.full_like(x, 7.0)
             assert formula(*params, x, out=buf) is buf
             assert _same_bits(buf, want)

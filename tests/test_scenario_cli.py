@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import fig2_scenario as _fig2_scenario
-from helpers import first_plugged_sample, late_node_scenario
+from helpers import first_plugged_sample, huge_gamma_scenario, late_node_scenario
 from test_passivity import (_bits, _outcome, _ref_estimate_ifp_index, _ref_poles, _ref_realize,
                             _transfer_functions)
 
@@ -574,6 +574,31 @@ def test_cli_certify_extreme_dynamics_end_in_an_error_line_without_warnings(
         assert main(["certify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(line) and "Traceback" not in err
+
+
+def _huge_indices_on_g1(raw):
+    # g1 alone, nu_1 + nu_2 overflows
+    raw["nodes"] = [dict(node, nu=1e308) for node in raw["nodes"][:2]]
+    raw["couplings"] = raw["couplings"][:1]
+    del raw["plug_events"]
+    return raw
+
+
+@pytest.mark.parametrize("document, line", [
+    (huge_gamma_scenario, "error: degenerate input: edge (3, 2): boundary gamma or margin "
+                          "is beyond the float range\n"),
+    (lambda: _huge_indices_on_g1(huge_gamma_scenario()),
+     "error: degenerate input: edge (1, 2): interface margin is beyond the float range\n"),
+], ids=["boundary_gamma", "interface_margin"])
+def test_cli_certify_margin_overflow_is_a_degenerate_input_without_warnings(
+        tmp_path, capsys, document, line):
+    path = tmp_path / "overflow.json"
+    write_scenario(document(), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raises out of main
+        assert main(["certify", str(path), "--json", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["-1e-3", "-1", "nan", "inf"])

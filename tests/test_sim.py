@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import first_plugged_sample
-from test_passivity import _SPECIAL_POINTS, _reference_phi, _same_bits
+from test_passivity import _SPECIAL_POINTS, _reference_shape, _same_bits
 
 from plugnet import sim
 from plugnet.errors import SimulationDiverged
@@ -286,7 +286,7 @@ def test_mixed_kind_phi_writes_each_kind_into_its_slice_of_out():
         assert _same_bits(fresh, out)
         for sl, formula, params in ctx._kinds:
             with np.errstate(invalid="ignore"):
-                want = _reference_phi(kind_of[formula], params, v[sl])
+                want = _reference_shape(kind_of[formula], params, v[sl])
             assert _same_bits(out[sl], want)
 
 
