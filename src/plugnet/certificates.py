@@ -233,15 +233,14 @@ def _disc_margins(
 
     Each node's total weight accumulates in edge order, each margin in the
     order the formula reads, so the values are the ones a loop over the
-    edges computes, bit for bit; an overflow is left to the caller, unwarned.
+    edges computes, bit for bit.
     """
     total = np.bincount(g.ends.ravel(), np.repeat(s_weights, 2), g.n)
     at_ends = theta[g.ends]
-    with np.errstate(over="ignore", invalid="ignore"):
-        off = np.abs(at_ends) * (total[g.ends] - s_weights[:, None])
-        margins = s_weights * (at_ends[:, 0] + at_ends[:, 1] + sigma) - off[:, 0] - off[:, 1]
-        largest_terms = float(np.abs(s_weights * sigma).max(initial=0.0))
-        largest_terms += 6.0 * float((np.abs(theta) * total).max(initial=0.0))
+    off = np.abs(at_ends) * (total[g.ends] - s_weights[:, None])
+    margins = s_weights * (at_ends[:, 0] + at_ends[:, 1] + sigma) - off[:, 0] - off[:, 1]
+    largest_terms = float(np.abs(s_weights * sigma).max(initial=0.0))
+    largest_terms += 6.0 * float((np.abs(theta) * total).max(initial=0.0))
     rounding = (2 * g.max_degree + 4) * (_EPS * largest_terms + _TINY)
     return margins, rounding
 
@@ -506,18 +505,18 @@ def _edge_margins(
 
     Edge k joins the nodes at positions ``ends[k]``, whose degrees are read
     from ``degrees``; its terms are summed in the order the scalar formula
-    sums them; an overflow is left to the caller, unwarned.
+    sums them.
     """
     at_ends = theta[ends]
     slack = (degrees[ends] - 1) * np.abs(at_ends)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sigma + at_ends[:, 0] + at_ends[:, 1] - slack[:, 0] - slack[:, 1]
+    return sigma + at_ends[:, 0] + at_ends[:, 1] - slack[:, 0] - slack[:, 1]
 
 
-def _overflow_at(bad, edges, what: str) -> None:
-    """DegenerateInput naming the first of ``edges`` where ``bad`` holds."""
-    if np.any(bad):
-        i, j = edges[int(np.argmax(bad))]
+def _require_finite(values: np.ndarray, edges, what: str) -> None:
+    """DegenerateInput naming the first of ``edges`` whose value is not finite."""
+    finite = np.isfinite(values)
+    if not _all(finite):
+        i, j = edges[int(np.argmin(finite))]
         raise DegenerateInput(f"edge ({i}, {j}): {what} is beyond the float range")
 
 
@@ -715,15 +714,18 @@ def _finish_report(
     proves; a Cholesky factorisation of M; the eigenvalue oracle. Only the
     last computes kappa, and keeps it in the report; otherwise kappa is
     computed on the first read of ``oracle_min_eigenvalue``. The report
-    holds the reported weights and margins whichever step decided. An
-    overflowing gamma or margin is a DegenerateInput naming its edge.
+    holds the reported weights and margins whichever step decided. A gamma
+    or margin beyond the float range is a DegenerateInput naming its edge.
     """
-    _overflow_at([math.isinf(bc.gamma) or math.isinf(bc.margin) for bc in boundary],
-                 [bc.edge for bc in boundary], "boundary gamma or margin")
+    for bc in boundary:
+        if math.isinf(bc.gamma) or math.isinf(bc.margin):
+            i, j = bc.edge
+            raise DegenerateInput(
+                f"edge ({i}, {j}): boundary gamma or margin is beyond the float range")
     prob = CertificateProblem(composed, theta, sigma, s_weights)
-    _overflow_at(~np.isfinite(margins), composed.edges, "interface margin")
+    _require_finite(margins, composed.edges, "interface margin")
     gersh = gershgorin_pd_check(prob, tol)
-    _overflow_at(~np.isfinite(gersh._margins), composed.edges, "disc margin")
+    _require_finite(gersh._margins, composed.edges, "disc margin")
     kappa = None
     positive_definite = _disc_proves_pd(
         prob, gersh, len(boundary), tol
@@ -754,6 +756,12 @@ def _finish_report(
     return report
 
 
+# _finish_report raises an overflowing margin as DegenerateInput; each verdict
+# runs under one errstate (a few microseconds each) so numpy does not also warn.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def certify_fixed_network(
     graph: Graph,
     nus: Mapping[int, float],
@@ -772,6 +780,7 @@ def certify_fixed_network(
     )
 
 
+@_QUIET
 def _plug_report(
     plan: PlugPlan, nus: Mapping[int, float], alphas: Mapping, tol: float
 ) -> CertificateReport:

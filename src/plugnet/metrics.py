@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlugnetError
-from .graph import Graph
+from .graph import Graph, incidence  # noqa: F401 (unused; perfbench/spans.py wraps it here)
 from .sim import TrajectoryRecord
 
 
