@@ -93,6 +93,10 @@ from .graph import (Graph, PlugPlan, _read_only, assumption_1_violation, compose
 DEFAULT_STRICTNESS_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _TINY = math.ulp(0.0)  # the smallest subnormal
+# A margin beyond the float range raises DegenerateInput naming its edge; the
+# verdicts and the public margin checks each run under one errstate (a few
+# microseconds each) so numpy does not also warn.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_ORACLE_PD = "gershgorin_failed_oracle_pd"
@@ -199,6 +203,7 @@ def _proves_pd(margins: np.ndarray, tol: float, rounding: float) -> bool:
     return _all(margins > max(tol, 0.0) + rounding)
 
 
+@_QUIET
 def gershgorin_pd_check(
     prob: CertificateProblem, tol: float = DEFAULT_STRICTNESS_TOL
 ) -> GershgorinResult:
@@ -215,8 +220,16 @@ def gershgorin_pd_check(
     degree d and, per term, at its largest value over the rows
     (``s_k |theta_i| + |theta_i| (t_i + s_k) <= 3 |theta_i| t_i``), plus
     as many smallest subnormals for underflow.
+
+    A margin beyond the float range raises DegenerateInput naming its edge.
     """
+    return _gershgorin_check(prob, tol)
+
+
+def _gershgorin_check(prob: CertificateProblem, tol: float) -> GershgorinResult:
+    """``gershgorin_pd_check`` for a caller already under ``_QUIET``."""
     margins, rounding = _disc_margins(prob.graph, *prob._arrays)
+    _require_finite(margins, prob.graph.edges, "disc margin")
     return GershgorinResult(
         margins=margins,
         ok_strict=_all(margins >= tol),
@@ -520,12 +533,15 @@ def _require_finite(values: np.ndarray, edges, what: str) -> None:
         raise DegenerateInput(f"edge ({i}, {j}): {what} is beyond the float range")
 
 
+@_QUIET
 def intra_edge_margins(
     graph: Graph, nus: Mapping[int, float], alphas: Mapping
 ) -> dict[tuple[int, int], float]:
-    """Interface-condition margin for every edge of a fixed graph."""
+    """Interface-condition margin for every edge of a fixed graph; a margin
+    beyond the float range raises DegenerateInput naming its edge."""
     theta, sigma = _gather(graph, nus, alphas)
     margins = _edge_margins(graph.ends, theta, sigma, graph.degrees)
+    _require_finite(margins, graph.edges, "interface margin")
     return dict(zip(graph.edges, margins.tolist()))
 
 
@@ -724,8 +740,7 @@ def _finish_report(
                 f"edge ({i}, {j}): boundary gamma or margin is beyond the float range")
     prob = CertificateProblem(composed, theta, sigma, s_weights)
     _require_finite(margins, composed.edges, "interface margin")
-    gersh = gershgorin_pd_check(prob, tol)
-    _require_finite(gersh._margins, composed.edges, "disc margin")
+    gersh = _gershgorin_check(prob, tol)
     kappa = None
     positive_definite = _disc_proves_pd(
         prob, gersh, len(boundary), tol
@@ -754,11 +769,6 @@ def _finish_report(
     if kappa is not None:
         report.__dict__["oracle_min_eigenvalue"] = kappa  # the cached_property's slot
     return report
-
-
-# _finish_report raises an overflowing margin as DegenerateInput; each verdict
-# runs under one errstate (a few microseconds each) so numpy does not also warn.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET

@@ -43,7 +43,8 @@ class EstimatorError(PlugnetError):
 
 class UnsolvableIndex(EstimatorError):
     """The stationary points of Re H(jw) cannot be root-solved: E'F - EF'
-    or its companion matrix is not finite."""
+    or its companion matrix is not finite. A scenario document raises it,
+    like any other index error, as ``node <id>: <message>``."""
 
 
 class SimulationDiverged(PlugnetError):

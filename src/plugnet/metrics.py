@@ -112,8 +112,11 @@ def record_span(traj: TrajectoryRecord) -> float:
 
 
 def default_horizons(t_end: float, count: int = 50) -> np.ndarray:
+    """``count`` log-spaced horizons up to ``t_end``, none beyond it."""
     lo = min(0.1, t_end / 10.0)
-    return np.logspace(np.log10(lo), np.log10(t_end), count)
+    horizons = np.logspace(np.log10(lo), np.log10(t_end), count)
+    horizons[-1] = min(horizons[-1], t_end)  # logspace may overshoot by an ulp
+    return horizons
 
 
 def fit_gain_offset(noise_norms: np.ndarray, output_norms: np.ndarray) -> tuple[float, float]:
@@ -146,8 +149,8 @@ def estimate_io_gain(
     Norms come from the trapezoid rule on the recorded sampling grid; the
     fit is ``fit_gain_offset`` on the per-horizon norm pairs. An edge adds
     nothing at a sample where one of its ends is not recorded yet. The
-    record must pass ``record_span``, and an edge norm that overflows the
-    float range raises PlugnetError.
+    record must pass ``record_span``; a horizon outside the recorded span
+    and an edge norm that overflows the float range raise PlugnetError.
     """
     t_end = record_span(traj)
     if horizons is None:
@@ -155,6 +158,9 @@ def estimate_io_gain(
     horizons = np.asarray(horizons, dtype=float)
     if horizons.size < 2:
         raise ValueError("need at least two horizons")
+    outside = horizons[~((traj.times[0] <= horizons) & (horizons <= t_end))]
+    if outside.size:
+        raise PlugnetError(f"horizon {outside[0]} outside recorded span [{traj.times[0]}, {t_end}]")
 
     dy, dw = _edge_differences(traj, graph, (traj.outputs, traj.noise))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below

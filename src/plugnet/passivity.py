@@ -290,7 +290,8 @@ def _check_radius(roots: list) -> np.ndarray:
     owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     largest = np.full(len(roots), -np.inf)
     np.maximum.at(largest, owner, _magnitudes(np.concatenate(roots)))
-    return 2.0 * (1.0 + largest)
+    with np.errstate(over="ignore"):  # an infinite radius fails the check
+        return 2.0 * (1.0 + largest)
 
 
 def _verify_realization(sys: LtiSystem, roots: list) -> None:

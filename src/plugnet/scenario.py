@@ -14,6 +14,11 @@ phase. The rules a simulation also needs are checked by their one owner in
 keeping the active network, ``_node_initial_state`` for ``x0`` and
 ``y0``), so a file that parses is one ``simulate`` accepts, save for
 missing dynamics and direct feedthrough.
+
+A document keeps the source it was parsed from, so ``to_dict`` and
+``write_scenario`` give back what was written, not a re-serialization of
+the parsed values (which normalize transfer functions and fill in sector
+bounds).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .certificates import PassivityIndices, SectorBounds
-from .errors import PlugnetError, ScenarioError, TableError, UnsolvableIndex
+from .errors import PlugnetError, ScenarioError, TableError
 from .graph import Graph, PlugPlan
 from .passivity import (
     IfpIndex,
@@ -109,17 +114,15 @@ class PlugEntry(PlugEvent):
     base: str
     added: str | None
 
-    def to_dict(self) -> dict:
-        added = {"added_node": self.plan.added} if self.added is None else {"added": self.added}
-        return {"time": self.time, "base": self.base, **added,
-                "boundary": [list(e) for e in self.plan.boundary]}
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioDocument:
-    """Validated scenario file contents, ready to feed the other modules."""
+    """Validated scenario file contents, ready to feed the other modules.
 
-    version: str
+    The document keeps the source it was parsed from as JSON text, and
+    ``to_dict`` returns it as a new object on each call.
+    """
+
     nodes: dict[int, NodeSpec]
     graphs: dict[str, Graph]
     initial_names: tuple[str, ...]
@@ -129,10 +132,13 @@ class ScenarioDocument:
     solver: SolverConfig
     # The graph of each topology phase: the initial graph, then one per plug.
     phases: tuple[Graph, ...]
-    outputs: dict[str, str] = field(default_factory=dict)
-    # The IFP index of each distinct system, filled as certificate_inputs
-    # and sweep_indices need them, so neither repeats the other's work.
-    _sweeps: dict[LtiSystem, IfpIndex] = field(default_factory=dict, init=False, repr=False)
+    outputs: dict[str, str]
+    _source: str = field(repr=False)
+    # The IFP index of each distinct system, or the error computing it
+    # raised, filled as certificate_inputs and sweep_indices need them, so
+    # neither repeats the other's work.
+    _indices: dict[LtiSystem, IfpIndex | PlugnetError] = field(
+        default_factory=dict, init=False, repr=False)
 
     def initial_graph(self) -> Graph:
         return self.phases[0]
@@ -147,31 +153,19 @@ class ScenarioDocument:
         return self.phases[-1]
 
     def build_scenario(self, seed: int | None = None) -> Scenario:
-        systems = {}
         for node_id, spec in self.nodes.items():
             if spec.system is None:
-                raise ScenarioError(
-                    f"node {node_id} has no dynamics; it cannot be simulated"
-                )
-            systems[node_id] = spec.system
+                raise ScenarioError(f"node {node_id} has no dynamics; it cannot be simulated")
         try:
-            noise = self.noise if seed is None else NoiseSpec(
-                scale=self.noise.scale, seed=seed, kind=self.noise.kind
-            )
             return Scenario(
-                systems=systems,
+                systems={i: s.system for i, s in self.nodes.items()},
                 initial_graph=self.initial_graph(),
                 couplings=dict(self.couplings),
-                noise=noise,
+                noise=self.noise if seed is None else replace(self.noise, seed=seed),
                 solver=self.solver,
-                initial_outputs={
-                    i: s.y0 for i, s in self.nodes.items() if s.y0 is not None
-                },
-                initial_states={
-                    i: np.asarray(s.x0, dtype=float)
-                    for i, s in self.nodes.items()
-                    if s.x0 is not None
-                },
+                initial_outputs={i: s.y0 for i, s in self.nodes.items() if s.y0 is not None},
+                initial_states={i: np.asarray(s.x0, dtype=float)
+                                for i, s in self.nodes.items() if s.x0 is not None},
                 plug_events=self.plug_events(),
             )
         except ValueError as exc:
@@ -182,25 +176,18 @@ class ScenarioDocument:
         dynamics otherwise) and upper sector bounds per edge, as read-only
         mappings that also hold their values as arrays, built once per
         document. Each distinct system's index is computed once per
-        document. The bounds are keyed both ways round, so a lookup finds
-        each edge's bound whatever its orientation (``PlugPlan`` orients a
-        single-node boundary edge from the added node)."""
+        document; a node whose index cannot be computed raises that error
+        naming the node. The bounds are keyed both ways round, so a lookup
+        finds each edge's bound whatever its orientation (``PlugPlan``
+        orients a single-node boundary edge from the added node)."""
         return self._certificate_inputs
 
     @cached_property
     def _certificate_inputs(self) -> tuple[PassivityIndices, SectorBounds]:
-        failed = self._sweep([spec.system for spec in self.nodes.values()
-                              if spec.declared_nu is None and spec.system is not None])
-        nus: dict[int, float] = {}
-        for node_id, spec in self.nodes.items():
-            if spec.declared_nu is not None:
-                nus[node_id] = spec.declared_nu
-            elif spec.system is not None:
-                nus[node_id] = self._index_of(node_id, spec.system, failed).nu
-            else:
-                raise ScenarioError(
-                    f"node {node_id} has neither a declared index nor dynamics"
-                )
+        swept = self._indices_of([node_id for node_id, spec in self.nodes.items()
+                                  if spec.declared_nu is None])
+        nus = {node_id: swept[node_id].nu if spec.declared_nu is None else spec.declared_nu
+               for node_id, spec in self.nodes.items()}
         alphas: dict[tuple[int, int], float] = {}
         for (i, j), c in self.couplings.items():
             alphas[i, j] = alphas[j, i] = c.alpha_upper
@@ -209,94 +196,28 @@ class ScenarioDocument:
     def sweep_indices(self) -> dict[int, IfpIndex]:
         """Indices computed from the dynamics of every node that has them;
         each distinct system's index is computed once per document."""
-        failed = self._sweep([spec.system for spec in self.nodes.values()
-                              if spec.system is not None])
-        return {
-            node_id: self._index_of(node_id, spec.system, failed)
-            for node_id, spec in self.nodes.items()
-            if spec.system is not None
-        }
+        return self._indices_of([node_id for node_id, spec in self.nodes.items()
+                                 if spec.system is not None])
 
-    def _sweep(self, systems: list[LtiSystem]) -> dict[LtiSystem, Exception]:
-        """Index, in one batch, the distinct ``systems`` that ``_sweeps``
-        lacks; the error of each system that has no index."""
-        missing = [system for system in dict.fromkeys(systems) if system not in self._sweeps]
-        failed: dict[LtiSystem, Exception] = {}
-        if not missing:
-            return failed
-        for system, outcome in zip(missing, ifp_indices(missing)):
-            if isinstance(outcome, Exception):
-                failed[system] = outcome
-            else:
-                self._sweeps[system] = outcome
-        return failed
-
-    def _index_of(self, node_id: int, system: LtiSystem,
-                  failed: dict[LtiSystem, Exception]) -> IfpIndex:
-        """The index of node ``node_id``'s ``system``; raises its error when
-        it has none, naming the node when it cannot be root-solved."""
-        if system not in failed:
-            return self._sweeps[system]
-        error = failed[system]
-        if isinstance(error, UnsolvableIndex):
-            raise UnsolvableIndex(f"node {node_id}: {error}") from error
-        raise error
+    def _indices_of(self, node_ids: list[int]) -> dict[int, IfpIndex]:
+        """The computed index of each node of ``node_ids``, which all have
+        dynamics. One batch indexes the distinct systems that ``_indices``
+        lacks. The first node, in the order given, whose system has no index
+        raises that error, of the same type, as ``node <id>: <message>``."""
+        systems = [self.nodes[node_id].system for node_id in node_ids]
+        missing = [system for system in dict.fromkeys(systems) if system not in self._indices]
+        if missing:
+            self._indices.update(zip(missing, ifp_indices(missing)))
+        indices = {}
+        for node_id, system in zip(node_ids, systems):
+            index = self._indices[system]
+            if isinstance(index, PlugnetError):
+                raise type(index)(f"node {node_id}: {index}") from index
+            indices[node_id] = index
+        return indices
 
     def to_dict(self) -> dict:
-        nodes = []
-        for node_id in sorted(self.nodes):
-            spec = self.nodes[node_id]
-            entry: dict[str, Any] = {"id": node_id}
-            if spec.system is not None:
-                entry["dynamics"] = {
-                    "num": list(spec.system.num),
-                    "den": list(spec.system.den),
-                }
-            if spec.declared_nu is not None:
-                entry["nu"] = spec.declared_nu
-            if spec.y0 is not None:
-                entry["y0"] = spec.y0
-            if spec.x0 is not None:
-                entry["x0"] = list(spec.x0)
-            nodes.append(entry)
-        couplings = []
-        for edge in sorted(self.couplings):
-            c = self.couplings[edge]
-            entry = {"edge": list(edge), "kind": c.kind}
-            if c.gain is not None:
-                entry["a"] = c.gain
-            entry["alpha_lower"] = c.alpha_lower
-            entry["alpha_upper"] = c.alpha_upper
-            if c.table is not None:
-                entry["table"] = [list(p) for p in c.table]
-            couplings.append(entry)
-        out: dict[str, Any] = {
-            "version": self.version,
-            "nodes": nodes,
-            "graphs": {
-                name: {
-                    "nodes": list(g.node_ids),
-                    "edges": [list(e) for e in g.edges],
-                }
-                for name, g in self.graphs.items()
-            },
-            "initial": list(self.initial_names),
-            "couplings": couplings,
-            "plug_events": [e.to_dict() for e in self.plug_entries],
-            "noise": {
-                "scale": self.noise.scale,
-                "seed": self.noise.seed,
-                "kind": self.noise.kind,
-            },
-            "solver": {
-                "dt": self.solver.dt,
-                "t_end": self.solver.t_end,
-                "sample_stride": self.solver.sample_stride,
-            },
-        }
-        if self.outputs:
-            out["outputs"] = dict(self.outputs)
-        return out
+        return json.loads(self._source)
 
 
 def _coefficient_key(dynamics: Any) -> tuple | None:
@@ -356,8 +277,6 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
                 [(dynamics["num"], dynamics["den"])])[0]
             if isinstance(system, PlugnetError):
                 raise ScenarioError(f"{path}.dynamics: {system}") from system
-            if isinstance(system, Exception):
-                raise system
         nu = entry.get("nu")
         if nu is not None:
             nu = _finite_number(nu, f"{path}.nu")
@@ -412,6 +331,8 @@ def _parse_graphs(raw: Any, nodes: dict[int, NodeSpec]) -> dict[str, Graph]:
         raise ScenarioError("graphs: must be a non-empty object")
     graphs: dict[str, Graph] = {}
     for name, entry in raw.items():
+        if not isinstance(name, str):
+            raise ScenarioError(f"graphs: graph name {name!r} is not a string")
         path = f"graphs.{name}"
         _check_keys(entry, _GRAPH_KEYS, _GRAPH_KEYS, path)
         node_ids = [_integer(v, f"{path}.nodes[{k}]", minimum=0)
@@ -461,14 +382,30 @@ def _parse_coupling(entry: dict, path: str) -> tuple[tuple[int, int], SectorCoup
 
 
 def parse_scenario_dict(raw: dict) -> ScenarioDocument:
-    """Validate an in-memory scenario object. See parse_scenario for files."""
+    """Validate an in-memory scenario object. See parse_scenario for files.
+
+    Once valid, ``raw`` is kept as JSON text, so later changes to it do not
+    reach the document; numpy arrays and scalars in it become plain JSON
+    values. A value JSON cannot hold raises ScenarioError.
+    """
+    return _parse(raw, None)
+
+
+def _json_value(value: Any) -> Any:
+    """A numpy array or scalar as plain Python values, for ``json.dumps``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not a JSON value")
+
+
+def _parse(raw: Any, source: str | None) -> ScenarioDocument:
+    """Validate ``raw``, whose JSON text is ``source``; with no ``source``,
+    ``raw`` is dumped once it has passed validation."""
     _check_keys(raw, _TOP_KEYS,
                 {"version", "nodes", "graphs", "initial", "couplings", "noise", "solver"},
                 "scenario")
     if raw["version"] != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"version: expected {SCHEMA_VERSION!r}, got {raw['version']!r}"
-        )
+        raise ScenarioError(f"version: expected {SCHEMA_VERSION!r}, got {raw['version']!r}")
     nodes = _parse_nodes(raw["nodes"])
     graphs = _parse_graphs(raw["graphs"], nodes)
 
@@ -483,9 +420,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         g = graphs[name]
         overlap = set(initial_nodes) & set(g.node_ids)
         if overlap:
-            raise ScenarioError(
-                f"initial: graphs share node(s) {sorted(overlap)}"
-            )
+            raise ScenarioError(f"initial: graphs share node(s) {sorted(overlap)}")
         initial_nodes += g.node_ids
         initial_edges += g.edges
 
@@ -523,29 +458,20 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
     declared_edges = set(couplings)
     needed = {_edge_key(i, j) for g in graphs.values() for i, j in g.edges}
     needed |= {_edge_key(*e) for p in plug_entries for e in p.plan.boundary}
-    missing = sorted(needed - declared_edges)
+    missing = ", ".join(str(list(e)) for e in sorted(needed - declared_edges))
     if missing:
-        raise ScenarioError(
-            "couplings: no coupling declared for edge(s) "
-            + ", ".join(str(list(e)) for e in missing)
-        )
-    extra = sorted(declared_edges - needed)
+        raise ScenarioError(f"couplings: no coupling declared for edge(s) {missing}")
+    extra = ", ".join(str(list(e)) for e in sorted(declared_edges - needed))
     if extra:
-        raise ScenarioError(
-            "couplings: edge(s) "
-            + ", ".join(str(list(e)) for e in extra)
-            + " do not appear in any graph"
-        )
+        raise ScenarioError(f"couplings: edge(s) {extra} do not appear in any graph")
 
     for edge, c in couplings.items():
         check = verify_sector(c)
         if not check.within_declared:
             raise ScenarioError(
-                f"coupling on edge {list(edge)} violates its declared sector "
-                f"bounds: exact [{check.alpha_lower:.6g}, "
-                f"{check.alpha_upper:.6g}], declared "
-                f"[{c.alpha_lower:.6g}, {c.alpha_upper:.6g}]"
-            )
+                f"coupling on edge {list(edge)} violates its declared sector bounds: exact "
+                f"[{check.alpha_lower:.6g}, {check.alpha_upper:.6g}], declared "
+                f"[{c.alpha_lower:.6g}, {c.alpha_upper:.6g}]")
 
     noise_raw, solver_raw = raw["noise"], raw["solver"]
     _check_keys(noise_raw, _NOISE_KEYS, {"scale", "seed"}, "noise")
@@ -572,8 +498,12 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         if not isinstance(value, str):
             raise ScenarioError(f"outputs.{key}: must be a string")
 
+    if source is None:
+        try:
+            source = json.dumps(raw, allow_nan=False, default=_json_value)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"scenario: not valid as JSON: {exc}") from None
     return ScenarioDocument(
-        version=raw["version"],
         nodes=nodes,
         graphs=graphs,
         initial_names=tuple(initial),
@@ -583,32 +513,40 @@ def parse_scenario_dict(raw: dict) -> ScenarioDocument:
         solver=solver,
         phases=phases,
         outputs=dict(outputs_raw),
+        _source=source,
     )
 
 
 def parse_scenario(path: str | Path) -> ScenarioDocument:
     """Load and validate a scenario file.
 
+    The document keeps the text it was parsed from, so ``to_dict`` returns
+    the file's object and ``write_scenario`` writes it back.
+
     The cost follows the document's distinct content: the distinct
     transfer functions are realized once each, in one batch of stacked
     numpy passes (``passivity.realize_many``), and nodes with equal
     ``num``/``den`` share that immutable ``LtiSystem``.
-    ``certificate_inputs`` and ``sweep_indices`` share one memo, filled by
-    one batch (``passivity.ifp_indices``) over the distinct systems it
-    lacks, so each distinct system's index is computed once per document
-    (``certify`` calls both). Nothing is reused across parses.
+    ``certificate_inputs`` and ``sweep_indices`` share one memo of each
+    distinct system's index or error, filled by one batch
+    (``passivity.ifp_indices``) over the distinct systems it lacks, so each
+    is computed once per document (``certify`` calls both). Nothing is
+    reused across parses.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text()
+        raw = json.loads(text)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario_dict(raw)
+    return _parse(raw, text)
 
 
 def write_scenario(doc_or_dict, path: str | Path) -> None:
+    """Write a scenario object, or the source a document was parsed from,
+    as indented JSON."""
     raw = doc_or_dict.to_dict() if isinstance(doc_or_dict, ScenarioDocument) else doc_or_dict
     Path(path).write_text(json.dumps(raw, indent=2) + "\n")
 

@@ -110,13 +110,28 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError("t_end must be an integer number of steps")
+        self.n_steps  # t_end must fall on the step grid
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return _grid_step(self.t_end, self.dt, "solver.t_end",
+                          "t_end must be an integer number of steps")
+
+
+def _grid_step(t: float, dt: float, name: str, off_grid: str) -> int:
+    """The integer step at time ``t`` on the grid of spacing ``dt``.
+
+    ``t / dt`` must be finite and within 1e-6 of an integer. Otherwise
+    ValueError: ``off_grid`` when it is off the grid, a message naming
+    ``name`` when it is beyond the float range.
+    """
+    steps = t / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"{name}: the step count {t} / {dt} is beyond the float range")
+    nearest = round(steps)
+    if abs(steps - nearest) > 1e-6:
+        raise ValueError(off_grid)
+    return int(nearest)
 
 
 @dataclass(frozen=True)
@@ -143,9 +158,7 @@ def topology_phases(initial_graph: Graph, plug_events: Sequence[PlugEvent],
             raise ValueError(f"{where}.time: plug event at t={t} outside [0, t_end]")
         if t <= last:
             raise ValueError(f"{where}.time: plug event times must be strictly increasing")
-        steps = t / solver.dt
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError(f"{where}.time: plug event at t={t} not on the step grid")
+        _plug_step(k, ev, solver.dt)
         last = t
         graph = compose(ev.plan)
         dropped = sorted(set(phases[-1].node_ids) - set(graph.node_ids))
@@ -156,6 +169,13 @@ def topology_phases(initial_graph: Graph, plug_events: Sequence[PlugEvent],
             raise ValueError(f"{where}.base: plug event drops active edge(s) {dropped}")
         phases.append(graph)
     return tuple(phases)
+
+
+def _plug_step(k: int, ev: PlugEvent, dt: float) -> int:
+    """The step at which plug event ``k`` happens; see ``_grid_step``."""
+    where = f"plug_events[{k}].time"
+    return _grid_step(ev.time, dt, where,
+                      f"{where}: plug event at t={ev.time} not on the step grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +218,7 @@ class Scenario:
         return self._phases
 
     def phase_start_steps(self) -> list[int]:
-        starts = [0]
-        for ev in self.plug_events:
-            starts.append(int(round(ev.time / self.solver.dt)))
-        return starts
+        return [0] + [_plug_step(k, ev, self.solver.dt) for k, ev in enumerate(self.plug_events)]
 
 
 @dataclass(frozen=True, eq=False)

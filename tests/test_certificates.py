@@ -97,6 +97,20 @@ def test_nan_index_is_a_typed_error_not_a_linalg_failure():
         certify_fixed_network(G1, {**NUS, 3: float("nan")}, ALPHAS)
 
 
+@pytest.mark.filterwarnings("error")
+def test_public_margin_checks_name_an_overflowing_edge_without_warnings():
+    # theta_1 + theta_2 overflows on edge (1, 2), and so does its disc margin
+    path = Graph.from_pairs([1, 2, 3], [(1, 2), (2, 3)])
+    nus = {1: 1e308, 2: 1e308, 3: 1.0}
+    with pytest.raises(DegenerateInput, match=re.escape(
+            "edge (1, 2): interface margin is beyond the float range")):
+        intra_edge_margins(path, nus, {(1, 2): 1.0, (2, 3): 1.0})
+    prob = CertificateProblem(path, [1e308, 1e308, 1.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DegenerateInput, match=re.escape(
+            "edge (1, 2): disc margin is beyond the float range")):
+        gershgorin_pd_check(prob)
+
+
 def test_pd_oracle_single_edge():
     g = Graph([1, 2], [(1, 2)])
     prob = CertificateProblem(g, theta=(1, 0), sigma=(0,), s_weights=(1,))

@@ -9,6 +9,7 @@ from plugnet.errors import PlugnetError
 from plugnet.graph import Graph, incidence
 from plugnet.metrics import (
     analytic_gain_bound,
+    default_horizons,
     disagreement,
     estimate_io_gain,
     fit_gain_offset,
@@ -248,6 +249,25 @@ def test_estimate_requires_two_horizons():
     traj = _record(t, np.ones((11, 2)))
     with pytest.raises(ValueError):
         estimate_io_gain(traj, Graph([1, 2], [(1, 2)]), horizons=np.array([0.5]))
+
+
+@pytest.mark.parametrize("horizons", [[5.0, 10.0], [0.5, 1.5], [-0.5, 1.0], [0.5, np.nan]],
+                         ids=["beyond", "one_beyond", "before", "nan"])
+def test_estimate_rejects_horizons_outside_the_record(horizons):
+    # np.interp would hold the norm at the end of the record and label it T = 5
+    t = np.linspace(0.0, 1.0, 11)
+    traj = _record(t, np.outer(t, [1.0, -1.0]))
+    with pytest.raises(PlugnetError, match="outside recorded span"):
+        estimate_io_gain(traj, Graph([1, 2], [(1, 2)]), horizons=np.array(horizons))
+
+
+@pytest.mark.parametrize("t_end, last", [
+    (3.2, 3.2), (0.07, 0.07),  # logspace overshoots both by an ulp
+    (30.0, 29.999999999999996), (199.99, 199.98999999999998), (10.0, 10.0), (2.0, 2.0),
+])
+def test_default_horizons_end_within_the_record(t_end, last):
+    horizons = default_horizons(t_end)
+    assert horizons[-1] == last and np.all(np.diff(horizons) > 0.0)
 
 
 def test_analytic_gain_bound():

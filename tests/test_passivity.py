@@ -875,6 +875,9 @@ _MIXED_BATCH = [
 # Re H overflows to inf/inf at candidates near 1e157 rad/s: their values are
 # NaN, which the choice of the winner must skip.
 _NAN_CANDIDATES = ([91.46776485098455, 1.2532009521629861e+159], [1.0, 2.7554496718156447e+157])
+# A pole at -8.99e307: the radius of the realization check, 2 (1 + |pole|),
+# overflows, and the check fails on the NaN it gives.
+_HUGE_POLE = ([0.0], [1.1125369292536007e-308, 1.0])
 
 
 def _error(outcome):
@@ -886,6 +889,7 @@ def _error(outcome):
 @example(_MIXED_BATCH)
 @example([_NEAR_UNDAMPED, _TOUCHES_ITS_LIMIT, ([1.0], _LIGHT_DOUBLE_RESONANCE)])
 @example([([1.0], [1.0, 1.0]), _NAN_CANDIDATES, ([1.0, 2.0], [1.0, 3.0])])
+@example([([-1.0], [1.0]), _HUGE_POLE])
 def test_batches_are_bit_identical_to_each_item_alone(batch):
     systems = realize_many(batch)
     assert len(systems) == len(batch)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,120 @@ def test_round_trip_is_stable(tmp_path):
     write_scenario(doc1, tmp_path / "again.json")
     doc2 = parse_scenario(tmp_path / "again.json")
     assert doc1.to_dict() == doc2.to_dict()
+
+
+def test_the_bundled_example_writes_back_byte_for_byte(tmp_path):
+    path, again = tmp_path / "example.json", tmp_path / "again.json"
+    assert main(["example", "--out", str(path)]) == 0
+    write_scenario(parse_scenario(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_the_write_back_keeps_what_was_written(tmp_path):
+    # a non-monic transfer function, one whose (s + 1) cancels, and sat_sine
+    # couplings without declared bounds: none is normalized on the way back
+    raw = paper_example()
+    raw["nodes"][0]["dynamics"] = {"num": [2, 2], "den": [2, 4]}
+    raw["nodes"][1]["dynamics"] = {"num": [1, 1], "den": [1, 3, 2]}
+    assert raw["couplings"][0] == {"edge": [1, 2], "kind": "sat_sine", "a": 0.4}
+    path, back = tmp_path / "scenario.json", tmp_path / "back.json"
+    write_scenario(raw, path)
+    doc = parse_scenario(path)
+    assert doc.nodes[1].system.den == (1.0, 2.0) and doc.nodes[2].system.num == (1.0,)
+    write_scenario(doc, back)
+    assert back.read_bytes() == path.read_bytes()
+    written = doc.to_dict()
+    assert written["nodes"][0]["dynamics"] == {"num": [2, 2], "den": [2, 4]}
+    assert written["nodes"][1]["dynamics"] == {"num": [1, 1], "den": [1, 3, 2]}
+    assert written["couplings"][0] == {"edge": [1, 2], "kind": "sat_sine", "a": 0.4}
+    again = parse_scenario(back)
+    assert again.to_dict() == written
+    for node_id, spec in doc.nodes.items():
+        other = again.nodes[node_id]
+        assert (other.system.num, other.system.den) == (spec.system.num, spec.system.den)
+        assert (other.declared_nu, other.y0, other.x0) == (spec.declared_nu, spec.y0, spec.x0)
+    assert again.couplings == doc.couplings
+    assert again.certificate_inputs() == doc.certificate_inputs()
+
+
+def test_an_in_memory_scenario_writes_back_as_plain_json(tmp_path):
+    raw = paper_example()
+    raw["nodes"][0]["dynamics"] = {"num": np.array([1.0, 1.0]), "den": (1.0, 0.7, 0.0)}
+    raw["graphs"]["g2"]["edges"] = [(5, 6), (6, 7)]
+    raw["couplings"][0]["edge"] = (1, 2)
+    doc = parse_scenario_dict(raw)
+    written = doc.to_dict()
+    assert written == paper_example()
+    assert type(written["nodes"][0]["dynamics"]["num"]) is list
+    write_scenario(doc, tmp_path / "written.json")
+    assert json.loads((tmp_path / "written.json").read_text()) == written
+    assert parse_scenario_dict(written).to_dict() == written
+
+
+def test_changes_to_the_parsed_object_do_not_reach_the_document():
+    raw = paper_example()
+    doc = parse_scenario_dict(raw)
+    raw["nodes"][0]["nu"] = 5.0
+    raw["couplings"].clear()
+    raw["solver"]["dt"] = 1.0
+    assert doc.to_dict() == paper_example()
+    doc.to_dict()["nodes"].clear()  # each call returns a new object
+    assert doc.to_dict() == paper_example()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda raw: raw["graphs"].update({("g", 3): raw["graphs"]["g2"]}),
+     "graphs: graph name ('g', 3) is not a string"),
+    (lambda raw: raw["graphs"].update({3: raw["graphs"]["g2"]}),
+     "graphs: graph name 3 is not a string"),
+    (lambda raw: raw["nodes"][0]["dynamics"].update(num=[Fraction(1), 1.0]),
+     "scenario: not valid as JSON: Fraction is not a JSON value"),
+], ids=["tuple_graph_name", "integer_graph_name", "fraction_coefficient"])
+def test_a_scenario_that_json_cannot_hold_is_a_scenario_error(mutate, message):
+    raw = paper_example()
+    mutate(raw)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario_dict(raw)
+
+
+def _unstable_node_3(declared):
+    raw = paper_example()
+    assert raw["nodes"][2]["id"] == 3
+    raw["nodes"][2]["dynamics"] = {"num": [1], "den": [1, -1, 0]}
+    if not declared:
+        del raw["nodes"][2]["nu"]
+    return raw
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared_nu", "swept_nu"])
+def test_cli_certify_names_the_node_whose_index_has_no_value(tmp_path, capsys, declared):
+    # the sweep table indexes node 3 whether it declares its index or not
+    path = tmp_path / "unstable.json"
+    write_scenario(_unstable_node_3(declared), path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: node 3: unstable system: pole at 1")
+
+
+def test_a_failing_system_is_indexed_once(monkeypatch):
+    batches = []
+
+    def counted(systems):
+        batches.append(list(systems))
+        return ifp_indices(systems)
+
+    monkeypatch.setattr(plugnet.scenario, "ifp_indices", counted)
+    doc = parse_scenario_dict(_unstable_node_3(declared=False))
+    unstable = doc.nodes[3].system
+    (error,) = ifp_indices([unstable])
+    for _ in range(2):
+        for method in (doc.certificate_inputs, doc.sweep_indices):
+            with pytest.raises(PlugnetError) as raised:
+                method()
+            assert type(raised.value) is type(error)
+            assert str(raised.value) == f"node 3: {error}"
+    # the undeclared node 3 first, then the six others for the sweep table
+    assert batches[0] == [unstable] and len(batches) == 2
+    assert unstable not in batches[1] and len(batches[1]) == 6
 
 
 def test_certificate_inputs_prefer_declared_indices(golden_doc):
@@ -554,7 +669,10 @@ _EXTREME_DYNAMICS = {
                         "error: nodes[1].dynamics: state-space response deviates from the "
                         "polynomials (max rel err nan)\n"),
     "c_c_overflow": ([1e200, 1], [1, 1e-100, 1e200],
-                     "error: pole on the imaginary axis away from the origin\n"),
+                     "error: node 2: pole on the imaginary axis away from the origin\n"),
+    "check_radius_overflow": ([1], [1e-308, 1],
+                              "error: nodes[1].dynamics: state-space response deviates from the "
+                              "polynomials (max rel err nan)\n"),
 }
 
 
@@ -875,6 +993,18 @@ def test_cli_certify_rejects_bad_plug_time(tmp_path, capsys, mutate, message):
     assert err.startswith("error: plug_events[0].time:") and message in err
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-320, 30.0), (1e-300, 1e10)])
+def test_cli_certify_rejects_a_step_count_beyond_the_float_range(tmp_path, capsys, dt, t_end):
+    # t_end / dt is inf: an error line, not an OverflowError traceback
+    raw = paper_example()
+    raw["solver"].update(dt=dt, t_end=t_end)
+    path = tmp_path / "tiny_dt.json"
+    write_scenario(raw, path)
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: solver.t_end: the step count {t_end} / {dt} is beyond the float range\n")
+
+
 def test_cli_simulate_reports_divergence(tmp_path, capsys):
     raw = {
         "version": "1",
@@ -913,6 +1043,21 @@ def test_cli_report_on_golden_run(tmp_path, golden_doc, golden_traj):
     assert payload["analytic_rho_bound"] is not None
     header = dis_path.read_text().splitlines()[0]
     assert header == "t,disagreement"
+
+
+def test_cli_report_rejects_a_record_that_starts_after_the_first_horizon(
+        tmp_path, capsys, golden_traj):
+    # the first default horizon is 0.1; this record starts at 0.5
+    scenario_path, csv_path = tmp_path / "paper_example.json", tmp_path / "late.csv"
+    write_scenario(paper_example(), scenario_path)
+    write_trajectory_csv(golden_traj, csv_path)
+    lines = csv_path.read_text().splitlines()
+    assert lines[51].startswith("0.5,")
+    csv_path.write_text("\n".join(lines[:1] + lines[51:]) + "\n")
+    assert main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {csv_path}: horizon 0.1 outside recorded span [0.5, ")
 
 
 def _report_bound(tmp_path, raw, traj):
