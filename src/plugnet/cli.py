@@ -75,14 +75,18 @@ def read_trajectory_csv(path: Path) -> TrajectoryRecord:
     """Rebuild from the CSV the record that ``run`` returned, field for field.
 
     The topology phases are not in the file; they are the scenario's.
-    A header other than ``t, y<id>..., u<id>..., w<id>...`` with the same
-    ids in each group, a cell that is not a number, a row whose length
-    differs from the header's, no samples at all, a ``t`` or ``w`` cell that
-    is not finite, or an infinite ``y`` or ``u`` cell raise PlugnetError;
-    ``nan`` in ``y`` and ``u`` marks a node that has not joined yet.
+    Text that cannot be decoded, a header other than ``t, y<id>...,
+    u<id>..., w<id>...`` with the same ids in each group, a cell that is
+    not a number, a row whose length differs from the header's, no samples
+    at all, a ``t`` or ``w`` cell that is not finite, or an infinite ``y``
+    or ``u`` cell raise PlugnetError; ``nan`` in ``y`` and ``u`` marks a
+    node that has not joined yet.
     """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
+        try:
+            header = fh.readline().strip().split(",")
+        except UnicodeDecodeError as exc:
+            raise PlugnetError(f"{path}: {exc}") from None
         n = (len(header) - 1) // 3
         ids = [name[1:] for name in header[1 : 1 + n]]
         expected = ["t"] + [group + i for group in "yuw" for i in ids]

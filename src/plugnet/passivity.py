@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -844,12 +845,14 @@ def tabulated(
 
 # The gain-free shape of each coupling kind, written once: phi(x) = gain *
 # shape(x), with gain 1 for a table. A table's parameters broadcast against
-# x: shape (m, K + 1) for K knots, with m = 1 or m = len(x). x is a float
-# array. A shape writes into ``out`` when given (the simulator passes a slice
-# of its step buffer), else into a fresh array, and returns it. ``out`` may
-# be ``x`` itself, not a partial overlap of it. Each shape keeps the
-# operations of its plain numpy expression in their order, so the results
-# are the same bit for bit.
+# x: shape (m, K + 1) for K knots, with m = 1 or m = len(x). A shape
+# overwrites its argument: ``COUPLING_FORMULAS[kind](*params, x)``, x a 1-D
+# float array (a view is fine, strided or not), returns calls that take no
+# argument and overwrite x with shape(x) each time they run in turn, using
+# scratch arrays allocated once with them. The simulator builds them once per
+# slot of its step buffer; ``evaluate_coupling`` runs them once on a copy.
+# Each shape keeps the operations of its plain numpy expression in their
+# order, so the results are the same bit for bit.
 
 # pi/2 as a 0-d array: comparing with or subtracting it skips the
 # conversion that a Python float costs on every call.
@@ -857,29 +860,38 @@ _HALF_PI = np.array(math.pi / 2.0)
 _HALF_PI.flags.writeable = False
 
 
-def _sat_sine_shape(x, out=None):
-    """``where(|x| < pi/2, sin(x), x)``; NaN keeps sin's NaN."""
-    big = np.abs(x) >= _HALF_PI
-    if out is x:
-        x = x.copy()
-    out = np.sin(x, out=out)
-    np.copyto(out, x, where=big)
-    return out
+def _linear_shape(x) -> tuple:
+    """The identity: nothing to do."""
+    return ()
 
 
-def _sat_sine_smooth_shape(x, out=None):
+def _sat_sine_shape(x) -> tuple:
+    """``where(|x| < pi/2, sin(x), x)``.
+
+    sin runs unmasked into scratch and a masked copy takes its values, which
+    keeps the bits of the unmasked ``sin`` on every numpy.
+    """
+    mag, small, sine = np.empty(len(x)), np.empty(len(x), bool), np.empty(len(x))
+    return (partial(np.absolute, x, mag),
+            partial(np.less, mag, _HALF_PI, small),
+            partial(np.sin, x, sine),
+            partial(np.copyto, x, sine, "same_kind", small))
+
+
+def _sat_sine_smooth_shape(x) -> tuple:
     """``where(|x| < pi/2, sin(x), sign(x) * (|x| - pi/2 + 1))``."""
-    sat = np.abs(x)
-    small = sat < _HALF_PI
-    np.subtract(sat, _HALF_PI, out=sat)
-    np.add(sat, 1.0, out=sat)
-    sine = np.sin(x)
-    out = np.multiply(np.sign(x), sat, out=out)
-    np.copyto(out, sine, where=small)
-    return out
+    mag, small, sine = np.empty(len(x)), np.empty(len(x), bool), np.empty(len(x))
+    return (partial(np.absolute, x, mag),
+            partial(np.less, mag, _HALF_PI, small),
+            partial(np.subtract, mag, _HALF_PI, mag),
+            partial(np.add, mag, 1.0, mag),
+            partial(np.sin, x, sine),
+            partial(np.sign, x, x),
+            partial(np.multiply, x, mag, x),
+            partial(np.copyto, x, sine, "same_kind", small))
 
 
-def _tabulated_shape(knots, values, slopes, anchors, x, out=None):
+def _tabulated_shape(knots, values, slopes, anchors, x) -> tuple:
     """Odd piecewise-linear interpolation through (0, 0) and the knots.
 
     Row r of ``knots``/``values``/``slopes`` holds anchors 0, x_1, ..., x_K,
@@ -888,16 +900,24 @@ def _tabulated_shape(knots, values, slopes, anchors, x, out=None):
     padded by repeating their last entry, which leaves them unchanged;
     ``anchors[r]`` is the flat index of row r's anchor 0.
     """
-    mag = np.abs(x)
-    at = anchors + (knots[:, 1:] <= mag[:, None]).sum(axis=1)  # knots crossed
-    segment = np.subtract(mag, knots.take(at), out=mag)
-    np.multiply(slopes.take(at), segment, out=segment)
-    np.add(values.take(at), segment, out=segment)
-    return np.multiply(np.sign(x), segment, out=out)
+    mag, at, picked = np.empty(len(x)), np.empty(len(x), np.intp), np.empty(len(x))
+    crossed = np.empty((len(x), knots.shape[1] - 1), bool)
+    return (partial(np.absolute, x, mag),
+            partial(np.less_equal, knots[:, 1:], mag[:, None], crossed),
+            partial(np.add.reduce, crossed, 1, None, at),  # knots crossed
+            partial(np.add, anchors, at, at),
+            partial(knots.take, at, None, picked),
+            partial(np.subtract, mag, picked, mag),
+            partial(slopes.take, at, None, picked),
+            partial(np.multiply, picked, mag, mag),
+            partial(values.take, at, None, picked),
+            partial(np.add, picked, mag, mag),
+            partial(np.sign, x, x),
+            partial(np.multiply, x, mag, x))
 
 
 COUPLING_FORMULAS = {
-    "linear_gain": np.positive,  # the identity, as a copy
+    "linear_gain": _linear_shape,
     "sat_sine": _sat_sine_shape,
     "sat_sine_smooth": _sat_sine_smooth_shape,
     "tabulated": _tabulated_shape,
@@ -926,8 +946,11 @@ def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray
 def evaluate_coupling(c: SectorCoupling, x):
     """phi(x) = gain * shape(x), for scalar or array x."""
     arr = np.asarray(x, dtype=float)
+    flat = arr.flatten()  # a copy, which the shape overwrites
     gains, params = coupling_parameters([c])
-    out = np.multiply(gains, COUPLING_FORMULAS[c.kind](*params, arr.ravel()))
+    for call in COUPLING_FORMULAS[c.kind](*params, flat):
+        call()
+    out = np.multiply(gains, flat)
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(out[0])
     return out.reshape(arr.shape)

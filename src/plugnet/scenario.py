@@ -70,7 +70,7 @@ _OUTPUT_KEYS = {"csv", "meta", "report", "disagreement"}
 def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - allowed, key=str)  # an in-memory object may mix key types
     if unknown:
         raise ScenarioError(f"{path}: unknown key(s) {unknown}")
     missing = sorted(required - set(obj))
@@ -537,7 +537,7 @@ def parse_scenario(path: str | Path) -> ScenarioDocument:
     try:
         text = path.read_text()
         raw = json.loads(text)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc

@@ -20,26 +20,34 @@ f_4]``:
 * V_1 .. V_4: ``v_s = V_s [w; x; f_1; ...; f_{s-1}]``, a prefix of z;
 * [P | Q] (N x (N + 4p)): ``x+ = P x + Q [f_1; ...; f_4]``, the rest of z.
 
-A step is one product of V_s and one shape evaluation per stage, which
-writes ``f_s`` into z, and one product by [P | Q]. A node's output at
-stage s reads its own state, noise and earlier inputs ``u_r = -D g f_r``
-only, so V_s is kept as two factors for s > 1: D^T, and G_s reading those
-(its ``-D g`` columns touch the node's edges); their product would hold an
-entry for every pair of edges that share a node, so sum(degree^2) of them
-at a hub. V_1 reads no coupling output and is the one factor ``[D^T |
-H_1]``, whose rows, like the columns of Q, touch one edge's end nodes; P
-is block-diagonal. A map with at most ``DENSE_MAX_ENTRIES`` entries in
-dense form (its factors' too) is evaluated as one ``ndarray.dot`` by the
-product, a larger one as COO triplets, one product per factor, eight per
-step. So the maps hold at most 5m + 10 entries per edge end, m per state
-and 3m + 3 per node, for the largest node order m, whatever the node
-degrees, and a step costs time linear in the number of states and edges.
-The shapes are evaluated by kind with ``COUPLING_FORMULAS``, all edges of
-one kind in one call that writes into the buffer. A dense reference in the
-tests holds this core to a relative error of 1e-12 with identical NaN
-masks, and a second test holds the collapsed step, dense and COO, to the
-stage-wise recurrence ``dx/dt = S [x; shape(G x + D^T w)]`` with ``G =
-D^T C``, ``S = [A | -B D g]``.
+A step is, per stage, one product of V_s written straight into the slot of
+``f_s`` in z and the shape calls that overwrite the slot with ``f_s``,
+then one product by [P | Q]. A node's output at stage s reads its own
+state, noise and earlier inputs ``u_r = -D g f_r`` only, so V_s is kept as
+two factors for s > 1: D^T, and G_s reading those (its ``-D g`` columns
+touch the node's edges); their product would hold an entry for every pair
+of edges that share a node, so sum(degree^2) of them at a hub. V_1 reads
+no coupling output and is the one factor ``[D^T | H_1]``, whose rows, like
+the columns of Q, touch one edge's end nodes; P is block-diagonal. A map
+with at most ``DENSE_MAX_ENTRIES`` entries in dense form (its factors'
+too) is evaluated as one ``ndarray.dot`` by the product, a larger one as
+COO triplets, one product per factor, eight per step. So the maps hold at
+most 5m + 10 entries per edge end, m per state and 3m + 3 per node, for
+the largest node order m, whatever the node degrees, and a step costs time
+linear in the number of states and edges.
+
+Each phase builds its step kernel once: a flat tuple of calls with their
+arguments bound, per stage the map's product into its slot
+(``ndarray.dot`` with ``out``, or the COO products copied in once) and,
+for each coupling kind's slice of the slot, the in-place calls of its
+shape from ``COUPLING_FORMULAS``, which own their scratch arrays (a linear
+gain has none). ``rk4`` copies noise and state into z, runs the calls and
+the product by [P | Q], with no per-stage dispatch, and a dense stage
+allocates nothing. A test holds the kernel to its parts composed out of
+place bit for bit, a dense reference in the tests holds this core to a
+relative error of 1e-12 with identical NaN masks, and a third test holds
+the collapsed step, dense and COO, to the stage-wise recurrence ``dx/dt =
+S [x; shape(G x + D^T w)]`` with ``G = D^T C``, ``S = [A | -B D g]``.
 
 That stage-wise recurrence also decides divergence. When a step ends in a
 state whose squared norm is not finite, it is replayed from the last
@@ -292,11 +300,15 @@ def _matvec(op: tuple, x: np.ndarray) -> np.ndarray:
     return np.bincount(rows, vals * x[cols], minlength=n_rows).astype(float, copy=False)
 
 
-def _matvecs(ops: Sequence[tuple], x: np.ndarray) -> np.ndarray:
-    """``_matvec`` by each of ``ops`` in turn."""
+def _matvecs(ops: Sequence[tuple], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_matvec`` by each of ``ops`` in turn, copied into ``out`` when given
+    (as ``ndarray.dot`` takes it)."""
     for op in ops:
         x = _matvec(op, x)
-    return x
+    if out is None:
+        return x
+    np.copyto(out, x)
+    return out
 
 
 class _Triplets:
@@ -324,7 +336,7 @@ class _Triplets:
 
 
 def _operator(*factors: _Triplets):
-    """``x -> F_1 F_2 ... F_k x``.
+    """``(x, out=None) -> F_1 F_2 ... F_k x``, into ``out`` when given.
 
     One dense ``dot`` by the product when it and every factor have at most
     ``DENSE_MAX_ENTRIES`` entries in dense form, else one COO product per
@@ -372,10 +384,11 @@ class _PhaseContext:
     """Step operators and coupling groups for one topology phase, step ``dt``.
 
     ``rk4`` is the collapsed step of the module docstring. Its four stage
-    maps and [P | Q] are built at construction, each evaluated by
-    ``_operator``. ``deriv`` is the stage-wise
-    derivative ``S [x; shape(G x + dw)]`` with COO operators; S is built on
-    first use, since only the divergence replay and the tests call it.
+    maps, [P | Q] and the step kernel that runs them are built at
+    construction, each map evaluated by ``_operator``. ``deriv`` is the
+    stage-wise derivative ``S [x; shape(G x + dw)]`` with COO operators; S
+    is built on first use, since only the divergence replay and the tests
+    call it.
     Edges are held grouped by coupling kind, one slice per kind, so their
     internal order is not that of ``graph.edges``.
     """
@@ -406,7 +419,7 @@ class _PhaseContext:
             self._kinds.append((slice(start, stop), COUPLING_FORMULAS[kind], params))
             gains.append(group_gains)
             start = stop
-        self._gain = np.concatenate(gains)  # per edge; phi writes the gain-free shapes
+        self._gain = np.concatenate(gains)  # per edge; the shapes are gain-free
 
         # Each distinct system once, zero-padded to the largest order: node k
         # runs system _sys[k] from state _first[k]. An edge end is a node, an
@@ -496,28 +509,33 @@ class _PhaseContext:
             stage_maps.append(_operator(d_t, g_op))
 
         self._PQ = _operator(pq_op)
+        self._stage_maps = tuple(stage_maps)
         z = np.empty(f_start + 4 * p)
         self._w, self._x, self._x_on = z[:n], z[n:f_start], z[n:]
-        # per stage: its map, the prefix of z the map reads, and the slot of f_s
-        self._stages = [(stage_maps[s], z[:f_start + s * p],
-                         z[f_start + s * p:f_start + (s + 1) * p]) for s in range(4)]
+        # per stage: its map writes v_s from the prefix of z before f_s into
+        # the slot of f_s, and the shape calls overwrite the slot with f_s
+        kernel = []
+        for s, stage_map in enumerate(stage_maps):
+            f = z[f_start + s * p:f_start + (s + 1) * p]
+            kernel.append(functools.partial(stage_map, z[:f_start + s * p], f))
+            kernel += self._shape_calls(f)
+        self._kernel = tuple(kernel)
 
     def edge_noise(self, w: np.ndarray) -> np.ndarray:
         """``D^T w`` for node noise ``w`` in ``node_ids`` order."""
         return w[self._heads] - w[self._tails]
 
-    def phi(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gain-free coupling shapes at ``v``, one call per kind, written
-        into ``out`` or a fresh array; the couplings are ``_gain * phi(v)``.
-        ``out`` may be ``v`` itself but must not overlap it otherwise."""
-        if len(self._kinds) == 1:
-            _, formula, params = self._kinds[0]
-            return formula(*params, v, out=out)
-        if out is None:
-            out = np.empty_like(v)
-        for sl, formula, params in self._kinds:
-            formula(*params, v[sl], out=out[sl])
-        return out
+    def _shape_calls(self, v: np.ndarray) -> list:
+        """Calls that overwrite the coupling arguments ``v`` with their
+        gain-free shapes, each kind's slice by the calls of its shape."""
+        return [call for sl, formula, params in self._kinds for call in formula(*params, v[sl])]
+
+    def phi(self, v: np.ndarray) -> np.ndarray:
+        """Gain-free coupling shapes at ``v``, written over ``v`` and
+        returned; the couplings are ``_gain * phi(v)``."""
+        for call in self._shape_calls(v):
+            call()
+        return v
 
     def edge_inputs(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Coupling arguments ``v = D^T (C x + w)`` given ``dw = D^T w``."""
@@ -534,12 +552,12 @@ class _PhaseContext:
         return _matvec(self._S, z)
 
     def rk4(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """One RK4 step from ``x`` under node noise ``w``: per stage one
-        product of its map and one ``phi`` into the step buffer, then [P | Q]."""
+        """One RK4 step from ``x`` under node noise ``w``: the calls of the
+        step kernel, which fill the step buffer stage by stage, then [P | Q]."""
         self._w[:] = w
         self._x[:] = x
-        for stage_map, reads, f in self._stages:
-            self.phi(stage_map(reads), out=f)
+        for call in self._kernel:
+            call()
         return self._PQ(self._x_on)
 
     def rk4_by_stages(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -318,8 +318,16 @@ def test_every_coupling_formula_is_odd(kind):
         SectorCoupling(kind=kind, gain=0.7, alpha_lower=0.7, alpha_upper=0.7 * math.pi))
     xs = np.concatenate([np.logspace(-9, 4, 2001), np.linspace(0.0, 10.0, 2001)])
     _, params = coupling_parameters([coupling])
-    phi = COUPLING_FORMULAS[kind](*params, xs)
-    assert np.array_equal(COUPLING_FORMULAS[kind](*params, -xs), -phi)
+    phi = _shaped(kind, params, xs)
+    assert np.array_equal(_shaped(kind, params, -xs), -phi)
+
+
+def _shaped(kind, params, x):
+    """shape(x) in a fresh array: the calls of the in-place shape run once on a copy."""
+    out = np.array(x, dtype=float)
+    for call in COUPLING_FORMULAS[kind](*params, out):
+        call()
+    return out
 
 
 def _reference_shape(kind, params, x):
@@ -353,6 +361,7 @@ _TABLES = ([(0.5, 0.3), (1.0, 0.8), (2.0, 1.2)], [(0.25, 0.2)], [(1.0, 1.0), (3.
 _SPECIAL_POINTS = np.array([
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, _HALF_PI, -_HALF_PI,
     np.nextafter(_HALF_PI, 0.0), np.nextafter(_HALF_PI, 2.0), -np.nextafter(_HALF_PI, 0.0),
+    -np.nextafter(_HALF_PI, 2.0),
     5e-324, -1e-300, 1e300, -1e300, 0.25, 0.5, -1.0, 2.0, 3.0, 7.5,
 ])
 
@@ -369,9 +378,11 @@ def _formula_cases(kind, x, rng):
 
 @pytest.mark.parametrize("kind", sorted(COUPLING_FORMULAS))
 def test_in_place_formulas_match_the_plain_expressions_bit_for_bit(kind):
-    # the shapes against their plain expressions, and evaluate_coupling
-    # against the coupling's plain expression, gain * shape (1 * shape for
-    # a table)
+    # the shapes against their plain expressions: on a copy, and in place on
+    # a strided slice of a larger buffer, whose calls run twice over two
+    # arguments (the simulator runs them once per step); and
+    # evaluate_coupling against the coupling's plain expression, gain *
+    # shape (1 * shape for a table), which leaves its argument alone
     rng = np.random.default_rng(5)
     x = np.concatenate((_SPECIAL_POINTS, [k for t in _TABLES for k, _ in t],
                         3.0 * rng.standard_normal(200)))
@@ -382,16 +393,18 @@ def test_in_place_formulas_match_the_plain_expressions_bit_for_bit(kind):
         gains, params = coupling_parameters(couplings)
         with np.errstate(invalid="ignore"):  # sin(inf) and inf - inf
             want = _reference_shape(kind, params, x)
-            assert _same_bits(formula(*params, x), want)
+            assert _same_bits(_shaped(kind, params, x), want)
             if len(couplings) == 1:
                 assert _same_bits(evaluate_coupling(couplings[0], x), gains * want)
-            buf = np.full_like(x, 7.0)
-            assert formula(*params, x, out=buf) is buf
-            assert _same_bits(buf, want)
-            # the rule stated with COUPLING_FORMULAS: out may be x itself
-            alias = x.copy()
-            formula(*params, alias, out=alias)
-            assert _same_bits(alias, want)
+            buffer = np.full(3 * len(x), 7.0)
+            view = buffer[1::3]
+            calls = formula(*params, view)
+            for arg in (x[::-1], x):
+                view[:] = arg
+                for call in calls:
+                    call()
+                assert _same_bits(view, _reference_shape(kind, params, arg))
+                assert np.all(buffer[0::3] == 7.0) and np.all(buffer[2::3] == 7.0)
     assert _same_bits(x, original)
 
 

@@ -58,6 +58,19 @@ def test_parse_rejects_unknown_node_key(key):
         parse_scenario_dict(raw)
 
 
+@pytest.mark.parametrize("keys, message", [
+    ({5: 1, "colour": 2}, "unknown key(s) [5, 'colour']"),
+    ({"zeta": 1, "colour": 2}, "unknown key(s) ['colour', 'zeta']"),
+], ids=["int_and_str", "str_only"])
+def test_unknown_keys_are_named_in_order_whatever_their_types(keys, message):
+    # an in-memory object may mix int and str keys, which do not compare
+    raw = paper_example()
+    raw["nodes"][0].update(keys)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_dict(raw)
+    assert str(info.value) == f"nodes[0]: {message}"
+
+
 def test_parse_rejects_empty_node_list():
     raw = paper_example()
     raw["nodes"] = []
@@ -750,6 +763,33 @@ def test_cli_certify_exit_1_on_schema_error(tmp_path, capsys):
 def test_cli_exit_1_on_missing_file(tmp_path, capsys):
     assert main(["certify", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate", "report"])
+def test_cli_exit_1_on_a_scenario_that_is_not_utf8(tmp_path, capsys, golden_traj, command):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(paper_example()).encode("utf-16-le"))
+    csv_path = tmp_path / "traj.csv"
+    write_trajectory_csv(golden_traj, csv_path)
+    args = {"certify": [str(path)], "simulate": [str(path), "--out-dir", str(tmp_path)],
+            "report": ["--traj", str(csv_path), "--scenario", str(path),
+                       "--out-dir", str(tmp_path)]}[command]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_cli_report_exit_1_on_a_trajectory_csv_that_is_not_utf8(tmp_path, capsys, golden_traj):
+    scenario_path = tmp_path / "paper_example.json"
+    write_scenario(paper_example(), scenario_path)
+    csv_path = tmp_path / "traj.csv"
+    write_trajectory_csv(golden_traj, csv_path)
+    csv_path.write_bytes(b"\xff\xfe" + csv_path.read_bytes())
+    code = main(["report", "--traj", str(csv_path), "--scenario", str(scenario_path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {csv_path}: 'utf-8' codec can't decode")
+    assert not (tmp_path / "traj_report.json").exists()
 
 
 def test_cli_simulate_deterministic_and_zero_noise(tmp_path):

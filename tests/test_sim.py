@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -275,14 +276,20 @@ def test_mixed_kind_phi_writes_each_kind_into_its_slice_of_out():
     kind_of = {formula: kind for kind, formula in COUPLING_FORMULAS.items()}
     assert sorted(kind_of[formula] for _, formula, _ in ctx._kinds) == sorted(COUPLING_FORMULAS)
     p = ctx.p
-    for shift in range(len(_SPECIAL_POINTS)):
+    # phi overwrites its argument: a contiguous and a strided slice of a
+    # larger buffer, whose other entries it leaves alone
+    for shift, view in itertools.product(range(len(_SPECIAL_POINTS)),
+                                         [slice(p, 2 * p), slice(1, None, 3)]):
         v = np.roll(_SPECIAL_POINTS, shift)[:p]
         buffer = np.full(3 * p, 7.0)
+        buffer[view] = v
         with np.errstate(invalid="ignore"):
-            out = ctx.phi(v, out=buffer[p:2 * p])
-            fresh = ctx.phi(v)
+            out = ctx.phi(buffer[view])
+            fresh = ctx.phi(v.copy())
         assert np.shares_memory(out, buffer) and out.shape == (p,)
-        assert np.all(buffer[:p] == 7.0) and np.all(buffer[2 * p:] == 7.0)
+        untouched = np.ones(3 * p, bool)
+        untouched[view] = False
+        assert np.all(buffer[untouched] == 7.0)
         assert _same_bits(fresh, out)
         for sl, formula, params in ctx._kinds:
             with np.errstate(invalid="ignore"):

@@ -1,13 +1,15 @@
 """The collapsed RK4 step against the stage-wise recurrence it replaces.
 
-``_PhaseContext.rk4`` evaluates a step as one product of a precomputed
-stage map and one coupling evaluation per stage, then one product by
-[P | Q]. The reference is ``rk4_by_stages``,
-the textbook recurrence through ``deriv``, one stage at a time. Both run the same
-scenario through ``run``; the sums are ordered differently, so the recorded
-arrays agree to a relative error of 1e-12 (the largest difference over the
-largest magnitude of each array), with identical NaN masks. Each case runs
-twice: with every operator evaluated dense and with every operator COO.
+``_PhaseContext.rk4`` runs the phase's step kernel: per stage one product
+of a precomputed stage map into its slot of the step buffer and the in-place
+shape calls that overwrite it, then one product by [P | Q]. The reference is
+``rk4_by_stages``, the textbook recurrence through ``deriv``, one stage at a
+time. Both run the same scenario through ``run``; the sums are ordered
+differently, so the recorded arrays agree to a relative error of 1e-12 (the
+largest difference over the largest magnitude of each array), with identical
+NaN masks. The kernel itself gives the bits of its parts composed out of
+place. Each case runs twice: with every operator evaluated dense and with
+every operator COO.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from test_passivity import _reference_shape
 
 from plugnet import sim
 from plugnet.graph import Graph, PlugPlan
 from plugnet.passivity import (
+    COUPLING_FORMULAS,
     linear_gain,
     realize,
     saturated_sine,
@@ -98,8 +103,49 @@ def test_collapsed_step_matches_stagewise_recurrence(dense_max_entries, scenario
     assert np.isnan(traj.outputs[0, -1])  # the second path joins later
 
 
+def _every_kind_scenario():
+    """One phase whose five edges hold every coupling kind, two tables of different lengths."""
+    ids = [1, 2, 3, 4, 5]
+    g = Graph.from_pairs(ids, list(zip(ids, ids[1:])) + [(1, 3)])
+    couplings = [saturated_sine(0.5), linear_gain(0.3), tabulated(TABLES[1]),
+                 saturated_sine_smooth(0.4), tabulated(TABLES[0])]
+    return Scenario(systems=dict(zip(ids, SYSTEMS)), initial_graph=g,
+                    couplings=dict(zip(g.edges, couplings)), noise=NoiseSpec(scale=0.3, seed=0),
+                    solver=SolverConfig(dt=0.05, t_end=2.0))
+
+
+@pytest.mark.parametrize("dense_max_entries", [0, 10**9], ids=["coo", "dense"])
+@settings(max_examples=30, deadline=None)
+@given(scenario=_scenarios(), seed=st.integers(0, 2**32 - 1))
+@example(scenario=_every_kind_scenario(), seed=0)
+def test_the_step_kernel_equals_its_parts_bit_for_bit(dense_max_entries, scenario, seed):
+    # rk4 runs the step kernel, which calls no phi: it gives the bits of the
+    # out-of-place composition of the same stage maps, the plain numpy shape
+    # expressions and [P | Q], step after step
+    kind_of = {formula: kind for kind, formula in COUPLING_FORMULAS.items()}
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "DENSE_MAX_ENTRIES", dense_max_entries)
+        contexts = [sim._PhaseContext(g, scenario.systems, scenario.couplings, scenario.solver.dt)
+                    for g in scenario.phases]
+    for ctx in contexts:
+        for _ in range(2):
+            x, w = rng.standard_normal(ctx.n_states), 0.3 * rng.standard_normal(ctx.n)
+            z = np.concatenate((w, x))
+            for stage_map in ctx._stage_maps:
+                v = stage_map(z)
+                f = np.empty_like(v)
+                for sl, formula, params in ctx._kinds:
+                    f[sl] = _reference_shape(kind_of[formula], params, v[sl])
+                z = np.concatenate((z, f))
+            want = ctx._PQ(z[ctx.n:])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sim._PhaseContext, "phi", None)
+                assert ctx.rk4(x, w).tobytes() == want.tobytes()
+
+
 def _operators(ctx):
-    return [*(stage_map for stage_map, _, _ in ctx._stages), ctx._PQ, ctx.outputs]
+    return [*ctx._stage_maps, ctx._PQ, ctx.outputs]
 
 
 def test_small_phases_go_dense_and_large_ones_coo():
@@ -137,7 +183,7 @@ def test_a_coo_step_takes_eight_products():
     ring = Graph.from_pairs(ids, [(i, (i + 1) % 200) for i in ids])
     ctx = sim._PhaseContext(ring, dict.fromkeys(ids, SYSTEMS[4]),
                             dict.fromkeys(ring.edges, saturated_sine(0.5)), 1e-3)
-    factors = [len(stage_map.args[0]) for stage_map, _, _ in ctx._stages]
+    factors = [len(stage_map.args[0]) for stage_map in ctx._stage_maps]
     assert factors + [len(ctx._PQ.args[0])] == [1, 2, 2, 2, 1]
 
 
