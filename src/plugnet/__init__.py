@@ -37,7 +37,6 @@ from .errors import (
 from .graph import (
     Graph,
     PlugPlan,
-    check_assumption_1,
     compose,
     incidence,
     is_connected,
@@ -48,7 +47,6 @@ from .metrics import (
     disagreement,
     estimate_io_gain,
     fit_gain_offset,
-    truncated_norm,
 )
 from .passivity import (
     IfpIndex,
@@ -59,7 +57,6 @@ from .passivity import (
     evaluate_coupling,
     ifp_indices,
     linear_gain,
-    polynomial_response,
     realize,
     realize_many,
     saturated_sine,
@@ -69,7 +66,6 @@ from .passivity import (
 )
 from .scenario import (
     NodeSpec,
-    PlugEntry,
     ScenarioDocument,
     paper_example,
     parse_scenario,
@@ -84,7 +80,6 @@ from .sim import (
     TrajectoryRecord,
     noise_stream,
     run,
-    step,
     topology_phases,
 )
 

@@ -222,6 +222,9 @@ def gershgorin_pd_check(
     as many smallest subnormals for underflow.
 
     A margin beyond the float range raises DegenerateInput naming its edge.
+    No verdict calls it (they call ``_gershgorin_check``); the acceptance
+    tests (``tests/test_acceptance.py``) and the benchmark tracer
+    (``perfbench/spans.py``) read it.
     """
     return _gershgorin_check(prob, tol)
 
@@ -538,7 +541,9 @@ def intra_edge_margins(
     graph: Graph, nus: Mapping[int, float], alphas: Mapping
 ) -> dict[tuple[int, int], float]:
     """Interface-condition margin for every edge of a fixed graph; a margin
-    beyond the float range raises DegenerateInput naming its edge."""
+    beyond the float range raises DegenerateInput naming its edge. No
+    verdict calls it (they call ``_edge_margins``); the benchmark tracer
+    (``perfbench/spans.py``) and the tests read it."""
     theta, sigma = _gather(graph, nus, alphas)
     margins = _edge_margins(graph.ends, theta, sigma, graph.degrees)
     _require_finite(margins, graph.edges, "interface margin")

@@ -106,6 +106,9 @@ class Graph:
         return len(self.edges)
 
     def index(self, node: int) -> int:
+        """The position of ``node`` in ``node_ids``. No library code calls
+        it (``ends`` reads the positions directly); the benchmark tracer
+        (``perfbench/spans.py``) and the tests read it."""
         try:
             return self._position[node]
         except KeyError:
@@ -159,13 +162,18 @@ class Graph:
         return j in self._adjacency.get(i, ())
 
     def edge_keys(self) -> set[frozenset[int]]:
+        """The edges as unordered pairs. No library code calls it; the
+        benchmark's workloads (``perfbench/workloads.py``), its tracer
+        (``perfbench/spans.py``) and the tests read it."""
         return {frozenset(e) for e in self.edges}
 
 
 def incidence(g: Graph) -> np.ndarray:
     """Node-by-edge incidence matrix with +1 at positive ends, -1 at negative.
 
-    Integer-valued; column sums are exactly zero.
+    Integer-valued; column sums are exactly zero. No library code builds
+    it (``Graph.ends`` holds the same signs); the benchmark tracer
+    (``perfbench/spans.py``) and the tests read it.
     """
     d = np.zeros((g.n, g.p), dtype=int)
     d[g.ends.T, np.arange(g.p)] = [[1], [-1]]
@@ -268,14 +276,6 @@ def assumption_1_violation(plan: PlugPlan) -> tuple[tuple[int, int], tuple[int, 
             if qr == qs or plan.added.has_edge(qr, qs):
                 return edges[r], edges[s]
     return None
-
-
-def check_assumption_1(plan: PlugPlan) -> bool:
-    """True iff boundary attachment nodes are pairwise non-adjacent on both sides.
-
-    Vacuously true for a single boundary edge.
-    """
-    return assumption_1_violation(plan) is None
 
 
 def compose(plan: PlugPlan) -> Graph:

@@ -1,4 +1,4 @@
-"""Consensus quantification: truncated norms, disagreement, empirical gain.
+"""Consensus quantification: disagreement and empirical gain over truncated norms.
 
 The consensus notion is input-output: edge disagreement of the outputs
 stays bounded by a scaled edge disagreement of the noise plus a transient
@@ -15,7 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlugnetError
-from .graph import Graph, incidence  # noqa: F401 (unused; perfbench/spans.py wraps it here)
+from .graph import Graph
+# Not called here: the benchmark tracer still wraps this name in this
+# module, until ROADMAP item 1 moves the spans into plugnet.
+from .graph import incidence  # noqa: F401
 from .sim import TrajectoryRecord
 
 
@@ -26,23 +29,6 @@ def _squared_cumulative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         g = g.sum(axis=1)
     seg = 0.5 * (g[1:] + g[:-1]) * np.diff(times)
     return np.concatenate(([0.0], np.cumsum(seg)))
-
-
-def truncated_norm(times: np.ndarray, values: np.ndarray, horizon: float) -> float:
-    """L2 norm of a sampled signal on [0, horizon], by the trapezoid rule.
-
-    ``values`` is (m,) or (m, d); the horizon must lie within the recorded
-    span (the integrand is interpolated linearly onto a horizon between
-    samples).
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size == 0:
-        raise ValueError("empty signal")
-    if not (times[0] <= horizon <= times[-1]):
-        raise ValueError(f"horizon {horizon} outside recorded span [{times[0]}, {times[-1]}]")
-    cum = _squared_cumulative(times, values)
-    return float(np.sqrt(np.interp(horizon, times, cum)))
 
 
 def _edge_differences(traj: TrajectoryRecord, graph: Graph,

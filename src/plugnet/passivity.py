@@ -180,32 +180,16 @@ class LtiSystem:
     def order(self) -> int:
         return self.a.shape[0]
 
-    def response(self, s) -> np.ndarray:
-        """Frequency response from the state-space matrices (not the polynomials).
-
-        One stacked solve of ``(s I - A) x = B`` over all points of ``s``;
-        a response beyond the float range comes back inf or NaN, unwarned.
-        """
-        s = np.atleast_1d(np.asarray(s, dtype=complex))
-        if self.order == 0:
-            return np.full(s.shape, self.d, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pencils = s[:, None, None] * np.eye(self.order) - self.a
-            x = np.linalg.solve(pencils, self.b[:, None])
-            return x[:, :, 0] @ self.c + self.d
-
     def poles(self) -> np.ndarray:
-        """The roots of ``den`` (a new array): kept from ``realize``, else solved."""
+        """The roots of ``den`` (a new array): kept from ``realize``, else solved.
+
+        No library code calls it (the index sweep reads ``_poles_many``); the
+        tests read it to check that ``realize`` keeps ``np.roots``' bits.
+        """
         poles, = _poles_many([self])
         if isinstance(poles, Exception):
             raise poles
         return poles.copy()
-
-
-def polynomial_response(num: Sequence[float], den: Sequence[float], s) -> np.ndarray:
-    """Evaluate num(s)/den(s) directly; the independent check against realize()."""
-    s = np.asarray(s, dtype=complex)
-    return _polyval(num, s) / _polyval(den, s)
 
 
 def _strip_leading_zeros(coeffs: np.ndarray) -> np.ndarray:
@@ -293,15 +277,6 @@ def _check_radius(roots: list) -> np.ndarray:
     np.maximum.at(largest, owner, _magnitudes(np.concatenate(roots)))
     with np.errstate(over="ignore"):  # an infinite radius fails the check
         return 2.0 * (1.0 + largest)
-
-
-def _verify_realization(sys: LtiSystem, roots: list) -> None:
-    """The realization check of one system whose poles and zeros are ``roots``."""
-    error, = _realization_errors(
-        sys.a[None], sys.b[None], sys.c[None], np.array([sys.d]), np.array([sys.num]),
-        np.array([sys.den]), _check_radius([np.array(roots)]))
-    if error is not None:
-        raise error
 
 
 def realize(num: Sequence[float], den: Sequence[float]) -> LtiSystem:
@@ -944,7 +919,12 @@ def coupling_parameters(couplings: Sequence[SectorCoupling]) -> tuple[np.ndarray
 
 
 def evaluate_coupling(c: SectorCoupling, x):
-    """phi(x) = gain * shape(x), for scalar or array x."""
+    """phi(x) = gain * shape(x), for scalar or array x.
+
+    No library code calls it (``verify_sector`` uses closed forms and the
+    simulator the shape calls); the benchmark tracer (``perfbench/spans.py``)
+    and the tests read it.
+    """
     arr = np.asarray(x, dtype=float)
     flat = arr.flatten()  # a copy, which the shape overwrites
     gains, params = coupling_parameters([c])

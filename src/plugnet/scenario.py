@@ -8,8 +8,8 @@ must resolve, and the declared sector bounds of every coupling must
 contain its exact sector.
 
 Each plug event is resolved once, at parse: its ``PlugPlan`` goes into a
-typed ``PlugEntry``, and the document keeps the graph of every topology
-phase. The rules a simulation also needs are checked by their one owner in
+``PlugEvent``, and the document keeps the graph of every topology phase.
+The rules a simulation also needs are checked by their one owner in
 ``plugnet.sim`` (``topology_phases`` for plug times and for a plug's base
 keeping the active network, ``_node_initial_state`` for ``x0`` and
 ``y0``), so a file that parses is one ``simulate`` accepts, save for
@@ -47,8 +47,8 @@ from .passivity import (
     tabulated,
     verify_sector,
 )
-# Not called here any more: the benchmark tracer still wraps these two names
-# in this module, until ROADMAP item 7 moves the spans into plugnet.
+# Not called here: the benchmark tracer still wraps these two names in this
+# module, until ROADMAP item 1 moves the spans into plugnet.
 from .passivity import estimate_ifp_index, realize  # noqa: F401
 from .sim import (NoiseSpec, PlugEvent, Scenario, SolverConfig, _node_initial_state,
                   topology_phases)
@@ -106,15 +106,6 @@ class NodeSpec:
     x0: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
-class PlugEntry(PlugEvent):
-    """A plug event as the file declares it: ``base`` and ``added`` name its
-    graphs (``added`` is None when a single node joins)."""
-
-    base: str
-    added: str | None
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioDocument:
     """Validated scenario file contents, ready to feed the other modules.
@@ -127,7 +118,7 @@ class ScenarioDocument:
     graphs: dict[str, Graph]
     initial_names: tuple[str, ...]
     couplings: dict[tuple[int, int], SectorCoupling]
-    plug_entries: tuple[PlugEntry, ...]
+    plug_entries: tuple[PlugEvent, ...]
     noise: NoiseSpec
     solver: SolverConfig
     # The graph of each topology phase: the initial graph, then one per plug.
@@ -143,10 +134,13 @@ class ScenarioDocument:
     def initial_graph(self) -> Graph:
         return self.phases[0]
 
-    def plug_plan(self, entry: PlugEntry) -> PlugPlan:
+    def plug_plan(self, entry: PlugEvent) -> PlugPlan:
+        """``entry.plan``; the benchmark's workloads (``perfbench/workloads.py``) read it."""
         return entry.plan
 
-    def plug_events(self) -> tuple[PlugEntry, ...]:
+    def plug_events(self) -> tuple[PlugEvent, ...]:
+        """``plug_entries``; ``build_scenario`` and the benchmark's workloads
+        (``perfbench/workloads.py``) read it."""
         return self.plug_entries
 
     def final_graph(self) -> Graph:
@@ -220,16 +214,14 @@ class ScenarioDocument:
         return json.loads(self._source)
 
 
-def _coefficient_key(dynamics: Any) -> tuple | None:
-    """``(num, den)`` as tuples when ``dynamics`` is a well-formed block
-    whose ``num`` and ``den`` are flat lists of numbers, else None.
+def _coefficient_key(dynamics: dict) -> tuple | None:
+    """``(num, den)`` as tuples when the ``num`` and ``den`` of a
+    well-formed block are flat lists of numbers, else None.
 
     Equal keys mean equal coefficients, hence the same realization. A bool
-    is no number here, though ``True == 1``: ``realize`` rejects it. Other
-    forms are realized node by node and left to ``realize`` to judge.
+    is no number here, though ``True == 1``: ``realize`` rejects it. A block
+    without a key is realized on its own and left to ``realize`` to judge.
     """
-    if not isinstance(dynamics, dict) or dynamics.keys() != _DYNAMICS_KEYS:
-        return None
     key = []
     for coeffs in (dynamics["num"], dynamics["den"]):
         if not isinstance(coeffs, (list, tuple)) or not all(
@@ -240,18 +232,25 @@ def _coefficient_key(dynamics: Any) -> tuple | None:
     return tuple(key)
 
 
-def _realize_distinct(raw: list) -> tuple[list, dict[tuple, LtiSystem | Exception]]:
-    """The coefficient key of each node, and the realization of each
-    distinct key, in one batch: the system, or the error realizing it
-    raises. The first node with a key gives its coefficients."""
-    keys = [_coefficient_key(entry.get("dynamics")) if isinstance(entry, dict) else None
-            for entry in raw]
-    blocks: dict[tuple, dict] = {}
-    for key, entry in zip(keys, raw):
-        if key is not None:
-            blocks.setdefault(key, entry["dynamics"])
-    outcomes = realize_many([(d["num"], d["den"]) for d in blocks.values()])
-    return keys, dict(zip(blocks, outcomes))
+def _realize_distinct(raw: list) -> list[LtiSystem | Exception | None]:
+    """The realization of each node's well-formed ``dynamics`` block (the
+    keys ``num`` and ``den`` exactly), in one batch: the system, or the
+    error realizing it raises; None for a node without such a block. Blocks
+    with one coefficient key share an item, which the first of them gives;
+    each block without a key is an item of its own."""
+    pairs, item_of_key, items = [], {}, []
+    for entry in raw:
+        dynamics = entry.get("dynamics") if isinstance(entry, dict) else None
+        if not isinstance(dynamics, dict) or dynamics.keys() != _DYNAMICS_KEYS:
+            items.append(None)
+            continue
+        key = _coefficient_key(dynamics)
+        if key is None or key not in item_of_key:
+            pairs.append((dynamics["num"], dynamics["den"]))
+            item_of_key[key] = len(pairs) - 1  # under None, this block's own item
+        items.append(item_of_key[key])
+    outcomes = realize_many(pairs)
+    return [None if item is None else outcomes[item] for item in items]
 
 
 def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
@@ -261,7 +260,7 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
     # One realization per distinct transfer function in this document; the
     # systems are immutable, so nodes share them. The loop below reads the
     # outcomes node by node, so the first error in document order is raised.
-    keys, realized = _realize_distinct(raw)
+    realized = _realize_distinct(raw)
     for idx, entry in enumerate(raw):
         path = f"nodes[{idx}]"
         _check_keys(entry, _NODE_KEYS, {"id"}, path)
@@ -270,11 +269,8 @@ def _parse_nodes(raw: Any) -> dict[int, NodeSpec]:
             raise ScenarioError(f"{path}: duplicate node id {node_id}")
         system = None
         if "dynamics" in entry:
-            dynamics = entry["dynamics"]
-            _check_keys(dynamics, _DYNAMICS_KEYS, _DYNAMICS_KEYS, f"{path}.dynamics")
-            key = keys[idx]
-            system = realized[key] if key is not None else realize_many(
-                [(dynamics["num"], dynamics["den"])])[0]
+            _check_keys(entry["dynamics"], _DYNAMICS_KEYS, _DYNAMICS_KEYS, f"{path}.dynamics")
+            system = realized[idx]
             if isinstance(system, PlugnetError):
                 raise ScenarioError(f"{path}.dynamics: {system}") from system
         nu = entry.get("nu")
@@ -447,7 +443,7 @@ def _parse(raw: Any, source: str | None) -> ScenarioDocument:
             plan = PlugPlan(base=graphs[entry["base"]], added=added, boundary=tuple(boundary))
         except PlugnetError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
-        plug_entries.append(PlugEntry(time, plan, base=entry["base"], added=entry.get("added")))
+        plug_entries.append(PlugEvent(time, plan))
 
     couplings: dict[tuple[int, int], SectorCoupling] = {}
     for idx, entry in enumerate(_list(raw["couplings"], "couplings")):

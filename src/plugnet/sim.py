@@ -210,7 +210,11 @@ class Scenario:
             for node in g.node_ids:
                 if node not in self.systems:
                     raise ValueError(f"no dynamics declared for node {node}")
-                _check_strictly_proper(node, self.systems[node])
+                if self.systems[node].d != 0.0:
+                    raise ValueError(
+                        f"node {node} has direct feedthrough; the coupled network "
+                        "would need an algebraic loop solve (unsupported)"
+                    )
             for i, j in g.edges:
                 _coupling_for(self.couplings, i, j)
         for node, sys in self.systems.items():
@@ -372,14 +376,6 @@ def _node_steps(a: np.ndarray, b: np.ndarray, c: np.ndarray, orders: np.ndarray,
             start + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
 
 
-def _check_strictly_proper(node: int, sys: LtiSystem) -> None:
-    if sys.d != 0.0:
-        raise ValueError(
-            f"node {node} has direct feedthrough; the coupled network "
-            "would need an algebraic loop solve (unsupported)"
-        )
-
-
 class _PhaseContext:
     """Step operators and coupling groups for one topology phase, step ``dt``.
 
@@ -390,7 +386,9 @@ class _PhaseContext:
     is built on first use, since only the divergence replay and the tests
     call it.
     Edges are held grouped by coupling kind, one slice per kind, so their
-    internal order is not that of ``graph.edges``.
+    internal order is not that of ``graph.edges``. ``run`` builds one per
+    phase of a ``Scenario``, which has checked that every node is strictly
+    proper.
     """
 
     def __init__(self, graph: Graph, systems: Mapping[int, LtiSystem],
@@ -401,7 +399,6 @@ class _PhaseContext:
         self.slices: dict[int, slice] = {}
         offset = 0
         for node, sys in zip(self.node_ids, self.systems):
-            _check_strictly_proper(node, sys)
             self.slices[node] = slice(offset, offset + sys.order)
             offset += sys.order
         self.n_states = offset
@@ -532,7 +529,9 @@ class _PhaseContext:
 
     def phi(self, v: np.ndarray) -> np.ndarray:
         """Gain-free coupling shapes at ``v``, written over ``v`` and
-        returned; the couplings are ``_gain * phi(v)``."""
+        returned; the couplings are ``_gain * phi(v)``. The step kernel runs
+        the shape calls itself; ``inputs`` and ``deriv`` call this, and the
+        benchmark tracer (``perfbench/spans.py``) and the tests read it."""
         for call in self._shape_calls(v):
             call()
         return v
@@ -548,6 +547,9 @@ class _PhaseContext:
                 - np.bincount(self._heads, f, minlength=self.n))
 
     def deriv(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """``S [x; phi(G x + dw)]``, the stage-wise derivative under edge noise
+        ``dw``. Only the divergence replay calls it; the benchmark tracer
+        (``perfbench/spans.py``) and the tests read it too."""
         z = np.concatenate((x, self.phi(self.edge_inputs(x, dw))))
         return _matvec(self._S, z)
 
@@ -623,38 +625,6 @@ def _node_initial_state(sys: LtiSystem, y0: float | None,
     scale = 2.0 ** math.frexp(float(np.abs(sys.c).max()))[1]  # C / scale has entries below 1
     c = sys.c / scale
     return c * (y0 / float(c @ c)) / scale
-
-
-def step(
-    state: Mapping[int, np.ndarray],
-    graph: Graph,
-    systems: Mapping[int, LtiSystem],
-    couplings: Mapping[tuple[int, int], SectorCoupling],
-    w_sample: Mapping[int, float],
-    dt: float,
-    t0: float = 0.0,
-) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-    """One RK4 update of the coupled network; noise held across stages.
-
-    Returns the next per-node states and the outputs at the end of the
-    step. A divergence is reported as step ``round(t0 / dt) + 1``, the
-    number ``run`` gives a step that starts at ``t0``. Convenience wrapper
-    over the phase machinery; ``run`` builds the context once per phase
-    instead.
-    """
-    ctx = _PhaseContext(graph, systems, couplings, dt)
-    x = np.zeros(ctx.n_states)
-    for node, sys in zip(ctx.node_ids, ctx.systems):
-        arr = np.asarray(state[node], dtype=float)
-        if arr.shape != (sys.order,):
-            raise ValueError(f"node {node}: state must have {sys.order} entries")
-        x[ctx.slices[node]] = arr
-    w = np.array([float(w_sample.get(node, 0.0)) for node in ctx.node_ids])
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_next = ctx.advance(x, w, t0 + dt, round(t0 / dt) + 1)
-    y = ctx.outputs(x_next)
-    next_state = {node: x_next[sl].copy() for node, sl in ctx.slices.items()}
-    return next_state, {node: float(y[idx]) for idx, node in enumerate(ctx.node_ids)}
 
 
 def run(scenario: Scenario) -> TrajectoryRecord:

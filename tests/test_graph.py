@@ -10,7 +10,7 @@ from plugnet.errors import GraphError
 from plugnet.graph import (
     Graph,
     PlugPlan,
-    check_assumption_1,
+    assumption_1_violation,
     compose,
     incidence,
     is_connected,
@@ -147,17 +147,17 @@ G2_FIG2 = Graph.from_pairs([4, 5, 6], [(4, 5), (5, 6)])
 
 def test_assumption_satisfied_case():
     plan = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((1, 4), (3, 6)))
-    assert check_assumption_1(plan) is True
+    assert assumption_1_violation(plan) is None
 
 
 def test_assumption_violated_case():
     plan = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((1, 4), (2, 6)))
-    assert check_assumption_1(plan) is False
+    assert assumption_1_violation(plan) == ((1, 4), (2, 6))
 
 
 def test_assumption_vacuous_for_single_boundary_edge():
     plan = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((1, 4),))
-    assert check_assumption_1(plan) is True
+    assert assumption_1_violation(plan) is None
 
 
 def test_assumption_on_seven_node_example():
@@ -166,25 +166,25 @@ def test_assumption_on_seven_node_example():
     plan = PlugPlan(base=g1, added=g2, boundary=((1, 5), (4, 7)))
     # oracle: direct adjacency lookups on both sides
     assert not g1.has_edge(1, 4) and not g2.has_edge(5, 7)
-    assert check_assumption_1(plan) is True
+    assert assumption_1_violation(plan) is None
 
 
 def test_assumption_symmetric_in_boundary_listing_order():
     for boundary in [((1, 4), (3, 6)), ((3, 6), (1, 4))]:
-        assert check_assumption_1(PlugPlan(G1_FIG2, G2_FIG2, boundary)) is True
+        assert assumption_1_violation(PlugPlan(G1_FIG2, G2_FIG2, boundary)) is None
     for boundary in [((1, 4), (2, 6)), ((2, 6), (1, 4))]:
-        assert check_assumption_1(PlugPlan(G1_FIG2, G2_FIG2, boundary)) is False
+        assert assumption_1_violation(PlugPlan(G1_FIG2, G2_FIG2, boundary)) == boundary
 
 
 def test_assumption_rejects_shared_attachment_node():
     plan = PlugPlan(base=G1_FIG2, added=G2_FIG2, boundary=((1, 4), (1, 6)))
-    assert check_assumption_1(plan) is False
+    assert assumption_1_violation(plan) == ((1, 4), (1, 6))
 
 
 def test_assumption_requires_network_plan():
     plan = PlugPlan(base=G1_FIG2, added=9, boundary=((9, 1),))
     with pytest.raises(GraphError):
-        check_assumption_1(plan)
+        assumption_1_violation(plan)
 
 
 def test_plan_rejects_boundary_with_unknown_node():

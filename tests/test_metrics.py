@@ -14,7 +14,6 @@ from plugnet.metrics import (
     estimate_io_gain,
     fit_gain_offset,
     record_span,
-    truncated_norm,
 )
 from plugnet.sim import TrajectoryRecord
 
@@ -33,6 +32,27 @@ def _record(times, outputs, noise=None, ids=(1, 2)):
 
 
 # --- truncated norm -------------------------------------------------------------
+
+
+def truncated_norm(times, values, horizon: float) -> float:
+    """L2 norm of a sampled signal on [0, horizon], by the trapezoid rule:
+    the reference for ``estimate_io_gain``'s samples.
+
+    ``values`` is (m,) or (m, d); the horizon must lie within the recorded
+    span (the integrand is interpolated linearly onto a horizon between
+    samples).
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size == 0:
+        raise ValueError("empty signal")
+    if not (times[0] <= horizon <= times[-1]):
+        raise ValueError(f"horizon {horizon} outside recorded span [{times[0]}, {times[-1]}]")
+    g = values * values
+    if g.ndim == 2:
+        g = g.sum(axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(times))))
+    return float(np.sqrt(np.interp(horizon, times, cum)))
 
 
 def test_truncated_norm_constant_scalar():

@@ -18,13 +18,12 @@ from plugnet.passivity import (
     _coefficients,
     _compensated_horner,
     _even_odd,
-    _verify_realization,
+    _realization_errors,
     coupling_parameters,
     estimate_ifp_index,
     evaluate_coupling,
     ifp_indices,
     linear_gain,
-    polynomial_response,
     realize,
     realize_many,
     saturated_sine,
@@ -35,6 +34,22 @@ from plugnet.passivity import (
 
 
 # --- realization ---------------------------------------------------------------
+
+
+def _looped_response(sys, s):
+    """The frequency response from the state-space matrices (not the
+    polynomials), one solve per point."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if sys.order == 0:
+        return np.full(s.shape, sys.d, dtype=complex)
+    eye = np.eye(sys.order)
+    return np.array([sys.c @ np.linalg.solve(v * eye - sys.a, sys.b) + sys.d for v in s])
+
+
+def polynomial_response(num, den, s):
+    """num(s)/den(s) evaluated directly; the independent check against ``realize``."""
+    s = np.asarray(s, dtype=complex)
+    return np.polyval(num, s) / np.polyval(den, s)
 
 
 def test_realize_first_order_lag():
@@ -51,7 +66,7 @@ def test_realize_type_one_second_order():
     sys = realize([1, 1], [1, 0.7, 0])
     assert sys.order == 2
     expected = (1 + 1j) / (1j * (0.7 + 1j))
-    got = sys.response(1j)[0]
+    got = _looped_response(sys, 1j)[0]
     assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
@@ -94,7 +109,7 @@ def test_realize_cancels_exact_common_roots():
     # (s+1)/((s+1)(s+2)) -> 1/(s+2)
     sys = realize([1, 1], np.convolve([1, 1], [1, 2]))
     assert sys.order == 1
-    got = sys.response(1j * 0.3)[0]
+    got = _looped_response(sys, 1j * 0.3)[0]
     assert abs(got - 1 / (1j * 0.3 + 2)) < 1e-10
 
 
@@ -108,45 +123,22 @@ def test_realize_round_trip_random_stable_systems():
         num[0] = num[0] if num[0] != 0 else 1.0
         sys = realize(num, den)
         w = rng.uniform(0.01, 100.0, size=20)
-        h_ss = sys.response(1j * w)
+        h_ss = _looped_response(sys, 1j * w)
         h_poly = polynomial_response(num, den, 1j * w)
         assert np.all(np.abs(h_ss - h_poly) <= 1e-8 * (1 + np.abs(h_poly)))
 
 
-def _looped_response(sys, s):
-    """Reference for the batched ``LtiSystem.response``: one solve per point."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    if sys.order == 0:
-        return np.full(s.shape, sys.d, dtype=complex)
-    eye = np.eye(sys.order)
-    return np.array([sys.c @ np.linalg.solve(v * eye - sys.a, sys.b) + sys.d for v in s])
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("points", ["scalar", 1, 50])
-def test_batched_response_matches_per_point_solves(order, points):
-    rng = np.random.default_rng([order, 0 if points == "scalar" else points])
-    for _ in range(5):
-        den = np.poly(-rng.uniform(0.1, 5.0, size=order))
-        num = rng.standard_normal(int(rng.integers(1, order + 2)))
-        sys = realize(num, den)
-        if points == "scalar":
-            s = complex(rng.standard_normal(), rng.standard_normal())
-        else:
-            s = rng.standard_normal(points) + 1j * rng.standard_normal(points)
-        fast = sys.response(s)
-        assert fast.shape == np.atleast_1d(s).shape
-        np.testing.assert_allclose(fast, _looped_response(sys, s), rtol=1e-12, atol=0.0)
-
-
 def test_verify_realization_rejects_a_corrupted_realization():
+    # one stacked check of the genuine realization and of one with C scaled
     num, den = [1.0, 0.5], [1.0, 0.4, 0.0]
     sys = realize(num, den)
-    roots = list(np.roots(num)) + list(np.roots(den))
-    _verify_realization(sys, roots)  # the genuine realization passes
-    bad = LtiSystem(num=sys.num, den=sys.den, a=sys.a, b=sys.b, c=1.5 * sys.c, d=sys.d)
-    with pytest.raises(RealizationError, match="deviates"):
-        _verify_realization(bad, roots)
+    radius = 2.0 * (1.0 + max(abs(r) for r in [*np.roots(num), *np.roots(den)]))
+    good, bad = _realization_errors(
+        np.array([sys.a, sys.a]), np.array([sys.b, sys.b]), np.array([sys.c, 1.5 * sys.c]),
+        np.array([sys.d, sys.d]), np.array([sys.num, sys.num]), np.array([sys.den, sys.den]),
+        np.full(2, radius))
+    assert good is None
+    assert isinstance(bad, RealizationError) and "deviates" in str(bad)
 
 
 # --- passivity index sweep ------------------------------------------------------
@@ -632,7 +624,7 @@ def _ref_verify_realization(sys, roots):
     radius = 2.0 * (1.0 + max((abs(r) for r in roots), default=0.0))
     rng = np.random.default_rng(1724)
     s = radius * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=20))
-    h_ss = sys.response(s)
+    h_ss = _looped_response(sys, s)
     h_poly = np.polyval(list(sys.num), s) / np.polyval(list(sys.den), s)
     err = np.abs(h_ss - h_poly) / (1.0 + np.abs(h_poly))
     if not np.all(err <= 1e-8):

@@ -347,6 +347,26 @@ def test_equal_transfer_functions_share_one_realization(monkeypatch):
         assert nus[node["id"]] == node.get("nu", alone.nu)
 
 
+def test_blocks_without_a_coefficient_key_join_the_one_batch(monkeypatch):
+    # numpy coefficients give no coefficient key, so nodes 3 and 4 are
+    # realized as an item each, in the same batch as the two shared keys
+    import plugnet.scenario as scenario_module
+    from plugnet.passivity import realize_many
+
+    batches = []
+    monkeypatch.setattr(scenario_module, "realize_many",
+                        lambda pairs: batches.append(len(pairs)) or realize_many(pairs))
+    raw = _shared_tf_scenario()
+    for node in raw["nodes"]:
+        if node["id"] in (3, 4):
+            node["dynamics"] = {key: np.array(v) for key, v in node["dynamics"].items()}
+    systems = {i: spec.system for i, spec in parse_scenario_dict(raw).nodes.items()}
+    assert batches == [4]
+    assert systems[3] is not systems[1] and systems[4] is not systems[3]
+    for name in ("a", "b", "c"):
+        assert _bits(getattr(systems[3], name)) == _bits(getattr(systems[1], name))
+
+
 def test_a_bool_coefficient_is_no_number_in_an_equal_block():
     # True == 1.0 and hash(True) == hash(1.0): a bool must not reuse the
     # realization of an equal numeric block
@@ -1459,7 +1479,7 @@ def test_cli_report_on_a_node_that_joins_late(tmp_path, capsys):
 def test_plug_entries_are_typed_and_round_trip():
     doc = parse_scenario_dict(late_node_scenario())
     (entry,) = doc.plug_entries
-    assert (entry.time, entry.base, entry.added) == (2.0, "g1", None)
+    assert type(entry) is PlugEvent and entry.time == 2.0
     assert doc.plug_plan(entry) is entry.plan and doc.plug_events() == (entry,)
     assert doc.phases == (doc.initial_graph(), doc.final_graph())
     assert doc.final_graph().has_edge(1, 8)

@@ -23,7 +23,6 @@ from plugnet.sim import (
     TrajectoryRecord,
     noise_stream,
     run,
-    step,
 )
 
 INTEGRATOR = realize([1], [1, 0])
@@ -43,15 +42,20 @@ def _two_node_scenario(system, coupling, y0, dt=1e-3, t_end=5.0, stride=10, nois
     )
 
 
+def _edgeless_run(systems, states, dt, t_end):
+    """``run`` of the noise-free edgeless network of ``systems`` from ``states``."""
+    return run(Scenario(systems=systems, initial_graph=Graph(list(systems), []), couplings={},
+                        noise=NO_NOISE, solver=SolverConfig(dt=dt, t_end=t_end),
+                        initial_states=states))
+
+
 def test_step_free_response_matches_exponential():
-    # single lag, no edges: one RK4 step of the free response
+    # single lag, no edges: one RK4 step of the free response; C = [1], so
+    # the output after the step is the state after it
     dt = 0.01
-    state = {1: np.array([1.0])}
-    next_state, outputs = step(
-        state, Graph([1], []), {1: LAG}, {}, {1: 0.0}, dt
-    )
-    assert abs(outputs[1] - math.exp(-dt)) < dt**5
-    assert abs(next_state[1][0] - math.exp(-dt)) < dt**5
+    traj = _edgeless_run({1: LAG}, {1: np.array([1.0])}, dt, t_end=dt)
+    assert LAG.c.tolist() == [1.0] and traj.times.tolist() == [0.0, dt]
+    assert abs(traj.outputs[-1, 0] - math.exp(-dt)) < dt**5
 
 
 def test_identical_nodes_stay_identical():
@@ -210,11 +214,14 @@ def test_divergence_names_node_and_step():
     before = run(Scenario(solver=SolverConfig(dt=dt, t_end=(err.step - 1) * dt), **kwargs))
     assert np.all(np.isfinite(before.outputs))
 
+    # one step from huge states: nodes 2 and 3 both leave the finite range
+    # in it, and the first of them is named
+    huge = np.array([1e306])
     with pytest.raises(SimulationDiverged) as exc:
-        step({1: np.zeros(1), 2: np.array([1e306])}, Graph([1, 2], []),
-             {1: LAG, 2: unstable}, {}, {}, dt, t0=0.5)
-    assert (exc.value.node, exc.value.step) == (2, 51)
-    assert exc.value.time == pytest.approx(0.51)
+        _edgeless_run({1: LAG, 2: unstable, 3: unstable}, {1: np.zeros(1), 2: huge, 3: huge},
+                      dt, t_end=dt)
+    assert (exc.value.node, exc.value.step) == (2, 1)
+    assert exc.value.time == pytest.approx(dt)
 
 
 def test_divergence_inside_a_stage_names_the_node():
@@ -224,17 +231,11 @@ def test_divergence_inside_a_stage_names_the_node():
     unstable = realize([1], [1, -100.0])
     systems = {1: LAG, 2: unstable}
     states = {1: np.zeros(1), 2: np.array([1e307])}
-    with pytest.raises(SimulationDiverged) as exc:
-        step(states, Graph([1, 2], []), systems, {}, {}, 0.01, t0=0.5)
-    assert (exc.value.node, exc.value.step) == (2, 51)
-
-    scenario = Scenario(systems=systems, initial_graph=Graph([1, 2], []), couplings={},
-                        noise=NO_NOISE, solver=SolverConfig(dt=0.01, t_end=1.0),
-                        initial_states=states)
-    with pytest.raises(SimulationDiverged) as exc:
-        run(scenario)
-    assert (exc.value.node, exc.value.step) == (2, 1)
-    assert exc.value.time == pytest.approx(0.01)
+    for t_end in (0.01, 1.0):  # one step, and a run that would go on
+        with pytest.raises(SimulationDiverged) as exc:
+            _edgeless_run(systems, states, 0.01, t_end)
+        assert (exc.value.node, exc.value.step) == (2, 1)
+        assert exc.value.time == pytest.approx(0.01)
 
 
 def test_feedthrough_nodes_are_rejected():

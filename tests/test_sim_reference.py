@@ -24,7 +24,8 @@ from plugnet.passivity import (
     saturated_sine_smooth,
     tabulated,
 )
-from plugnet.sim import NoiseSpec, PlugEvent, Scenario, SolverConfig, noise_stream, run, step
+from plugnet import sim
+from plugnet.sim import NoiseSpec, PlugEvent, Scenario, SolverConfig, noise_stream, run
 
 REL_TOL = 1e-12
 
@@ -217,14 +218,21 @@ def test_run_matches_dense_reference(seed, tfs, late):
     {1: INTEGRATOR, 2: LAG, 3: realize(*TRANSFER_FUNCTIONS[4])},
 ])
 def test_edgeless_step_matches_dense_reference(systems):
+    # one step: the outputs through ``run``, the state through the phase's
+    # step of the same validated scenario
     graph = Graph(tuple(systems), ())
     rng = np.random.default_rng(5)
     state = {i: rng.uniform(-1.0, 1.0, s.order) for i, s in systems.items()}
-    w = {i: 0.3 for i in systems}
-    next_state, outputs = step(state, graph, systems, {}, w, dt=0.05)
+    scenario = Scenario(systems=systems, initial_graph=graph, couplings={},
+                        noise=NoiseSpec(scale=0.3, seed=5), solver=SolverConfig(dt=0.05, t_end=0.05),
+                        initial_states=state)
+    traj = run(scenario)
+    ctx = sim._PhaseContext(scenario.phases[0], scenario.systems, scenario.couplings, 0.05)
+    x0, w = np.concatenate([state[i] for i in graph.node_ids]), traj.noise[0]
+    x_next = ctx.advance(x0, w, 0.05, 1)
 
     ref = _Dense(graph, systems, {})
-    x_ref = ref.rk4(np.concatenate([state[i] for i in graph.node_ids]), np.full(len(w), 0.3), 0.05)
+    x_ref = ref.rk4(x0, w, 0.05)
     for node in graph.node_ids:
-        _assert_close(next_state[node], ref.state_of(x_ref, node))
-    _assert_close(np.array([outputs[i] for i in graph.node_ids]), ref.C @ x_ref)
+        _assert_close(x_next[ctx.slices[node]], ref.state_of(x_ref, node))
+    _assert_close(traj.outputs[-1], ref.C @ x_ref)
